@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -23,7 +24,8 @@ from .homology import homology
 from .library import library, random_complex
 from .localize import HypothesisFailed, Site
 from .oracle import OracleMismatch
-from .posets import assembly_from_json, load_poset, torus_poset
+from .posets import (AssemblyError, RangeError, assembly_from_json, load_poset,
+                     torus_poset, validate_assembly)
 from .ratfunc import parse_ratxy
 from .shapes import (build_ifull, build_igeq, build_iminus, full_cube,
                      iminus_count, punctured_cube, to_dot)
@@ -45,11 +47,31 @@ def _emit(doc, out=None):
         sys.stdout.write(text)
 
 
+MAX_PRIME = 10 ** 9
+
+
+def _is_prime(n: int) -> bool:
+    return 2 <= n <= MAX_PRIME and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def _truncation(text: str) -> tuple[int, ...]:
+    """Parse --T: distinct comma-separated primes up to MAX_PRIME."""
+    try:
+        T = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise InputError(f"--T must list primes, got {text!r}") from None
+    for p in T:
+        if not _is_prime(p):
+            raise InputError(f"--T: {p} is not a prime up to {MAX_PRIME}")
+    if len(set(T)) != len(T):
+        raise InputError(f"--T: primes must be distinct, got {text!r}")
+    return T
+
+
 def _site(args) -> Site:
     backend = args.backend
     if backend == "zint":
-        T = tuple(int(t) for t in (args.T.split(",") if args.T else ["2", "3"]))
-        return Site("zint", T=T)
+        return Site("zint", T=_truncation(args.T) if args.T else (2, 3))
     if backend == "valrank2":
         return Site("valrank2")
     raise InputError(f"backend {backend!r} has no exact worlds")
@@ -149,14 +171,17 @@ def cmd_shape(args) -> int:
         elif args.index == "ifull":
             shape = build_ifull(d)
         elif args.index.startswith("igeq:"):
-            shape = build_igeq(d, int(args.index.split(":")[1]))
+            cut = args.index.split(":")[1]
+            if not cut.isdigit():
+                raise InputError(f"filtration cut {cut!r} is not a nonnegative integer")
+            shape = build_igeq(d, int(cut))
         elif args.index == "pcube":
             shape = punctured_cube(d)
         elif args.index == "cube":
             shape = full_cube(d)
         else:
             raise InputError(f"unknown index kind {args.index!r}")
-    except InputError as exc:
+    except (InputError, RangeError) as exc:
         print(f"input error [shape]: {exc}", file=sys.stderr)
         return 2
     doc = {"check": "cube-combinatorics", "kind": args.index, "d": d,
@@ -228,6 +253,26 @@ def cmd_tors(args) -> int:
         doc["dot"] = TD.dot(annotate=dict(TD.ring_names))
     _emit(doc, args.out)
     return 0 if val.ok and rt.agree else 1
+
+
+# Criterion-9 mutants of the torus assembly: each must raise AssemblyError.
+ASSEMBLY_MUTANTS = {
+    "dimension-drop": {"H10xC2": "e"},     # collapse a subtorus class to the point
+    "order-break": {"C2": "H11"},          # finite sample to an incomparable subtorus
+    "moved-top": {"G": "H10"},             # not a retraction on the subposet
+}
+
+
+def _accepted_assembly_mutants(P, A) -> list[str]:
+    """Names of the mutants that validate_assembly fails to refuse."""
+    accepted = []
+    for name, change in ASSEMBLY_MUTANTS.items():
+        try:
+            validate_assembly(P, A.subposet, {**A.alpha, **change})
+            accepted.append(name)
+        except AssemblyError:
+            pass
+    return accepted
 
 
 def cmd_verify(args) -> int:
@@ -321,7 +366,9 @@ def cmd_verify(args) -> int:
                    refused=refused, failures=fails, **extra)
         elif suite == "assembly":
             P, A = torus_poset(2, 2)
-            record("assembly-validation", True, poset=len(P.elements))
+            accepted = _accepted_assembly_mutants(P, A)
+            extra = {"detail": f"mutants accepted: {accepted}"} if accepted else {}
+            record("assembly-validation", not accepted, poset=len(P.elements), **extra)
         else:
             print(f"input error [verify]: unknown suite {suite!r}", file=sys.stderr)
             return 2

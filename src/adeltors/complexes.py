@@ -18,11 +18,9 @@ would leave it fail loudly rather than truncate.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .worlds import (World, canonical_map_exists, carrier_act, map_act,
                      mult_map_allowed)
-from .linalg import mat_mul
+from .linalg import _is_zero_el, mat_mul
 
 DEGREE_LO, DEGREE_HI = -8, 8
 
@@ -49,8 +47,7 @@ def _zeros(world: World, rows: int, cols: int):
 
 
 def _is_zero_mat(M) -> bool:
-    return all(e == 0 if isinstance(e, (int, Fraction)) else e.is_zero()
-               for row in M for e in row)
+    return all(_is_zero_el(e) for row in M for e in row)
 
 
 def _kron(A, B, zero):
@@ -58,11 +55,13 @@ def _kron(A, B, zero):
     ra, ca = len(A), len(A[0]) if A else 0
     rb, cb = len(B), len(B[0]) if B else 0
     out = [[zero for _ in range(ca * cb)] for _ in range(ra * rb)]
+    nz_b = [(k, l, b) for k in range(rb) for l, b in enumerate(B[k]) if not _is_zero_el(b)]
     for i in range(ra):
         for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = A[i][j] * B[k][l]
+            a = A[i][j]
+            if not _is_zero_el(a):
+                for k, l, b in nz_b:
+                    out[i * rb + k][j * cb + l] = a * b
     return out
 
 

@@ -94,9 +94,7 @@ def single_world_homology(C: ChainComplex) -> GradedClasses:
             kdim = rank_n - r
         else:
             kdim = rank_n
-            B = mat_mul([[w.el_one() if i == j else w.el_zero()
-                          for j in range(rank_n)] for i in range(rank_n)],
-                        d_up) if d_up is not None else [[] for _ in range(rank_n)]
+            B = d_up if d_up is not None else [[] for _ in range(rank_n)]
         cls = ModuleClass()
         if kdim:
             if B and any(len(row) for row in B):

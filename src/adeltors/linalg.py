@@ -20,12 +20,18 @@ from .worlds import World
 
 
 def mat_mul(A, B):
+    """A @ B, summing only the products of non-zero entries of each row
+    of A; the sum starts from ``row[0] * 0`` (0 when A has no columns)."""
     n, k = len(A), len(B)
     m = len(B[0]) if k else 0
     if n and len(A[0]) != k:
         raise ValueError("shape mismatch")
-    return [[sum((A[i][t] * B[t][j] for t in range(k)),
-                 A[i][0] * 0 if k else 0) for j in range(m)] for i in range(n)]
+    out = []
+    for row in A:
+        start = row[0] * 0 if k else 0
+        terms = [(a, B[t]) for t, a in enumerate(row) if not _is_zero_el(a)]
+        out.append([sum((a * Bt[j] for a, Bt in terms), start) for j in range(m)])
+    return out
 
 
 def mat_id(n, one):

@@ -15,13 +15,20 @@ component of v is the y-adic valuation.
 Polynomials are dicts {(a, b): Fraction} keyed by (x-exponent,
 y-exponent).  Fractions are reduced on construction: integer content,
 common monomial factors, and a primitive-PRS gcd in (QQ[x])[y], so
-equality and hashing are structural.
+equality and hashing are structural.  The gcd is skipped when, after
+the common monomial factor is removed, the numerator or the denominator
+is a single monomial: the gcd is then a constant.
+
+Elements are canonical (reduced, monic denominator) and never written
+to after construction, so arithmetic may return an operand or a shared
+constant instead of building a new element.  The fast paths do so for
+a + 0, 0 + a, -0, a * 0, a * 1 and 1 * a, with 0 and 1 given as RatXY,
+int or Fraction; their results equal what the full reduction builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 Mono = tuple[int, int]
 PolyDict = dict[Mono, Fraction]
@@ -202,7 +209,7 @@ class RatXY:
             if sa or sb:
                 num = {(a - sa, b - sb): c for (a, b), c in num.items()}
                 den = {(a - sa, b - sb): c for (a, b), c in den.items()}
-            if len(num) > 1 or len(den) > 1:
+            if len(num) > 1 and len(den) > 1:
                 g = poly_gcd(num, den)
                 if poly_val(g) is not None and g != {(0, 0): Fraction(1)}:
                     num = _poly_divexact(num, g)
@@ -234,6 +241,10 @@ class RatXY:
         if isinstance(other, RatXY):
             return other
         if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return _ZERO
+            if other == 1:
+                return _ONE
             return RatXY.const(other)
         return NotImplemented
 
@@ -241,12 +252,18 @@ class RatXY:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         return RatXY(poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
                      poly_mul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatXY":
+        if not self.num:
+            return self
         return RatXY(poly_neg(self.num), self.den, reduce=False)
 
     def __sub__(self, other) -> "RatXY":
@@ -262,6 +279,12 @@ class RatXY:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.num or not other.num:
+            return _ZERO
+        if other._key == _ONE._key:
+            return self
+        if self._key == _ONE._key:
+            return other
         return RatXY(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -275,7 +298,7 @@ class RatXY:
         return RatXY(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
 
     def __pow__(self, n: int) -> "RatXY":
-        out = RatXY.const(1)
+        out = _ONE
         base = self if n >= 0 else self.inv()
         for _ in range(abs(n)):
             out = out * base
@@ -289,7 +312,7 @@ class RatXY:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RatXY.const(other)
+            other = self._coerce(other)
         return isinstance(other, RatXY) and self._key == other._key
 
     def __hash__(self):
@@ -324,16 +347,14 @@ class RatXY:
         return RatXY(num0, den0)
 
     def is_y_free(self) -> bool:
-        if self.is_zero():
-            return True
-        v = self.vy()
-        if v is None or v < 0:
-            return False
-        return self == self.y_eval()
+        """Whether the element lies in QQ(x).  A reduced fraction of QQ(x)
+        stays reduced over QQ[x, y], so by canonicity this holds exactly
+        when no monomial of num or den has a y-exponent."""
+        return not any(b for (_, b) in self.num) and not any(b for (_, b) in self.den)
 
     def vx_of_y_free(self) -> int | None:
         """x-adic valuation, for y-free elements only."""
-        f = self.y_eval()
+        f = self if self.is_y_free() else self.y_eval()
         if f.is_zero():
             return None
         return f.val()[1]
@@ -364,29 +385,33 @@ class RatXY:
         return f"({n})/({self._poly_str(self.den)})"
 
 
-@lru_cache(maxsize=None)
-def _cached_consts():
-    return RatXY.const(0), RatXY.const(1), RatXY.monomial(1, 0), RatXY.monomial(0, 1)
+_ZERO, _ONE, _X, _Y = RatXY.const(0), RatXY.const(1), RatXY.monomial(1, 0), RatXY.monomial(0, 1)
 
 
 def zero() -> RatXY:
-    return _cached_consts()[0]
+    return _ZERO
 
 
 def one() -> RatXY:
-    return _cached_consts()[1]
+    return _ONE
 
 
 def x() -> RatXY:
-    return _cached_consts()[2]
+    return _X
 
 
 def y() -> RatXY:
-    return _cached_consts()[3]
+    return _Y
+
+
+MAX_EXPONENT = 64
 
 
 def parse_ratxy(s: str) -> RatXY:
-    """Parse expressions like '3*x^2*y/(1 + x)' (exact, eval-free)."""
+    """Parse expressions like '3*x^2*y/(1 + x)' (exact, eval-free).
+
+    Exponents are integer literals 0..MAX_EXPONENT; anything else raises
+    ValueError."""
     import ast
 
     def conv(node):
@@ -403,13 +428,12 @@ def parse_ratxy(s: str) -> RatXY:
             if isinstance(node.op, ast.Div):
                 return left / right
             if isinstance(node.op, ast.Pow):
-                if not isinstance(node.right, ast.Constant):
-                    raise ValueError("exponent must be a literal")
-                out = one()
-                base = left
-                for _ in range(int(node.right.value)):
-                    out = out * base
-                return out
+                n = node.right.value if isinstance(node.right, ast.Constant) else None
+                if type(n) is not int:
+                    raise ValueError("exponent must be a non-negative integer literal")
+                if n > MAX_EXPONENT:
+                    raise ValueError(f"exponent {n} exceeds {MAX_EXPONENT}")
+                return left ** n
             raise ValueError(f"unsupported operator {node.op}")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -conv(node.operand)

@@ -109,6 +109,8 @@ def punctured_cube(d: int) -> IndexCategory:
 
 
 def full_cube(d: int) -> IndexCategory:
+    if d < 0:
+        raise RangeError("d must be nonnegative")
     verts = [Vertex(tuple(sorted(s))) for s in _subsets(range(d + 1))]
     verts.sort(key=lambda v: (len(v.label), v.label))
     arrows = []

@@ -89,3 +89,34 @@ def test_formal_backend():
     doc = json.loads(out.stdout)
     assert doc["check"] == "chromatic-chain-labels"
     assert set(doc["slots"]) == {"0", "1", "2"}
+
+
+def test_bad_truncation_refused():
+    for T in ("4", "x", "2,2", "2,", "1", "-3"):
+        proc = run_cli("adelic", "--backend", "zint", "--T", T, expect=2)
+        assert "input error [adelic]" in proc.stderr and "Traceback" not in proc.stderr
+    run_cli("tors", "--backend", "zint", "--T", "6", expect=2)
+
+
+def test_shape_bad_dimension_refused():
+    for d, index in (("0", "iminus"), ("-3", "iminus"), ("-3", "cube"), ("2", "igeq:x")):
+        proc = run_cli("shape", "--d", d, "--index", index, expect=2)
+        assert "input error [shape]" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_assembly_runs_mutants(monkeypatch, capsys):
+    from adeltors import cli
+    assert cli.main(["verify", "assembly"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    monkeypatch.setattr(cli, "validate_assembly", lambda *args: None)
+    assert cli.main(["verify", "assembly"]) == 1
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert not result["ok"] and all(name in result["detail"] for name in cli.ASSEMBLY_MUTANTS)
+
+
+def test_bad_exponent_refused(tmp_path):
+    obj = tmp_path / "v.json"
+    obj.write_text(json.dumps({"world": "V", "degrees": {"1": 1, "0": 1},
+                               "diff": {"1": [["x^1.5"]]}}))
+    proc = run_cli("adelic", "--backend", "valrank2", "--object", str(obj), expect=2)
+    assert "input error [adelic]" in proc.stderr

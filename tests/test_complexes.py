@@ -4,7 +4,7 @@ import pytest
 
 from adeltors.complexes import (ChainComplex, ChainMap, DegreeWindowError,
                                 IncompatibleWorldsError, NotChainMapError,
-                                ShapeError, cone, compose, map_equal)
+                                ShapeError, _kron, cone, compose, map_equal)
 from adeltors.homology import homology
 from adeltors.ratfunc import x as rx, y as ry
 from adeltors.worlds import VAL, Z_INT, Z_INV, invert_primes
@@ -26,6 +26,16 @@ def test_tensor_tor_example():
     from adeltors.classes import GradedClasses, ModuleClass
     assert h == GradedClasses({0: ModuleClass.cyclic(Z, F(g)),
                                1: ModuleClass.cyclic(Z, F(g))})
+
+
+def test_kron_matches_dense(rng):
+    for _ in range(100):
+        ra, ca, rb, cb = (rng.randint(0, 3) for _ in range(4))
+        A = [[F(rng.choice([0, 0, 1, -1, 3])) for _ in range(ca)] for _ in range(ra)]
+        B = [[F(rng.choice([0, 0, 1, -2])) for _ in range(cb)] for _ in range(rb)]
+        dense = [[A[i][j] * B[k][l] for j in range(ca) for l in range(cb)]
+                 for i in range(ra) for k in range(rb)]
+        assert _kron(A, B, F(0)) == dense
 
 
 def test_shift_round_trip():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from adeltors.linalg import diagonal_entries, mat_eq, mat_mul, snf
+from adeltors.linalg import diagonal_entries, mat_eq, mat_id, mat_mul, snf
 from adeltors.ratfunc import RatXY, x, y
 from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_RAT,
                              Z_SEMILOC)
@@ -85,3 +85,51 @@ def test_snf_entry_outside_world():
     from adeltors.linalg import SNFError
     with pytest.raises(SNFError):
         snf([[F(1, 2)]], Z_INT())
+
+
+def _dense_mul(A, B):
+    """Every product summed, from row[0] * 0 (0 when k = 0)."""
+    k = len(B)
+    m = len(B[0]) if k else 0
+    return [[sum((row[t] * B[t][j] for t in range(k)), row[0] * 0 if k else 0)
+             for j in range(m)] for row in A]
+
+
+def _random_entry(rng, carrier):
+    if rng.random() < 0.5:
+        return carrier(0)
+    if carrier is F:
+        return F(rng.choice([1, -1, rng.randint(-9, 9)]), rng.randint(1, 3))
+    return rng.choice([RatXY.const(1), RatXY.const(-1),
+                       RatXY.monomial(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-3, 3)),
+                       (x() + y()) / (RatXY.const(1) + x())])
+
+
+@pytest.mark.parametrize("carrier", [F, RatXY.const], ids=["Fraction", "RatXY"])
+def test_mat_mul_matches_dense(rng, carrier):
+    one, zero = carrier(1), carrier(0)
+    for _ in range(150):
+        n, k, m = rng.randint(1, 4), rng.randint(0, 4), rng.randint(1, 4)
+        A = [[_random_entry(rng, carrier) for _ in range(k)] for _ in range(n)]
+        if k and rng.random() < 0.3:
+            A[rng.randrange(n)] = [zero] * k
+        B = [[_random_entry(rng, carrier) for _ in range(m)] for _ in range(k)]
+        for L, R in ((A, B), (mat_id(n, rng.choice([one, -one])), A)):
+            got, want = mat_mul(L, R), _dense_mul(L, R)
+            assert got == want
+            assert [type(e) for row in got for e in row] == \
+                [type(e) for row in want for e in row]
+    assert mat_mul([[], []], []) == [[], []]
+
+
+def test_snf_invariants_match_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.choice([0, 0, 1, -1, rng.randint(-30, 30)]) for _ in range(n)]
+             for _ in range(m)]
+        _, D, _ = snf([[F(e) for e in row] for row in A], Z_INT())
+        S = smith_normal_form(sympy.Matrix(A), domain=sympy.ZZ)
+        want = [abs(int(S[i, i])) for i in range(min(m, n))]
+        assert diagonal_entries(D) == want, A

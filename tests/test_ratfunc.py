@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from adeltors.ratfunc import RatXY, parse_ratxy, poly_gcd, x, y
+from adeltors.ratfunc import (RatXY, _poly_divexact, _trim, parse_ratxy, poly_add,
+                              poly_gcd, poly_mul, poly_neg, x, y)
 
 
 def test_monomial_valuations():
@@ -72,3 +74,106 @@ def test_gcd_bivariate():
     # gcd should be an associate of x + y
     f = RatXY(g, p)
     assert f.val() == (0, 0) and len(f.num) == 1
+
+
+# -- fast paths against the full reduction --------------------------------------
+
+def _poly(rng, terms, ymax=2):
+    return {(rng.randint(0, 2), rng.randint(0, ymax)): Fraction(rng.randint(-3, 3))
+            for _ in range(terms)}
+
+
+def _operand(rng):
+    """Zero, one, constants, monomials, y-free and general elements, and
+    the int and Fraction operands the fast paths treat apart."""
+    kind = rng.randrange(9)
+    if kind == 0:
+        return RatXY.const(0)
+    if kind == 1:
+        return RatXY.const(1)
+    if kind == 2:
+        return RatXY.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    if kind == 3:
+        return RatXY.monomial(rng.randint(0, 3), rng.randint(0, 2), rng.randint(-3, 3))
+    if kind == 4:
+        return rng.choice([0, 1, -1, 2])
+    if kind == 5:
+        return rng.choice([Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3)])
+    ymax = 0 if kind == 6 else 2
+    den = _poly(rng, rng.randint(1, 3), ymax)
+    while not _trim(den):
+        den = _poly(rng, rng.randint(1, 3), ymax)
+    return RatXY(_poly(rng, rng.randint(1, 3), ymax), den)
+
+
+def _parts(a):
+    if isinstance(a, RatXY):
+        return a.num, a.den
+    return ({(0, 0): Fraction(a)} if a else {}), {(0, 0): Fraction(1)}
+
+
+def _reduce_everything(num, den):
+    """The canonical key, by a full gcd on every input (no fast paths)."""
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return (), (((0, 0), Fraction(1)),)
+    sa = min(a for (a, _) in [*num, *den])
+    sb = min(b for (_, b) in [*num, *den])
+    num = {(a - sa, b - sb): c for (a, b), c in num.items()}
+    den = {(a - sa, b - sb): c for (a, b), c in den.items()}
+    g = poly_gcd(num, den)
+    num, den = _poly_divexact(num, g), _poly_divexact(den, g)
+    lc = den[max(den, key=lambda m: (m[1], m[0]))]
+    return (tuple(sorted((m, c / lc) for m, c in num.items())),
+            tuple(sorted((m, c / lc) for m, c in den.items())))
+
+
+def test_fast_paths_match_full_reduction(rng):
+    for _ in range(600):
+        a, b = _operand(rng), _operand(rng)
+        (an, ad), (bn, bd) = _parts(a), _parts(b)
+        if isinstance(a, RatXY):
+            assert a._key == _reduce_everything(an, ad)
+            assert (-a)._key == _reduce_everything(poly_neg(an), ad)
+        if not isinstance(a, RatXY) and not isinstance(b, RatXY):
+            b = RatXY.const(b)
+        add = _reduce_everything(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
+        sub = _reduce_everything(poly_add(poly_mul(an, bd), poly_neg(poly_mul(bn, ad))),
+                                 poly_mul(ad, bd))
+        mul = _reduce_everything(poly_mul(an, bn), poly_mul(ad, bd))
+        assert (a + b)._key == add and (b + a)._key == add
+        assert (a - b)._key == sub
+        assert (a * b)._key == mul and (b * a)._key == mul
+
+
+def _is_y_free_by_evaluation(f):
+    if f.is_zero():
+        return True
+    if f.vy() < 0:
+        return False
+    return f == f.y_eval()
+
+
+def test_structural_y_free_matches_evaluation(rng):
+    for _ in range(1500):
+        f = _operand(rng)
+        if not isinstance(f, RatXY):
+            f = RatXY.const(f)
+        assert f.is_y_free() == _is_y_free_by_evaluation(f)
+        if f.is_y_free() and not f.is_zero():
+            assert f.vx_of_y_free() == f.y_eval().val()[1]
+    w = (y() + x() * y()) / (x() * y())
+    assert w.is_y_free() and not (x() / (x() + y())).is_y_free()
+
+
+@pytest.mark.parametrize("text", ["x^1.5", "x^True", "x^(1+1)", "x^-2", "x^65",
+                                  "x^99999999999999"])
+def test_parse_rejects_bad_exponents(text):
+    with pytest.raises(ValueError):
+        parse_ratxy(text)
+
+
+def test_parse_exponents():
+    assert parse_ratxy("x^0") == RatXY.const(1)
+    assert parse_ratxy("(1+x)^2") == (RatXY.const(1) + x()) * (RatXY.const(1) + x())
+    assert parse_ratxy("y^64") == y() ** 64
