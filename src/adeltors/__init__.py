@@ -25,8 +25,7 @@ from .ratfunc import RatXY, parse_ratxy
 from .shapes import (CubeDiagram, IndexCategory, Vertex, big_L, big_R,
                      build_ifull, build_igeq, build_iminus, cof_direction,
                      cof_plus, face, fib_direction, full_cube, holim_punctured,
-                     iminus_count, is_cofibre_layer, punctured_cube,
-                     restrict_filtration, to_dot)
+                     iminus_count, is_cofibre_layer, punctured_cube, to_dot)
 from .torsion import (chromatic_report, cousin_report, one_tors_vertex,
                       reconstruct, tors, validate)
 from .worlds import (VAL, World, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT,

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import GradedClasses
-from .complexes import ChainComplex, ChainMap, cone
+from .complexes import ChainComplex, ChainMap, NotChainMapError, cone
 from .homology import homology, is_acyclic
+from .linalg import mat_id
 from .localize import Site, TruncationTooSmall, UnsupportedRegionError
 from .posets import AssemblyData
 from .shapes import CubeDiagram, holim_punctured, punctured_cube
@@ -120,12 +121,8 @@ class AdelicCube:
 
     def ext_complex(self, label_a, label_b, C: ChainComplex) -> ChainComplex:
         """C (x)_{ring(A)} ring(B), strandwise."""
-        A, B = tuple(sorted(label_a)), tuple(sorted(label_b))
-        chain = [A]
-        for j in sorted(set(B) - set(A)):
-            chain.append(tuple(sorted(chain[-1] + (j,))))
         out = C
-        for src, dst in zip(chain, chain[1:]):
+        for src, dst in _ext_steps(label_a, label_b):
             out = self._ext_one(src, dst, out)
         return out
 
@@ -148,7 +145,8 @@ class AdelicCube:
                     wtgt = strands[n - 1][tj][0]
                     if not canonical_map_exists(wsrc, wtgt):
                         continue
-                    if not _same_slot(wsrc, wtgt, len(index[(n, i)]), len(index[(n - 1, j)]), a, b):
+                    # with equal fan-out on both sides the slots must match
+                    if len(index[(n, i)]) == len(index[(n - 1, j)]) and a != b:
                         continue
                     from .worlds import carrier_act
                     old_t = C.strand_list(n - 1)[j][0]
@@ -238,20 +236,9 @@ class AdelicCube:
                         if si is None or tj is None:
                             continue
                         nwt = values[t].strand_list(q)[tj][0]
-                        e = M[0][0]
-                        blocks[(q, si, tj)] = [[e if x == y else nwt.el_zero()
-                                                for y in range(ra)] for x in range(ra)]
+                        blocks[(q, si, tj)] = mat_id(ra, M[0][0])
             maps[(s, t)] = ChainMap(values[s], values[t], blocks)
         return CubeDiagram(self.shape, values, maps, {}, dict(base.ring_names))
-
-
-def _same_slot(wsrc, wtgt, nsrc, ntgt, a, b):
-    """Slot routing for ext blocks: when an ext fans a strand out into
-    several target factors the diagonal block sits where the worlds are
-    canonically related; with equal fan-out degrees slots must match."""
-    if nsrc == ntgt:
-        return a == b
-    return True
 
 
 def _canonical_flat_map(CA: ChainComplex, CB: ChainComplex) -> ChainMap:
@@ -273,10 +260,7 @@ def _combine(u: World, f: World) -> World:
         if u.comp is not None and f.comp is not None and u.comp != f.comp:
             raise UnsupportedRegionError("cross-completion tensor outside the catalogue")
         comp = f.comp if f.comp is not None else u.comp
-        inv = u.inv.union(f.inv)
-        if comp is not None and comp in inv:
-            return World("zint", "z", comp, inv)
-        return World("zint", "z", comp, inv)
+        return World("zint", "z", comp, u.inv.union(f.inv))
     gens = _VAL_INVERTED[u.sym]
     return invert_val(f, frozenset(gens))
 
@@ -316,9 +300,7 @@ def _adjoint_map(cube: AdelicCube, A, B, MA, E, MB, f: ChainMap):
     for n in MA.degrees():
         at = 0
         for i, (w, r) in enumerate(MA.strand_list(n)):
-            ws = cube.ext_strand_worlds(A, B, w) if len(set(B) - set(A)) == 1 else None
-            if ws is None:
-                ws = [sw for (sw, _) in _ext_strands_of(cube, A, B, w)]
+            ws = _ext_strands_of(cube, A, B, w)
             index[(n, i)] = list(range(at, at + len(ws)))
             at += len(ws)
     blocks = {}
@@ -330,18 +312,24 @@ def _adjoint_map(cube: AdelicCube, A, B, MA, E, MB, f: ChainMap):
                 blocks[(n, si, j)] = M
     try:
         return ChainMap(E, MB, blocks)
-    except Exception:
+    except NotChainMapError:
         return None
 
 
-def _ext_strands_of(cube: AdelicCube, A, B, w: World):
+def _ext_steps(A, B):
+    """The one-index insertions (src, dst) leading from chain A up to B."""
     chain = [tuple(sorted(A))]
     for j in sorted(set(B) - set(A)):
         chain.append(tuple(sorted(chain[-1] + (j,))))
+    return list(zip(chain, chain[1:]))
+
+
+def _ext_strands_of(cube: AdelicCube, A, B, w: World) -> list[World]:
+    """The worlds a strand over w fans out into under ext from A to B."""
     worlds = [w]
-    for src, dst in zip(chain, chain[1:]):
+    for src, dst in _ext_steps(A, B):
         worlds = [nw for u in worlds for nw in cube.ext_strand_worlds(src, dst, u)]
-    return [(u, 1) for u in worlds]
+    return worlds
 
 
 def reconstruct_limit(D: CubeDiagram, X: ChainComplex):

@@ -12,15 +12,16 @@ d(d(x)) = 0 is asserted exactly on construction.  The fixed sign
 conventions: shift negates the differential once per step, and the
 mapping cone of f: C -> D is C[1] (+) D with d(c, d) = (-dc, f(c)+dd).
 
-Degrees are confined to a window (default [-8, 8]); constructions that
-would leave it fail loudly rather than truncate.
+Degrees are confined to the fixed window [DEGREE_LO, DEGREE_HI] =
+[-8, 8]; constructions that would leave it fail loudly rather than
+truncate.
 """
 
 from __future__ import annotations
 
-from .worlds import (World, canonical_map_exists, carrier_act, map_act,
+from .worlds import (World, canonical_map_exists, carrier_act, is_zero_el, map_act,
                      mult_map_allowed)
-from .linalg import _is_zero_el, mat_mul
+from .linalg import mat_id, mat_mul
 
 DEGREE_LO, DEGREE_HI = -8, 8
 
@@ -47,7 +48,28 @@ def _zeros(world: World, rows: int, cols: int):
 
 
 def _is_zero_mat(M) -> bool:
-    return all(_is_zero_el(e) for row in M for e in row)
+    return all(is_zero_el(e) for row in M for e in row)
+
+
+def _compose_blocks(acc, sign, first, n1, second, n2, i, k, mids, wk):
+    """acc + sign * (second o first) from strand i to strand k, blockwise.
+
+    The sum runs over the middle strands j, with worlds w_j from mids, of
+    second[(n2, j, k)] @ map_act(w_j -> wk, first[(n1, i, j)]), skipping
+    a j where either block is zero.  sign is 1 or -1.  This is the only
+    place block maps are composed.
+    """
+    for j, (wj, _) in enumerate(mids):
+        M1 = first.get((n1, i, j))
+        M2 = second.get((n2, j, k))
+        if M1 is None or M2 is None:
+            continue
+        P = mat_mul(M2, [[map_act(wj, wk, e) for e in row] for row in M1])
+        if sign > 0:
+            acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, P)]
+        else:
+            acc = [[a - p for a, p in zip(ra, rp)] for ra, rp in zip(acc, P)]
+    return acc
 
 
 def _kron(A, B, zero):
@@ -55,11 +77,11 @@ def _kron(A, B, zero):
     ra, ca = len(A), len(A[0]) if A else 0
     rb, cb = len(B), len(B[0]) if B else 0
     out = [[zero for _ in range(ca * cb)] for _ in range(ra * rb)]
-    nz_b = [(k, l, b) for k in range(rb) for l, b in enumerate(B[k]) if not _is_zero_el(b)]
+    nz_b = [(k, l, b) for k in range(rb) for l, b in enumerate(B[k]) if not is_zero_el(b)]
     for i in range(ra):
         for j in range(ca):
             a = A[i][j]
-            if not _is_zero_el(a):
+            if not is_zero_el(a):
                 for k, l, b in nz_b:
                     out[i * rb + k][j * cb + l] = a * b
     return out
@@ -132,18 +154,12 @@ class ChainComplex:
         for n in self.degrees():
             if (n - 1) not in self.strands or (n - 2) not in self.strands:
                 continue
-            for i, (wi, ri) in enumerate(self.strand_list(n)):
+            mids = self.strand_list(n - 1)
+            for i, (_, ri) in enumerate(self.strand_list(n)):
                 for k, (wk, rk) in enumerate(self.strand_list(n - 2)):
-                    acc = _zeros(wk, rk, ri)
-                    for j, (wj, rj) in enumerate(self.strand_list(n - 1)):
-                        M1 = self.blocks.get((n, i, j))
-                        M2 = self.blocks.get((n - 1, j, k))
-                        if M1 is None or M2 is None:
-                            continue
-                        M1k = [[map_act(wj, wk, e) for e in row] for row in M1]
-                        P = mat_mul(M2, M1k)
-                        acc = [[acc[a][b] + P[a][b] for b in range(ri)] for a in range(rk)]
-                    if not _is_zero_mat(acc):
+                    dd = _compose_blocks(_zeros(wk, rk, ri), 1, self.blocks, n,
+                                         self.blocks, n - 1, i, k, mids, wk)
+                    if not _is_zero_mat(dd):
                         raise ShapeError(f"d o d != 0 between degrees {n} and {n-2}")
 
     def __eq__(self, other) -> bool:
@@ -215,10 +231,6 @@ class ChainComplex:
             blocks[(n, i + offs.get(n, 0), j + offs.get(n - 1, 0))] = M
         return ChainComplex(self.backend, strands, blocks, check=False)
 
-    def scale_differential(self, c) -> "ChainComplex":
-        blocks = {k: [[e * c for e in row] for row in M] for k, M in self.blocks.items()}
-        return ChainComplex(self.backend, dict(self.strands), blocks, check=False)
-
     def base_change(self, world_op, entry_act=None) -> "ChainComplex":
         """Apply a world operation strandwise; entries pass through entry_act.
 
@@ -277,16 +289,14 @@ class ChainComplex:
                 M = self.blocks.get((p, i, j))
                 if M is not None and (p - 1, j, q) in index:
                     wj = self.strand_list(p - 1)[j][0]
-                    eye = [[wj.el_one() if a == b else wj.el_zero()
-                            for b in range(other.rank(q))] for a in range(other.rank(q))]
+                    eye = mat_id(other.rank(q), wj.el_one())
                     blocks[(p + q, si, index[(p - 1, j, q)])] = _kron(M, eye, wj.el_zero())
             # (-1)^p id (x) d_X
             DX = other.blocks.get((q, 0, 0))
             if DX is not None and (p, i, q - 1) in index:
                 sign = 1 if p % 2 == 0 else -1
                 DXw = [[carrier_act(wo, w, e) * sign for e in row] for row in DX]
-                eye = [[w.el_one() if a == b else w.el_zero() for b in range(r)]
-                       for a in range(r)]
+                eye = mat_id(r, w.el_one())
                 blocks[(p + q, si, index[(p, i, q - 1)])] = _kron(eye, DXw, w.el_zero())
         return ChainComplex(self.backend, strands, blocks)
 
@@ -362,8 +372,7 @@ class ChainMap:
             for i, (w, r) in enumerate(ss):
                 if di < len(ds) and ds[di][1] == r and canonical_map_exists(w, ds[di][0]):
                     w2 = ds[di][0]
-                    blocks[(n, i, di)] = [[w2.el_one() if a == b else w2.el_zero()
-                                           for b in range(r)] for a in range(r)]
+                    blocks[(n, i, di)] = mat_id(r, w2.el_one())
                     di += 1
                 elif not any(canonical_map_exists(w, d[0]) for d in ds):
                     continue  # strand died under the world op
@@ -380,28 +389,15 @@ class ChainMap:
         return _zeros(tgt[0], tgt[1], src[1])
 
     def is_chain_map(self) -> bool:
-        for n in set(list(self.src.strands) + list(self.dst.strands)):
-            for i, (wi, ri) in enumerate(self.src.strand_list(n)):
-                for k, (wk, rk) in enumerate(self.dst.strand_list(n - 1)):
-                    acc = _zeros(wk, rk, ri)
-                    # f o d_src
-                    for j, (wj, rj) in enumerate(self.src.strand_list(n - 1)):
-                        M1 = self.src.blocks.get((n, i, j))
-                        M2 = self.blocks.get((n - 1, j, k))
-                        if M1 is None or M2 is None:
-                            continue
-                        M1k = [[map_act(wj, wk, e) for e in row] for row in M1]
-                        P = mat_mul(M2, M1k)
-                        acc = [[acc[a][b] + P[a][b] for b in range(ri)] for a in range(rk)]
-                    # - d_dst o f
-                    for j, (wj, rj) in enumerate(self.dst.strand_list(n)):
-                        M1 = self.blocks.get((n, i, j))
-                        M2 = self.dst.blocks.get((n, j, k))
-                        if M1 is None or M2 is None:
-                            continue
-                        M1k = [[map_act(wj, wk, e) for e in row] for row in M1]
-                        P = mat_mul(M2, M1k)
-                        acc = [[acc[a][b] - P[a][b] for b in range(ri)] for a in range(rk)]
+        src, dst = self.src, self.dst
+        for n in set(list(src.strands) + list(dst.strands)):
+            for i, (_, ri) in enumerate(src.strand_list(n)):
+                for k, (wk, rk) in enumerate(dst.strand_list(n - 1)):
+                    # f o d_src - d_dst o f
+                    acc = _compose_blocks(_zeros(wk, rk, ri), 1, src.blocks, n,
+                                          self.blocks, n - 1, i, k, src.strand_list(n - 1), wk)
+                    acc = _compose_blocks(acc, -1, self.blocks, n,
+                                          dst.blocks, n, i, k, dst.strand_list(n), wk)
                     if not _is_zero_mat(acc):
                         return False
         return True
@@ -413,20 +409,12 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
         raise ShapeError("compose: middle complexes differ")
     blocks: dict[tuple[int, int, int], list] = {}
     for n in f.src.degrees():
-        for i, (wi, ri) in enumerate(f.src.strand_list(n)):
+        mids = f.dst.strand_list(n)
+        for i, (_, ri) in enumerate(f.src.strand_list(n)):
             for k, (wk, rk) in enumerate(g.dst.strand_list(n)):
-                acc = _zeros(wk, rk, ri)
-                hit = False
-                for j, (wj, rj) in enumerate(f.dst.strand_list(n)):
-                    M1 = f.blocks.get((n, i, j))
-                    M2 = g.blocks.get((n, j, k))
-                    if M1 is None or M2 is None:
-                        continue
-                    hit = True
-                    M1k = [[map_act(wj, wk, e) for e in row] for row in M1]
-                    P = mat_mul(M2, M1k)
-                    acc = [[acc[a][b] + P[a][b] for b in range(ri)] for a in range(rk)]
-                if hit and not _is_zero_mat(acc):
+                acc = _compose_blocks(_zeros(wk, rk, ri), 1, f.blocks, n,
+                                      g.blocks, n, i, k, mids, wk)
+                if not _is_zero_mat(acc):
                     blocks[(n, i, k)] = acc
     return ChainMap(f.src, g.dst, blocks, check=False)
 
@@ -476,9 +464,7 @@ def cone_inclusion(f: ChainMap) -> ChainMap:
     for n in D.degrees():
         off = len(C.strand_list(n - 1))
         for j, (w, r) in enumerate(D.strand_list(n)):
-            one, zero = w.el_one(), w.el_zero()
-            blocks[(n, j, off + j)] = [[one if a == b else zero for b in range(r)]
-                                       for a in range(r)]
+            blocks[(n, j, off + j)] = mat_id(r, w.el_one())
     return ChainMap(D, cf, blocks)
 
 
@@ -489,10 +475,8 @@ def cone_null_homotopy(f: ChainMap) -> dict:
     blocks = {}
     for n in C.degrees():
         for i, (w, r) in enumerate(C.strand_list(n)):
-            one, zero = w.el_one(), w.el_zero()
             # C_n sits inside cone(f)_{n+1} as the i-th C-strand
-            blocks[(n, i, i)] = [[one if a == b else zero for b in range(r)]
-                                 for a in range(r)]
+            blocks[(n, i, i)] = mat_id(r, w.el_one())
     return blocks
 
 
@@ -503,9 +487,7 @@ def fib_projection(f: ChainMap) -> ChainMap:
     blocks = {}
     for n in C.degrees():
         for i, (w, r) in enumerate(C.strand_list(n)):
-            one, zero = w.el_one(), w.el_zero()
-            blocks[(n - 0, i, i)] = [[one if a == b else zero for b in range(r)]
-                                     for a in range(r)]
+            blocks[(n, i, i)] = mat_id(r, w.el_one())
     # fib(f)_n = C_n (+) D_{n+1}: the C-strands come first in each degree
     return ChainMap(fc, C, blocks)
 
@@ -531,28 +513,13 @@ def homotopy_defect(f: ChainMap, g: ChainMap, h_blocks: dict) -> bool:
     C, E = f.src, g.dst
     gf = compose(g, f)
     for n in C.degrees():
-        for i, (wi, ri) in enumerate(C.strand_list(n)):
+        for i, (_, ri) in enumerate(C.strand_list(n)):
             for k, (wk, rk) in enumerate(E.strand_list(n)):
-                acc = _zeros(wk, rk, ri)
-                # d_E o h: h lands in E_{n+1}
-                for j, (wj, rj) in enumerate(E.strand_list(n + 1)):
-                    H = h_blocks.get((n, i, j))
-                    D = E.blocks.get((n + 1, j, k))
-                    if H is None or D is None:
-                        continue
-                    Hk = [[map_act(wj, wk, e) for e in row] for row in H]
-                    P = mat_mul(D, Hk)
-                    acc = [[acc[a][b] + P[a][b] for b in range(ri)] for a in range(rk)]
-                # h o d_C
-                for j, (wj, rj) in enumerate(C.strand_list(n - 1)):
-                    D = C.blocks.get((n, i, j))
-                    H = h_blocks.get((n - 1, j, k))
-                    if H is None or D is None:
-                        continue
-                    Dk = [[map_act(wj, wk, e) for e in row] for row in D]
-                    P = mat_mul(H, Dk)
-                    acc = [[acc[a][b] + P[a][b] for b in range(ri)] for a in range(rk)]
-                if [[acc[a][b] - gf.block(n, i, k)[a][b] for b in range(ri)]
-                        for a in range(rk)] != _zeros(wk, rk, ri):
+                # d_E o h (h lands in E_{n+1}) + h o d_C
+                acc = _compose_blocks(_zeros(wk, rk, ri), 1, h_blocks, n,
+                                      E.blocks, n + 1, i, k, E.strand_list(n + 1), wk)
+                acc = _compose_blocks(acc, 1, C.blocks, n,
+                                      h_blocks, n - 1, i, k, C.strand_list(n - 1), wk)
+                if acc != gf.block(n, i, k):
                     return False
     return True

@@ -29,15 +29,11 @@ from .classes import GradedClasses, ModuleClass, PRUEFER, PRUEFER_X, PRUEFER_Y, 
 from .complexes import ChainComplex
 from .linalg import mat_mul, snf
 from .worlds import (World, canonical_map_exists, carrier_act, fracture_pullback,
-                     map_act, mult_map_allowed)
+                     is_zero_el, map_act, mult_map_allowed)
 
 
 class UnsupportedMixedShape(ValueError):
     pass
-
-
-def _is_nil(e) -> bool:
-    return e == 0 if isinstance(e, (int, Fraction)) else e.is_zero()
 
 
 def full_matrix(C: ChainComplex, n: int):
@@ -83,7 +79,7 @@ def single_world_homology(C: ChainComplex) -> GradedClasses:
         d_up = full_matrix(C, n + 1) if C.rank(n + 1) else None
         if d_n is not None:
             _, D, Vt = snf(d_n, w)
-            r = sum(0 if _is_nil(D[i][i]) else 1
+            r = sum(0 if is_zero_el(D[i][i]) else 1
                     for i in range(min(len(D), len(D[0]) if D else 0)))
             if d_up is not None:
                 # coordinates of im(d_up) in the kernel basis: rows r.. of Vt @ d_up
@@ -102,7 +98,7 @@ def single_world_homology(C: ChainComplex) -> GradedClasses:
                 rk = 0
                 for i in range(min(len(D2), len(D2[0]) if D2 else 0)):
                     e = D2[i][i]
-                    if not _is_nil(e):
+                    if not is_zero_el(e):
                         rk += 1
                         cls = cls + ModuleClass.cyclic(w, e)
                 cls = cls + ModuleClass.free(w, kdim - rk)
@@ -150,7 +146,7 @@ def decompose_single(C: ChainComplex) -> list[tuple[int, object]]:
             mats[n + 2] = mat_mul(Vt, mats[n + 2])
         r = 0
         for i in range(min(len(D), len(D[0]) if D else 0)):
-            if not _is_nil(D[i][i]):
+            if not is_zero_el(D[i][i]):
                 atoms.append((n + 1, D[i][i]))
                 r += 1
         atoms.extend((n, None) for _ in range(ranks[n] - r))
@@ -268,7 +264,7 @@ class _Cells:
         for (n, i, j), M in C.blocks.items():
             for a in range(len(M)):
                 for b in range(len(M[0])):
-                    if not _is_nil(M[a][b]):
+                    if not is_zero_el(M[a][b]):
                         s = index[(n, i, b)]
                         t = index[(n - 1, j, a)]
                         self.d[(s, t)] = M[a][b]
@@ -299,7 +295,7 @@ class _Cells:
                 self.d[(s, t)] = self.d[(s, t)] * uinv
 
     def set_entry(self, s, t, val):
-        if _is_nil(val):
+        if is_zero_el(val):
             self.d.pop((s, t), None)
         else:
             if not mult_map_allowed(self.world[s], self.world[t], val):
@@ -434,7 +430,7 @@ class _Cells:
                         break
                 if cand is None:
                     raise UnsupportedMixedShape("fracture collapse entries inconsistent")
-                if not _is_nil(cand):
+                if not is_zero_el(cand):
                     self.set_entry(u, new, cand)
             # out-entries: sum of the two projections
             for vcell in set(self.outs(s1)) | set(self.outs(s2)):
@@ -553,7 +549,7 @@ def _invert_elementary(M, w: World):
     for col in range(n):
         piv = None
         for r in range(col, n):
-            if not _is_nil(A[r][col]):
+            if not is_zero_el(A[r][col]):
                 piv = r
                 break
         if piv is None:
@@ -563,7 +559,7 @@ def _invert_elementary(M, w: World):
         pinv = Fraction(1) / pv if isinstance(pv, Fraction) else pv.inv()
         A[col] = [e * pinv for e in A[col]]
         for r in range(n):
-            if r != col and not _is_nil(A[r][col]):
+            if r != col and not is_zero_el(A[r][col]):
                 f = A[r][col]
                 A[r] = [A[r][k] - f * A[col][k] for k in range(2 * n)]
     out = [row[n:] for row in A]

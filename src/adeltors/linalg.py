@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .worlds import World
+from .worlds import World, is_zero_el
 
 
 def mat_mul(A, B):
@@ -29,7 +29,7 @@ def mat_mul(A, B):
     out = []
     for row in A:
         start = row[0] * 0 if k else 0
-        terms = [(a, B[t]) for t, a in enumerate(row) if not _is_zero_el(a)]
+        terms = [(a, B[t]) for t, a in enumerate(row) if not is_zero_el(a)]
         out.append([sum((a * Bt[j] for a, Bt in terms), start) for j in range(m)])
     return out
 
@@ -41,10 +41,6 @@ def mat_id(n, one):
 
 def mat_eq(A, B) -> bool:
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
-def _is_zero_el(e) -> bool:
-    return e == 0 if isinstance(e, (int, Fraction)) else e.is_zero()
 
 
 class SNFError(ValueError):
@@ -99,7 +95,7 @@ def snf(A, world: World, want_transforms: bool = True):
     if euclidean:
         # clear denominators rowwise; the scale factors are world units
         for i in range(m):
-            dens = [e.denominator for e in D[i] if not _is_zero_el(e)]
+            dens = [e.denominator for e in D[i] if not is_zero_el(e)]
             if dens:
                 import math
                 l = math.lcm(*dens)
@@ -114,7 +110,7 @@ def snf(A, world: World, want_transforms: bool = True):
         best = None
         for i in range(pos, m):
             for j in range(pos, n):
-                if not _is_zero_el(D[i][j]):
+                if not is_zero_el(D[i][j]):
                     if not world.contains(D[i][j]):
                         raise SNFError(f"entry {D[i][j]} outside {world}")
                     key = (world.pivot_size(D[i][j]), i, j)
@@ -132,7 +128,7 @@ def snf(A, world: World, want_transforms: bool = True):
                 p = D[pos][pos]
                 done = True
                 for i in range(pos + 1, m):
-                    if not _is_zero_el(D[i][pos]) and D[i][pos] % p != 0:
+                    if not is_zero_el(D[i][pos]) and D[i][pos] % p != 0:
                         row_add(pos, i, Fraction(-(D[i][pos] // p)))
                         row_swap(pos, i)
                         done = False
@@ -140,7 +136,7 @@ def snf(A, world: World, want_transforms: bool = True):
                 if not done:
                     continue
                 for j in range(pos + 1, n):
-                    if not _is_zero_el(D[pos][j]) and D[pos][j] % p != 0:
+                    if not is_zero_el(D[pos][j]) and D[pos][j] % p != 0:
                         col_add(pos, j, Fraction(-(D[pos][j] // p)))
                         col_swap(pos, j)
                         done = False
@@ -150,12 +146,12 @@ def snf(A, world: World, want_transforms: bool = True):
 
         p = D[pos][pos]
         for i in range(pos + 1, m):
-            if not _is_zero_el(D[i][pos]):
+            if not is_zero_el(D[i][pos]):
                 if not world.divides(p, D[i][pos]):
                     raise SNFError(f"pivot {p} fails to divide {D[i][pos]} over {world}")
                 row_add(pos, i, -(D[i][pos] / p))
         for j in range(pos + 1, n):
-            if not _is_zero_el(D[pos][j]):
+            if not is_zero_el(D[pos][j]):
                 if not world.divides(p, D[pos][j]):
                     raise SNFError(f"pivot {p} fails to divide {D[pos][j]} over {world}")
                 col_add(pos, j, -(D[pos][j] / p))
@@ -165,7 +161,7 @@ def snf(A, world: World, want_transforms: bool = True):
             fixed = True
             for i in range(pos + 1, m):
                 for j in range(pos + 1, n):
-                    if not _is_zero_el(D[i][j]) and D[i][j] % p != 0:
+                    if not is_zero_el(D[i][j]) and D[i][j] % p != 0:
                         row_add(i, pos, Fraction(1))
                         fixed = False
                         break
@@ -178,7 +174,7 @@ def snf(A, world: World, want_transforms: bool = True):
     # canonical generators on the diagonal
     for i in range(min(m, n)):
         d = D[i][i]
-        if not _is_zero_el(d):
+        if not is_zero_el(d):
             canon = world.canonical_generator(d)
             u = d / canon
             if not world.is_unit(u):

@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import GradedClasses, ModuleClass
+from .classes import GradedClasses
 from .complexes import ChainComplex, ChainMap, fib
 from .homology import homology
-from .posets import (AssemblyData, SpecClosedSet, dim_filtration, down_closure,
-                     finest, min_of, preimage_family, up_cone, valrank2_poset,
-                     zint_poset)
+from .linalg import mat_id
+from .posets import (AssemblyData, SpecClosedSet, dim_filtration, finest, min_of,
+                     preimage_family, up_cone, valrank2_poset, zint_poset)
 from .ratfunc import x as rf_x, y as rf_y
 from .worlds import (VAL, World, Z_INT, carrier_act, complete_world,
                      invert_primes, invert_val)
@@ -97,9 +97,6 @@ class Site:
         if assembly is None:
             return self.region(V)
         return preimage_family(assembly, V).members
-
-    def prime_elements(self) -> tuple[str, ...]:
-        return tuple(self.poset.canonical_order(self.poset.elements))
 
     def _check_prime(self, p: str):
         if p not in self.poset.elements:
@@ -217,13 +214,9 @@ class Site:
         LX = ChainComplex(X.backend, new_strands, blocks)
         ublocks: dict[tuple[int, int, int], list] = {}
         for (n, i, k), si in index.items():
-            w = X.strand_list(n)[i][0]
             cw = LX.strand_list(n)[si][0]
             r = X.strand_list(n)[i][1]
-            one = cw.el_one()
-            zero = cw.el_zero()
-            ublocks[(n, i, si)] = [[one if a == b else zero for b in range(r)]
-                                   for a in range(r)]
+            ublocks[(n, i, si)] = mat_id(r, cw.el_one())
         return LX, ChainMap(X, LX, ublocks)
 
     def delta(self, V, X: ChainComplex,
@@ -265,9 +258,6 @@ class Site:
     def l_ge(self, n: int, X: ChainComplex) -> ChainComplex:
         return self.l_complement(dim_filtration(self.poset, n - 1).members, X)
 
-    def lam_le(self, n: int, X: ChainComplex) -> ChainComplex:
-        return self.lam(dim_filtration(self.poset, n).members, X)
-
     # assembled class localization L^A_x
     def l_class(self, A: AssemblyData, x: str, X: ChainComplex) -> ChainComplex:
         """L^A_x = localization away from alpha^{-1}(up-cone of x)^c."""
@@ -308,16 +298,6 @@ class Site:
                 mid, bot = cone_atom_classes(W, Wloc, a)
                 out = out + GradedClasses({t - 1: mid, t - 2: bot})
         return out
-
-    def l_classes(self, V, X: ChainComplex,
-                  assembly: AssemblyData | None = None) -> GradedClasses:
-        from .homology import homology
-        return homology(self.l_complement(V, X, assembly))
-
-    def lam_classes(self, V, X: ChainComplex,
-                    assembly: AssemblyData | None = None) -> GradedClasses:
-        from .homology import homology
-        return homology(self.lam(V, X, assembly))
 
     # -- support ------------------------------------------------------------------------
     def support(self, X: ChainComplex) -> frozenset[str]:
@@ -444,9 +424,7 @@ def _unit_chain_map(X: ChainComplex, LX: ChainComplex, op) -> ChainMap:
             nw = op(w)
             if nw.is_zero_world:
                 continue
-            one, zero = nw.el_one(), nw.el_zero()
-            blocks[(n, i, kept)] = [[one if a == b else zero for b in range(r)]
-                                    for a in range(r)]
+            blocks[(n, i, kept)] = mat_id(r, nw.el_one())
             kept += 1
     return ChainMap(X, LX, blocks)
 

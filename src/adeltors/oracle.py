@@ -212,20 +212,6 @@ _VAL_SLICES = {
 }
 
 
-def _world_window(w: World, Ny: int, Nx: int):
-    """Ordered basis [(b, a), ...] of the windowed model of w."""
-    kind, neg, zer, pos = _VAL_SLICES[w.sym]
-    brange = {"nonneg": range(0, Ny), "all": range(-Ny, Ny), "zero": range(0, 1)}[kind]
-    basis = []
-    for b in brange:
-        t = neg if b < 0 else zer if b == 0 else pos
-        if t is None:
-            continue
-        arange = range(0, Nx) if t == "O" else range(-Nx, Nx)
-        basis.extend((b, a) for a in arange)
-    return basis
-
-
 class _XWin:
     """Truncated x-Laurent series: coefficients on [lo, hi)."""
 

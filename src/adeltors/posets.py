@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import gcd
 
 
 class PosetError(ValueError):
@@ -209,9 +208,6 @@ class AssemblyData:
     def classes(self, x: str) -> frozenset[str]:
         return frozenset(p for p in self.ambient.elements if self.alpha[p] == x)
 
-    def sub_dim(self, x: str) -> int:
-        return self.ambient.dim[x]
-
     def sub_elements_of_dim(self, i: int):
         return tuple(x for x in sorted(self.subposet) if self.ambient.dim[x] == i)
 
@@ -305,10 +301,6 @@ def valrank2_poset() -> BalmerPoset:
     return validate_poset([("m", "p"), ("p", "g")])
 
 
-def _order_of_elt(n: int, m: int) -> int:
-    return n // gcd(n, m)
-
-
 def torus_poset(rank: int, samples: int) -> tuple[BalmerPoset, AssemblyData]:
     """A finite truncation of the subgroup poset of a torus under cotoral
     inclusion, with the identity-component assembly.
@@ -385,11 +377,6 @@ def poset_from_json(doc: dict) -> BalmerPoset:
 
 def assembly_from_json(P: BalmerPoset, doc: dict) -> AssemblyData:
     return validate_assembly(P, frozenset(doc["subposet"]), dict(doc["alpha"]))
-
-
-def assembly_to_json(A: AssemblyData) -> dict:
-    return {"subposet": sorted(A.subposet),
-            "alpha": {p: A.alpha[p] for p in sorted(A.alpha)}}
 
 
 def load_poset(path) -> BalmerPoset:

@@ -411,8 +411,11 @@ def parse_ratxy(s: str) -> RatXY:
     """Parse expressions like '3*x^2*y/(1 + x)' (exact, eval-free).
 
     Exponents are integer literals 0..MAX_EXPONENT; anything else raises
-    ValueError."""
+    ValueError.  A numeric literal is read exactly from its source text,
+    so '0.1' is 1/10; bool, complex and string constants raise ValueError."""
     import ast
+
+    text = s.replace("^", "**")
 
     def conv(node):
         if isinstance(node, ast.Expression):
@@ -444,7 +447,11 @@ def parse_ratxy(s: str) -> RatXY:
                 return y()
             raise ValueError(f"unknown symbol {node.id}")
         if isinstance(node, ast.Constant):
-            return RatXY.const(Fraction(node.value))
+            if type(node.value) is int:
+                return RatXY.const(node.value)
+            if type(node.value) is float:
+                return RatXY.const(Fraction(ast.get_source_segment(text, node)))
+            raise ValueError(f"unsupported constant {node.value!r}")
         raise ValueError(f"cannot parse {ast.dump(node)}")
 
-    return conv(ast.parse(s.replace("^", "**"), mode="eval"))
+    return conv(ast.parse(text, mode="eval"))

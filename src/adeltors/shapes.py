@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (ChainComplex, ChainMap, compose, cone, cone_inclusion,
-                        cone_null_homotopy, fib, fib_projection, homotopy_defect,
-                        induced_cone_map, map_equal)
+from .complexes import (ChainComplex, ChainMap, NotChainMapError, compose, cone,
+                        cone_inclusion, cone_null_homotopy, fib, fib_projection,
+                        homotopy_defect, induced_cone_map, map_equal)
 from .homology import is_acyclic
+from .linalg import mat_id
 from .posets import RangeError
 
 
@@ -76,12 +77,6 @@ class IndexCategory:
     def plain_vertices(self):
         return [v for v in self.vertices if not v.dummy]
 
-    def arrows_from(self, name: str):
-        return [a for a in self.arrows if a[0] == name]
-
-    def arrows_of_kind(self, kind: str):
-        return [a for a in self.arrows if a[2] == kind]
-
     def __repr__(self):
         return f"IndexCategory({self.kind}, d={self.d}, {len(self.vertices)} vertices)"
 
@@ -93,19 +88,17 @@ def _subsets(ground):
     return out
 
 
+def _restrict(shape: IndexCategory, keep, kind: str) -> IndexCategory:
+    """The full subcategory of shape on the vertices keep."""
+    names = {v.name for v in keep}
+    arrows = tuple(a for a in shape.arrows if a[0] in names and a[1] in names)
+    return IndexCategory(shape.d, kind, tuple(keep), arrows)
+
+
 def punctured_cube(d: int) -> IndexCategory:
     """P([d]) without the empty set: 2^{d+1} - 1 vertices."""
-    if d < 0:
-        raise RangeError("d must be nonnegative")
-    verts = [Vertex(tuple(sorted(s))) for s in _subsets(range(d + 1)) if s]
-    verts.sort(key=lambda v: (len(v.label), v.label))
-    arrows = []
-    for v in verts:
-        for i in range(d + 1):
-            if i not in v.label:
-                tgt = tuple(sorted(v.label + (i,)))
-                arrows.append((v.name, Vertex(tgt).name, "oplax"))
-    return IndexCategory(d, "pcube", tuple(verts), tuple(sorted(arrows)))
+    cube = full_cube(d)
+    return _restrict(cube, [v for v in cube.vertices if v.label], "pcube")
 
 
 def full_cube(d: int) -> IndexCategory:
@@ -128,10 +121,7 @@ def face(cube: IndexCategory, j: int, contains: bool) -> IndexCategory:
         raise ShapeMismatchError("faces are cut from power-set cubes")
     if not (0 <= j <= cube.d):
         raise RangeError(f"direction {j} outside 0..{cube.d}")
-    keep = [v for v in cube.vertices if (j in v.label) == contains]
-    names = {v.name for v in keep}
-    arrows = tuple(a for a in cube.arrows if a[0] in names and a[1] in names)
-    return IndexCategory(cube.d, cube.kind, tuple(keep), arrows)
+    return _restrict(cube, [v for v in cube.vertices if (j in v.label) == contains], cube.kind)
 
 
 def _iminus_vertices(d: int):
@@ -203,25 +193,7 @@ def build_igeq(d: int, i: int) -> IndexCategory:
     if not (0 <= i <= d):
         raise RangeError(f"filtration cut {i} outside 0..{d}")
     base = build_ifull(d)
-    keep = [v for v in base.vertices if v.k >= i]
-    names = {v.name for v in keep}
-    arrows = tuple(a for a in base.arrows if a[0] in names and a[1] in names)
-    return IndexCategory(d, "igeq", tuple(keep), arrows)
-
-
-def restrict_filtration(D: "CubeDiagram", i: int) -> "CubeDiagram":
-    """Drop everything of filtration degree below i."""
-    shape = D.shape
-    keep = [v for v in shape.vertices if v.k is not None and v.k >= i]
-    names = {v.name for v in keep}
-    sub = IndexCategory(shape.d, "igeq", tuple(keep),
-                        tuple(a for a in shape.arrows if a[0] in names and a[1] in names))
-    return CubeDiagram(sub,
-                       {n: c for n, c in D.values.items() if n in names},
-                       {k: m for k, m in D.maps.items()
-                        if k[0] in names and k[1] in names},
-                       {k: h for k, h in D.homotopies.items() if k in names},
-                       {n: r for n, r in D.ring_names.items() if n in names})
+    return _restrict(base, [v for v in base.vertices if v.k >= i], "igeq")
 
 
 @dataclass
@@ -376,15 +348,18 @@ def fib_direction(D: CubeDiagram, i: int) -> CubeDiagram:
         elif i not in vs.label and i not in vt.label:
             ups = Vertex(tuple(sorted(vs.label + (i,)))).name
             upt = Vertex(tuple(sorted(vt.label + (i,)))).name
-            rs = D.map(ups, s)
-            rt = D.map(upt, t)
-            c = induced_cone_map(rs, rt, D.map(ups, upt), D.map(s, t))
-            # shift the induced cone map down once to act on fibres
-            values_src, values_tgt = values[s], values[t]
-            blocks = {(n - 1, a, b): M for (n, a, b), M in c.blocks.items()}
-            maps[(s, t)] = ChainMap(values_src, values_tgt, blocks)
+            maps[(s, t)] = _fibre_map(D.map(ups, s), D.map(upt, t), D.map(ups, upt),
+                                      D.map(s, t), values[s], values[t])
     cube = full_cube(shape.d)
     return CubeDiagram(cube, values, maps, {}, dict(D.ring_names))
+
+
+def _fibre_map(rs: ChainMap, rt: ChainMap, p: ChainMap, q: ChainMap,
+               src: ChainComplex, tgt: ChainComplex) -> ChainMap:
+    """fib(rs) -> fib(rt) for a strictly commuting square (p, q): the
+    induced cone map shifted down once to act on fibres."""
+    c = induced_cone_map(rs, rt, p, q)
+    return ChainMap(src, tgt, {(n - 1, a, b): M for (n, a, b), M in c.blocks.items()})
 
 
 # -- layers, the big rewrites, and the punctured limit -----------------------------------
@@ -484,10 +459,8 @@ def forget_plus(D: CubeDiagram) -> CubeDiagram:
     """Drop the dummy vertices (the forgetful functor v of the layer
     machinery)."""
     shape = D.shape
-    keep = [v for v in shape.vertices if not v.dummy]
-    names = {v.name for v in keep}
-    sub = IndexCategory(shape.d, shape.kind + "-novoid", tuple(keep),
-                        tuple(a for a in shape.arrows if a[0] in names and a[1] in names))
+    sub = _restrict(shape, [v for v in shape.vertices if not v.dummy], shape.kind + "-novoid")
+    names = set(sub.names())
     return CubeDiagram(sub, {n: c for n, c in D.values.items() if n in names},
                        {k: m for k, m in D.maps.items() if k[0] in names and k[1] in names},
                        {}, {n: r for n, r in D.ring_names.items() if n in names})
@@ -617,11 +590,9 @@ def big_R(TD: CubeDiagram) -> CubeDiagram:
             maps[(s, t)] = fib_projection(rs[A])
         elif d not in A and d not in B:
             upA, upB = tuple(sorted(A + (d,))), tuple(sorted(B + (d,)))
-            c = induced_cone_map(rs[A], rs[B],
-                                 TD.map(_vname(upA, d), _vname(upB, d)),
-                                 TD.map(_vname(A, d - 1), _vname(B, d - 1)))
-            blocks = {(n - 1, a, b): M for (n, a, b), M in c.blocks.items()}
-            maps[(s, t)] = ChainMap(values[s], values[t], blocks)
+            maps[(s, t)] = _fibre_map(rs[A], rs[B], TD.map(_vname(upA, d), _vname(upB, d)),
+                                      TD.map(_vname(A, d - 1), _vname(B, d - 1)),
+                                      values[s], values[t])
     rings = {v.name: TD.ring_names.get(_vname(tuple(v.label), d if d in v.label else d - 1), "")
              for v in pc.vertices}
     return CubeDiagram(pc, values, maps, {}, rings)
@@ -693,33 +664,24 @@ def fib_cof_inverse_check(D: CubeDiagram, i: int) -> bool:
         for n in C.degrees():
             off = len(Q.strand_list(n))
             for j, (w, r) in enumerate(C.strand_list(n)):
-                one, zero = w.el_one(), w.el_zero()
-                phi_blocks[(n, j, off + j)] = [[one if a == b else zero
-                                                for b in range(r)] for a in range(r)]
+                phi_blocks[(n, j, off + j)] = mat_id(r, w.el_one())
             for (m, a, b), M in f.blocks.items():
                 if m == n:
                     phi_blocks[(n, a, b)] = [[-e for e in row] for row in M]
         try:
             phi = ChainMap(C, got, phi_blocks)
-        except Exception:
+        except NotChainMapError:
             return False
         # exact retraction: project to the middle C-strands
         r_blocks = {}
         for n in C.degrees():
             off = len(Q.strand_list(n))
             for j, (w, r) in enumerate(C.strand_list(n)):
-                one, zero = w.el_one(), w.el_zero()
-                r_blocks[(n, off + j, j)] = [[one if a == b else zero
-                                              for b in range(r)] for a in range(r)]
-        try:
-            retr = ChainMap(got, C, r_blocks, check=False)
-        except Exception:
-            return False
+                r_blocks[(n, off + j, j)] = mat_id(r, w.el_one())
+        retr = ChainMap(got, C, r_blocks, check=False)
         comp = compose(retr, phi)
-        ident = ChainMap(C, C, {
-            (n, j, j): [[w.el_one() if a == b else w.el_zero() for b in range(r)]
-                        for a in range(r)]
-            for n in C.degrees() for j, (w, r) in enumerate(C.strand_list(n))})
+        ident = ChainMap(C, C, {(n, j, j): mat_id(r, w.el_one())
+                                for n in C.degrees() for j, (w, r) in enumerate(C.strand_list(n))})
         if not map_equal(comp, ident):
             return False
         if not is_acyclic(cone(phi)):

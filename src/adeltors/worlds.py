@@ -180,7 +180,7 @@ class World:
     def contains(self, el) -> bool:
         """Carrier membership of a master-carrier element."""
         if self.kind == "zero":
-            return _is_nil(el)
+            return is_zero_el(el)
         if self.kind == "fp":
             return el.denominator % self.char != 0
         if self.kind == "z":
@@ -192,7 +192,7 @@ class World:
     def is_unit(self, el) -> bool:
         if self.kind == "zero":
             return False
-        if _is_nil(el) or not self.contains(el):
+        if is_zero_el(el) or not self.contains(el):
             return False
         if self.kind == "fp":
             return vp(el, self.char) == 0
@@ -202,9 +202,9 @@ class World:
 
     def divides(self, a, b) -> bool:
         """a | b in this world (a nonzero)."""
-        if _is_nil(b):
+        if is_zero_el(b):
             return True
-        if _is_nil(a):
+        if is_zero_el(a):
             return False
         return self.contains(b / a)
 
@@ -243,7 +243,7 @@ class World:
 
     def canonical_generator(self, el):
         """Unit-normalized generator of the ideal (el)."""
-        if _is_nil(el):
+        if is_zero_el(el):
             return self.el_zero()
         if self.kind == "fp" or self.is_unit(el):
             return self.el_one()
@@ -258,20 +258,10 @@ class World:
             return RatXY.monomial(el.vx_of_y_free(), 0)
         raise WorldError(f"no generator normal form over {self}")
 
-    @property
-    def is_field(self) -> bool:
-        if self.kind == "fp":
-            return True
-        if self.kind == "z":
-            return (self.comp is None and self.inv.cofinite and not self.inv.primes) or (
-                self.comp is not None and self.comp in self.inv)
-        if self.kind == "val":
-            return self.sym in ("K", "VhatMInv", "VhatPInv")
-        return False
 
-
-def _is_nil(el) -> bool:
-    return el == 0 if isinstance(el, Fraction) else el.is_zero()
+def is_zero_el(el) -> bool:
+    """Whether a carrier element (int, Fraction or RatXY) is zero."""
+    return el == 0 if isinstance(el, (int, Fraction)) else el.is_zero()
 
 
 # -- valuation-backend tables --------------------------------------------------
@@ -454,7 +444,7 @@ def mult_map_allowed(src: World, dst: World, el) -> bool:
         return True
     if canonical_map_exists(src, dst):
         return dst.contains(el)
-    if _is_nil(el):
+    if is_zero_el(el):
         return True
     if src.backend != "valrank2" or dst.backend != "valrank2":
         return False

@@ -120,3 +120,23 @@ def test_bad_exponent_refused(tmp_path):
                                "diff": {"1": [["x^1.5"]]}}))
     proc = run_cli("adelic", "--backend", "valrank2", "--object", str(obj), expect=2)
     assert "input error [adelic]" in proc.stderr
+
+
+def test_decimal_entry_reads_exactly(tmp_path):
+    # d o d = 0 holds only when "0.1" is exactly 1/10
+    reports = []
+    for entry in ("0.1", "1/10"):
+        obj = tmp_path / "v.json"
+        obj.write_text(json.dumps({"world": "V", "degrees": {"2": 1, "1": 2, "0": 1},
+                                   "diff": {"2": [["x"], ["-10*x"]], "1": [["1", entry]]}}))
+        reports.append(run_cli("tors", "--backend", "valrank2", "--object", str(obj)).stdout)
+    assert reports[0] == reports[1]
+
+
+def test_verify_valrank2_names_skipped_suites():
+    doc = json.loads(run_cli("verify", "all", "--backend", "valrank2").stdout)
+    assert doc["ok"] and doc["skipped"] == ["mgm", "splittings"]
+    assert "skipped" not in json.loads(run_cli("verify", "assembly").stdout)
+    for suite in ("mgm", "splittings", "rules,splittings"):
+        proc = run_cli("verify", suite, "--backend", "valrank2", expect=2)
+        assert "input error [verify]" in proc.stderr and "Traceback" not in proc.stderr

@@ -4,7 +4,8 @@ import pytest
 
 from adeltors.complexes import (ChainComplex, ChainMap, DegreeWindowError,
                                 IncompatibleWorldsError, NotChainMapError,
-                                ShapeError, _kron, cone, compose, map_equal)
+                                ShapeError, _kron, cone, cone_inclusion, cone_null_homotopy,
+                                compose, homotopy_defect, map_equal)
 from adeltors.homology import homology
 from adeltors.ratfunc import x as rx, y as ry
 from adeltors.worlds import VAL, Z_INT, Z_INV, invert_primes
@@ -125,3 +126,62 @@ def test_mixed_validity():
     with pytest.raises(IncompatibleWorldsError):
         ChainComplex("valrank2", {0: [(VAL("VhatP"), 1)], -1: [(VAL("VhatPFull"), 1)]},
                      {(0, 0, 0): [[rx()]]})
+
+
+def _double_first_entry(h):
+    """A copy of the homotopy blocks h with its first nonzero entry doubled."""
+    out = {k: [list(row) for row in M] for k, M in h.items()}
+    for M in out.values():
+        for row in M:
+            for b, e in enumerate(row):
+                if e != 0:
+                    row[b] = e + e
+                    return out
+
+
+@pytest.mark.parametrize("backend", ["zint", "valrank2"])
+def test_homotopy_defect_on_cube_structure_maps(backend, zsite, zcube, vsite, vcube):
+    from adeltors.library import library
+    site, cube = (zsite, zcube) if backend == "zint" else (vsite, vcube)
+    broken = 0
+    for _, X in library(site):
+        for f in cube.tensor(X).maps.values():
+            incl, h = cone_inclusion(f), cone_null_homotopy(f)
+            assert homotopy_defect(f, incl, h)
+            # into a zero target (f has no blocks) every homotopy works
+            if f.blocks:
+                assert not homotopy_defect(f, incl, _double_first_entry(h))
+                broken += 1
+    assert broken
+
+
+def test_d_squared_across_worlds():
+    Z, Z2 = Z_INT(), Z_INV(2)
+    strands = {2: [(Z, 1)], 1: [(Z, 1), (Z2, 1)], 0: [(Z2, 1)]}
+    d2 = {(2, 0, 0): [[F(1)]], (2, 0, 1): [[F(1)]], (1, 0, 0): [[F(1)]]}
+    ChainComplex("zint", strands, {**d2, (1, 1, 0): [[F(-1)]]})
+    with pytest.raises(ShapeError):
+        ChainComplex("zint", strands, {**d2, (1, 1, 0): [[F(1)]]})
+    # y goes to 0 along V -> VhatM, so V --y--> V --1--> VhatM is a complex
+    V, VM = VAL("V"), VAL("VhatM")
+    one = V.el_one()
+    vstrands = {2: [(V, 1)], 1: [(V, 1)], 0: [(VM, 1)]}
+    ChainComplex("valrank2", vstrands, {(2, 0, 0): [[ry()]], (1, 0, 0): [[one]]})
+    with pytest.raises(ShapeError):
+        ChainComplex("valrank2", vstrands, {(2, 0, 0): [[rx()]], (1, 0, 0): [[one]]})
+
+
+def test_chain_map_across_canonical_maps():
+    Z, Z2 = Z_INT(), Z_INV(2)
+    C = ChainComplex.two_term(Z, F(2))
+    D = ChainComplex("zint", {1: [(Z, 1)], 0: [(Z2, 1)]}, {(1, 0, 0): [[F(1)]]})
+    ChainMap(C, D, {(1, 0, 0): [[F(1)]], (0, 0, 0): [[F(1, 2)]]})
+    with pytest.raises(NotChainMapError):
+        ChainMap(C, D, {(1, 0, 0): [[F(1)]], (0, 0, 0): [[F(1)]]})
+    V, VM = VAL("V"), VAL("VhatM")
+    one = V.el_one()
+    DM = ChainComplex.single(VM, {1: 1, 0: 1})
+    blocks = {(1, 0, 0): [[one]], (0, 0, 0): [[one]]}
+    ChainMap(ChainComplex.two_term(V, ry()), DM, blocks)
+    with pytest.raises(NotChainMapError):
+        ChainMap(ChainComplex.two_term(V, rx()), DM, blocks)

@@ -177,3 +177,15 @@ def test_parse_exponents():
     assert parse_ratxy("x^0") == RatXY.const(1)
     assert parse_ratxy("(1+x)^2") == (RatXY.const(1) + x()) * (RatXY.const(1) + x())
     assert parse_ratxy("y^64") == y() ** 64
+
+
+def test_parse_reads_decimals_exactly():
+    assert parse_ratxy("0.1*x") == parse_ratxy("x/10")
+    assert parse_ratxy("2.5e-3") == RatXY.const(Fraction(1, 400))
+    assert parse_ratxy("1e400") == RatXY.const(10 ** 400)
+
+
+@pytest.mark.parametrize("text", ["True", "False*x", "1j", "x + 2.5j", "'x'", "None"])
+def test_parse_rejects_non_numeric_constants(text):
+    with pytest.raises(ValueError):
+        parse_ratxy(text)
