@@ -4,7 +4,9 @@ Subcommands: spectrum | assembly | shape | adelic | tors | verify.
 Reports are JSON with sorted keys, embed the backend and truncation set
 so no claim is scope-free, and every check line carries a stable check
 identifier.  Exit codes: 0 success, 1 a certificate or invariant
-failed, 2 bad input.  TTG_SEED seeds the randomized property suites.
+failed or the object was refused (outside the classifier's rule table
+or the degree window), 2 bad input.  TTG_SEED seeds the randomized
+property suites.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import sys
 from fractions import Fraction
 
 from .adelic import AdelicCube, is_adelic_object, reconstruct_limit
-from .complexes import ChainComplex
-from .homology import homology
+from .complexes import ChainComplex, DegreeWindowError
+from .homology import UnsupportedMixedShape, homology
 from .library import library, random_complex
-from .localize import HypothesisFailed, Site
+from .localize import HypothesisFailed, Site, TruncationTooSmall, UnsupportedRegionError
 from .oracle import OracleMismatch
 from .posets import (AssemblyError, RangeError, assembly_from_json, load_poset,
                      torus_poset, validate_assembly)
@@ -72,6 +74,8 @@ def _site(args) -> Site:
     if backend == "zint":
         return Site("zint", T=_truncation(args.T) if args.T else (2, 3))
     if backend == "valrank2":
+        if args.T:
+            raise InputError("--T applies to --backend zint only")
         return Site("valrank2")
     raise InputError(f"backend {backend!r} has no exact worlds")
 
@@ -203,7 +207,7 @@ def cmd_adelic(args) -> int:
     cube = AdelicCube(site)
     try:
         D = cube.tensor(X)
-    except Exception as exc:
+    except (TruncationTooSmall, UnsupportedRegionError) as exc:
         print(f"certificate failure [truncation-support]: {exc}", file=sys.stderr)
         return 1
     member = is_adelic_object(D, cube)
@@ -235,7 +239,7 @@ def cmd_tors(args) -> int:
     cube = AdelicCube(site)
     try:
         TD = tors(site, X, cube)
-    except Exception as exc:
+    except (TruncationTooSmall, UnsupportedRegionError) as exc:
         print(f"certificate failure [truncation-support]: {exc}", file=sys.stderr)
         return 1
     val = validate(site, TD, cube)
@@ -434,6 +438,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except UnsupportedMixedShape as exc:
+        print(f"refused [mixed-homology]: {exc}", file=sys.stderr)
+        return 1
+    except DegreeWindowError as exc:
+        print(f"refused [degree-window]: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

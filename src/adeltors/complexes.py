@@ -72,6 +72,23 @@ def _compose_blocks(acc, sign, first, n1, second, n2, i, k, mids, wk):
     return acc
 
 
+def _check_blocks(blocks, src, dst, step):
+    """Each block (n, i, j) maps strand i of src degree n to strand j of
+    dst degree n - step: it must name both strands, have their ranks as
+    its shape, and hold entries mult_map_allowed between their worlds."""
+    for (n, i, j), M in blocks.items():
+        ss, ts = src.strand_list(n), dst.strand_list(n - step)
+        if not (0 <= i < len(ss) and 0 <= j < len(ts)):
+            raise ShapeError(f"block ({n},{i},{j}) names no strand")
+        (ws, rs), (wt, rt) = ss[i], ts[j]
+        if len(M) != rt or any(len(row) != rs for row in M):
+            raise ShapeError(f"block ({n},{i},{j}) has wrong shape")
+        for row in M:
+            for e in row:
+                if not mult_map_allowed(ws, wt, e):
+                    raise IncompatibleWorldsError(f"invalid block entry {e}: {ws} -> {wt}")
+
+
 def _kron(A, B, zero):
     """Kronecker product, A acting on the outer index."""
     ra, ca = len(A), len(A[0]) if A else 0
@@ -140,16 +157,7 @@ class ChainComplex:
         return next(iter(ws)) if len(ws) == 1 else None
 
     def _validate(self):
-        for (n, i, j), M in self.blocks.items():
-            src = self.strand_list(n)[i]
-            tgt = self.strand_list(n - 1)[j]
-            if len(M) != tgt[1] or any(len(row) != src[1] for row in M):
-                raise ShapeError(f"block ({n},{i},{j}) has wrong shape")
-            for row in M:
-                for e in row:
-                    if not mult_map_allowed(src[0], tgt[0], e):
-                        raise IncompatibleWorldsError(
-                            f"invalid block entry {e}: {src[0]} -> {tgt[0]}")
+        _check_blocks(self.blocks, self, self, 1)
         # d o d = 0, blockwise
         for n in self.degrees():
             if (n - 1) not in self.strands or (n - 2) not in self.strands:
@@ -231,30 +239,17 @@ class ChainComplex:
             blocks[(n, i + offs.get(n, 0), j + offs.get(n - 1, 0))] = M
         return ChainComplex(self.backend, strands, blocks, check=False)
 
-    def base_change(self, world_op, entry_act=None) -> "ChainComplex":
-        """Apply a world operation strandwise; entries pass through entry_act.
-
-        world_op: World -> World; entry_act(src_world, new_tgt_world, e)
-        defaults to the canonical-map carrier action when the new target
-        world is reachable, else the identity.
-        """
-        new_worlds = {}
-        for n, ss in self.strands.items():
-            new_worlds[n] = [(world_op(w), r) for (w, r) in ss]
-        strands = {n: ss for n, ss in new_worlds.items()}
+    def base_change(self, world_op) -> "ChainComplex":
+        """Apply a world operation (World -> World) strandwise; entries
+        pass through map_act from the old to the new target world."""
+        strands = {n: [(world_op(w), r) for (w, r) in ss] for n, ss in self.strands.items()}
         blocks = {}
         for (n, i, j), M in self.blocks.items():
             old_tgt = self.strand_list(n - 1)[j][0]
-            new_tgt = new_worlds[n - 1][j][0]
-            if new_tgt.is_zero_world or new_worlds[n][i][0].is_zero_world:
+            new_tgt = strands[n - 1][j][0]
+            if new_tgt.is_zero_world or strands[n][i][0].is_zero_world:
                 continue
-            if entry_act is not None:
-                M2 = [[entry_act(old_tgt, new_tgt, e) for e in row] for row in M]
-            elif canonical_map_exists(old_tgt, new_tgt):
-                M2 = [[carrier_act(old_tgt, new_tgt, e) for e in row] for row in M]
-            else:
-                M2 = M
-            blocks[(n, i, j)] = M2
+            blocks[(n, i, j)] = [[map_act(old_tgt, new_tgt, e) for e in row] for row in M]
         return ChainComplex(self.backend, strands, blocks)
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
@@ -358,8 +353,10 @@ class ChainMap:
         for k, M in list(self.blocks.items()):
             if _is_zero_mat(M):
                 del self.blocks[k]
-        if check and not self.is_chain_map():
-            raise NotChainMapError("not a chain map")
+        if check:
+            _check_blocks(self.blocks, src, dst, 0)
+            if not self.is_chain_map():
+                raise NotChainMapError("not a chain map")
 
     @staticmethod
     def from_unit(src: ChainComplex, dst: ChainComplex) -> "ChainMap":

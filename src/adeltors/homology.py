@@ -1,7 +1,9 @@
 """Homology classification of complexes over catalogue worlds.
 
-Single-world complexes go through Smith normal form: for each degree,
-ker/im is read off two SNF passes, giving free and cyclic pieces.
+Single-world complexes go through one Smith reduction (Kaczynski-Mrozek-
+Slusarek): decompose_single splits them, one SNF per degree, into free
+generators and two-term atoms [W --a--> W], and the homology is read
+off those atoms as free and cyclic pieces.
 
 Mixed ("adelically shaped") complexes reduce by a deterministic loop of
 moves on an exploded cell presentation (one cell per free generator):
@@ -29,7 +31,7 @@ from .classes import GradedClasses, ModuleClass, PRUEFER, PRUEFER_X, PRUEFER_Y, 
 from .complexes import ChainComplex
 from .linalg import mat_mul, snf
 from .worlds import (World, canonical_map_exists, carrier_act, fracture_pullback,
-                     is_zero_el, map_act, mult_map_allowed)
+                     inv_el, is_zero_el, map_act, mult_map_allowed)
 
 
 class UnsupportedMixedShape(ValueError):
@@ -63,49 +65,15 @@ def full_matrix(C: ChainComplex, n: int):
 
 
 def single_world_homology(C: ChainComplex) -> GradedClasses:
+    """Fold the atoms of decompose_single: a lone [W] in degree n gives
+    Free(W) in degree n, and [W --a--> W] with top degree t gives W/(a)
+    in degree t-1 (nothing for a unit a; every catalogue world is a
+    domain, so nothing lands in degree t)."""
     w = C.single_world()
-    if C.is_empty():
-        return GradedClasses()
-    if w is None:
-        raise UnsupportedMixedShape("not a single-world complex")
     out: dict[int, ModuleClass] = {}
-    degs = C.degrees()
-    lo, hi = degs[0], degs[-1]
-    for n in range(lo, hi + 1):
-        rank_n = C.rank(n)
-        if rank_n == 0:
-            continue
-        d_n = full_matrix(C, n) if C.rank(n - 1) else None
-        d_up = full_matrix(C, n + 1) if C.rank(n + 1) else None
-        if d_n is not None:
-            _, D, Vt = snf(d_n, w)
-            r = sum(0 if is_zero_el(D[i][i]) else 1
-                    for i in range(min(len(D), len(D[0]) if D else 0)))
-            if d_up is not None:
-                # coordinates of im(d_up) in the kernel basis: rows r.. of Vt @ d_up
-                VtD = mat_mul(Vt, d_up)
-                B = [row for row in VtD[r:]]
-            else:
-                B = [[w.el_zero()] * 0 for _ in range(rank_n - r)]
-            kdim = rank_n - r
-        else:
-            kdim = rank_n
-            B = d_up if d_up is not None else [[] for _ in range(rank_n)]
-        cls = ModuleClass()
-        if kdim:
-            if B and any(len(row) for row in B):
-                _, D2, _ = snf(B, w)
-                rk = 0
-                for i in range(min(len(D2), len(D2[0]) if D2 else 0)):
-                    e = D2[i][i]
-                    if not is_zero_el(e):
-                        rk += 1
-                        cls = cls + ModuleClass.cyclic(w, e)
-                cls = cls + ModuleClass.free(w, kdim - rk)
-            else:
-                cls = ModuleClass.free(w, kdim)
-        if not cls.is_zero():
-            out[n] = cls
+    for (t, a) in decompose_single(C):
+        n, cls = (t, ModuleClass.free(w)) if a is None else (t - 1, ModuleClass.cyclic(w, a))
+        out[n] = out.get(n, ModuleClass()) + cls
     return GradedClasses(out)
 
 
@@ -140,7 +108,7 @@ def decompose_single(C: ChainComplex) -> list[tuple[int, object]]:
             ranks[n] = 0
             n += 1
             continue
-        U, D, Vt = snf(d, w)
+        _, D, Vt = snf(d, w)
         # change basis upstairs: d_{n+2} sees Vt
         if (n + 2) in mats:
             mats[n + 2] = mat_mul(Vt, mats[n + 2])
@@ -214,7 +182,7 @@ def cone_atom_classes(w1: World, w2: World, a) -> tuple[ModuleClass, ModuleClass
 
         [W1 --a--> W1]  -->  [W2 --a--> W2]
 
-    (cone of the canonical localization map on a two-term атom), with
+    (cone of the canonical localization map on a two-term atom), with
     the W1 pair one degree above the W2 pair and a nonzero.
     """
     if w1.backend == "zint":
@@ -287,7 +255,7 @@ class _Cells:
 
     def scale(self, c, u):
         """Rescale the basis of cell c by the unit u of its world."""
-        uinv = Fraction(1) / u if isinstance(u, Fraction) else u.inv()
+        uinv = inv_el(u)
         for (s, t) in list(self.d):
             if s == c:
                 self.d[(s, t)] = self.d[(s, t)] * u
@@ -315,7 +283,7 @@ class _Cells:
             e = self.d[(s, t)]
             if not w.is_unit(e):
                 continue
-            einv = Fraction(1) / e if isinstance(e, Fraction) else e.inv()
+            einv = inv_el(e)
             ins_t = [u for u in self.ins(t) if u != s]
             outs_s = [v for v in self.outs(s) if v != t]
             for u in ins_t:
@@ -408,7 +376,7 @@ class _Cells:
                 continue
             self.scale(t, e1)  # in-entries of t scale by 1/e1
             e2 = self.d[(s2, t)]
-            v = -(Fraction(1) / e2 if isinstance(e2, Fraction) else e2.inv())
+            v = -inv_el(e2)
             if not w2.is_unit(v):
                 raise UnsupportedMixedShape("fracture unit twist not liftable")
             self.scale(s2, v)
@@ -556,7 +524,7 @@ def _invert_elementary(M, w: World):
             raise UnsupportedMixedShape("matrix not invertible over world")
         A[col], A[piv] = A[piv], A[col]
         pv = A[col][col]
-        pinv = Fraction(1) / pv if isinstance(pv, Fraction) else pv.inv()
+        pinv = inv_el(pv)
         A[col] = [e * pinv for e in A[col]]
         for r in range(n):
             if r != col and not is_zero_el(A[r][col]):

@@ -1,9 +1,10 @@
 """Smith normal form over catalogue worlds.
 
 One algorithm covers the whole catalogue.  Fields reduce by Gauss,
-valuation-type worlds (Padic, semilocal, V and friends) pivot on the
-entry of minimal valuation which then divides everything in sight, and
-the honestly Euclidean worlds (Int, IntInv) run the classical gcd loop.
+local worlds (Padic, IntLoc, V and friends) pivot on the entry of
+minimal valuation which then divides everything in sight, and the other
+integer worlds (Int, IntInv, and IntSemiLoc over two or more primes,
+which are PIDs but not local) run the classical gcd loop.
 The pivot rule is fixed (minimal valuation, then lowest row index) so
 results are deterministic.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .worlds import World, is_zero_el
+from .worlds import World, inv_el, is_zero_el
 
 
 def mat_mul(A, B):
@@ -47,50 +48,47 @@ class SNFError(ValueError):
     pass
 
 
-def snf(A, world: World, want_transforms: bool = True):
+def snf(A, world: World):
     """Smith normal form over a world; see module docstring."""
     m = len(A)
     n = len(A[0]) if m else 0
     one = world.el_one()
     D = [list(row) for row in A]
-    U = mat_id(m, one) if want_transforms else None
-    Vt = mat_id(n, one) if want_transforms else None
+    U = mat_id(m, one)
+    Vt = mat_id(n, one)
 
-    euclidean = world.kind == "z" and not world.inv.cofinite
+    # a cofinite world with fewer than two non-inverted primes is a field
+    # or local, where the minimal pivot divides every entry
+    euclidean = world.kind == "z" and not (world.inv.cofinite and len(world.inv.primes) < 2)
 
     def row_add(i, j, c):  # row_j += c * row_i
         for t in range(n):
             D[j][t] = D[j][t] + c * D[i][t]
-        if U is not None:
-            for t in range(m):
-                U[t][i] = U[t][i] - c * U[t][j]
+        for t in range(m):
+            U[t][i] = U[t][i] - c * U[t][j]
 
     def col_add(i, j, c):  # col_j += c * col_i
         for t in range(m):
             D[t][j] = D[t][j] + c * D[t][i]
-        if Vt is not None:
-            for t in range(n):
-                Vt[i][t] = Vt[i][t] - c * Vt[j][t]
+        for t in range(n):
+            Vt[i][t] = Vt[i][t] - c * Vt[j][t]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
-        if U is not None:
-            for t in range(m):
-                U[t][i], U[t][j] = U[t][j], U[t][i]
+        for t in range(m):
+            U[t][i], U[t][j] = U[t][j], U[t][i]
 
     def col_swap(i, j):
         for t in range(m):
             D[t][i], D[t][j] = D[t][j], D[t][i]
-        if Vt is not None:
-            Vt[i], Vt[j] = Vt[j], Vt[i]
+        Vt[i], Vt[j] = Vt[j], Vt[i]
 
     def row_scale(i, u):  # row_i *= u, u a unit
         for t in range(n):
             D[i][t] = D[i][t] * u
-        if U is not None:
-            uinv = one / u if isinstance(u, Fraction) else u.inv()
-            for t in range(m):
-                U[t][i] = U[t][i] * uinv
+        uinv = inv_el(u)
+        for t in range(m):
+            U[t][i] = U[t][i] * uinv
 
     if euclidean:
         # clear denominators rowwise; the scale factors are world units
@@ -179,8 +177,7 @@ def snf(A, world: World, want_transforms: bool = True):
             u = d / canon
             if not world.is_unit(u):
                 raise SNFError(f"normalization failed over {world}")
-            uinv = Fraction(1) / u if isinstance(u, Fraction) else u.inv()
-            row_scale(i, uinv)
+            row_scale(i, inv_el(u))
     return U, D, Vt
 
 

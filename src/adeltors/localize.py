@@ -140,9 +140,8 @@ class Site:
 
     # -- the four functors -------------------------------------------------------------
     def localized(self, X: ChainComplex, S) -> tuple[ChainComplex, ChainMap]:
-        op = self.localize_op(S)
-        LX = X.base_change(op)
-        return LX, _unit_chain_map(X, LX, op)
+        LX = X.base_change(self.localize_op(S))
+        return LX, ChainMap.from_unit(X, LX)
 
     def l_complement(self, V, X: ChainComplex,
                      assembly: AssemblyData | None = None) -> ChainComplex:
@@ -413,20 +412,6 @@ class MGMReport:
         return {"check": "mgm", "agree": self.agree,
                 "lam_gamma": self.lam_gamma.to_json(), "lam": self.lam.to_json(),
                 "gamma": self.gamma.to_json(), "gamma_lam": self.gamma_lam.to_json()}
-
-
-def _unit_chain_map(X: ChainComplex, LX: ChainComplex, op) -> ChainMap:
-    """Unit of a strandwise base change, tracking dropped strands."""
-    blocks = {}
-    for n in X.degrees():
-        kept = 0
-        for i, (w, r) in enumerate(X.strand_list(n)):
-            nw = op(w)
-            if nw.is_zero_world:
-                continue
-            blocks[(n, i, kept)] = mat_id(r, nw.el_one())
-            kept += 1
-    return ChainMap(X, LX, blocks)
 
 
 def tensor_with_mixed(C: ChainComplex, X: ChainComplex, base: World) -> ChainComplex:

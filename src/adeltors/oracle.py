@@ -368,9 +368,8 @@ def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
             for k in range(r):
                 basis.extend((i, k, b) for b in _y_loc_basis(w, N))
         bases[n] = basis
-    zero, one = RatXY.const(0), RatXY.const(1)
+    zero = RatXY.const(0)
     mats: dict[int, list] = {}
-    from .ratfunc import _y_parts
     for n in C.degrees():
         if not bases.get(n) or not bases.get(n - 1):
             continue
@@ -386,13 +385,7 @@ def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
                     e = Mb[row_k][sk]
                     if e.is_zero():
                         continue
-                    # y-slice expansion of e: k(x)-coefficients per power of y
-                    num_sl = _y_parts(e.num)
-                    den_sl = _y_parts(e.den)
-                    vd = min(den_sl)
-                    d0 = RatXY(_from_slices({0: den_sl[vd]}), {(0, 0): Fraction(1)})
-                    # e = y^{-vd} (sum_k num_{k} y^k) / (d0 + y d1 + ...)
-                    # expand by explicit series division up to N terms
+                    # y-adic expansion of e up to N terms, with k(x)-coefficients
                     coeffs = _y_series(e, N + 1)
                     for db, cf in coeffs.items():
                         bb = b + db

@@ -264,6 +264,11 @@ def is_zero_el(el) -> bool:
     return el == 0 if isinstance(el, (int, Fraction)) else el.is_zero()
 
 
+def inv_el(u):
+    """The inverse of a nonzero carrier element (int, Fraction or RatXY)."""
+    return Fraction(1) / u if isinstance(u, (int, Fraction)) else u.inv()
+
+
 # -- valuation-backend tables --------------------------------------------------
 
 _VAL_MEMBER = {

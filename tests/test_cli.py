@@ -140,3 +140,25 @@ def test_verify_valrank2_names_skipped_suites():
     for suite in ("mgm", "splittings", "rules,splittings"):
         proc = run_cli("verify", suite, "--backend", "valrank2", expect=2)
         assert "input error [verify]" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_truncation_refused_on_valrank2():
+    for cmd in ("adelic", "tors", "verify"):
+        proc = run_cli(cmd, "--backend", "valrank2", "--T", "2", expect=2)
+        assert proc.stderr.startswith(f"input error [{cmd}]") and not proc.stdout
+
+
+def test_refusals_print_one_line(tmp_path):
+    # [Z --(-2,1)^T--> Z^2] is just Z, but the mixed classifier refuses it
+    obj = tmp_path / "mixed.json"
+    obj.write_text(json.dumps({"world": "Int", "degrees": {"1": 1, "0": 2},
+                               "diff": {"1": [["-2"], ["1"]]}}))
+    # a two-term atom at the bottom of the degree window
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps({"world": "Int", "degrees": {"-7": 1, "-8": 1},
+                               "diff": {"-7": [["2"]]}}))
+    for path, tag in ((obj, "mixed-homology"), (low, "degree-window")):
+        for cmd in ("adelic", "tors"):
+            proc = run_cli(cmd, "--object", str(path), expect=1)
+            assert proc.stderr.startswith(f"refused [{tag}]: ") and not proc.stdout
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

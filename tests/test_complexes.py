@@ -185,3 +185,19 @@ def test_chain_map_across_canonical_maps():
     ChainMap(ChainComplex.two_term(V, ry()), DM, blocks)
     with pytest.raises(NotChainMapError):
         ChainMap(ChainComplex.two_term(V, rx()), DM, blocks)
+
+
+def test_chain_map_blocks_checked():
+    Z = Z_INT()
+    X = ChainComplex.single(Z, {0: 1})
+    with pytest.raises(ShapeError):
+        ChainMap(X, X, {(0, 0, 0): [[F(1)], [F(5)]]})
+    for key in [(0, 1, 0), (0, 0, 1), (1, 0, 0), (0, -1, 0)]:
+        with pytest.raises(ShapeError):
+            ChainMap(X, X, {key: [[F(1)]]})
+    # an entry the strand worlds do not allow: 1/2 from Int to Int
+    with pytest.raises(IncompatibleWorldsError):
+        ChainMap(X, X, {(0, 0, 0): [[F(1, 2)]]})
+    # unchecked maps are taken as given
+    ChainMap(X, X, {(0, 0, 0): [[F(1)], [F(5)]]}, False)
+    assert ChainMap(X, X, {(0, 0, 0): [[F(5)]]}).blocks == {(0, 0, 0): [[F(5)]]}

@@ -10,7 +10,7 @@ from adeltors.library import random_complex
 from adeltors.oracle import oracle_check
 from adeltors.ratfunc import x as rx, y as ry
 from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT,
-                             Z_RAT)
+                             Z_RAT, Z_SEMILOC)
 
 
 def test_cyclic_normalization():
@@ -36,6 +36,20 @@ def test_single_world_homology_and_oracle(rng):
         C = random_complex(rng, Z_INT())
         h = homology(C)
         oracle_check(C, h, primes=(2, 3, 5))
+    # the residue oracle is independent of decompose_single, which both
+    # homology and the reassembly test below read their classes from
+    for w in (Z_LOC(2), Z_INV(2), Z_SEMILOC(2, 3), VAL("V")):
+        for _ in range(30):
+            C = random_complex(rng, w)
+            oracle_check(C, homology(C), primes=(2, 3, 5))
+
+
+def test_semilocal_pid_homology():
+    # IntSemiLoc(2,3) is a PID but not local: gcd(2, 3) = 1 is a unit
+    W = Z_SEMILOC(2, 3)
+    C = ChainComplex.single(W, {1: 2, 0: 1}, {1: [[F(2), F(3)]]})
+    assert homology(C) == GradedClasses({1: ModuleClass.free(W)})
+    oracle_check(C, homology(C), primes=(2, 3, 5))
 
 
 def test_cone_of_identity_acyclic(rng):

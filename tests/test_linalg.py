@@ -55,7 +55,7 @@ def test_snf_random_many(rng):
     for trial in range(1100):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[F(rng.randint(-40, 40)) for _ in range(n)] for _ in range(m)]
-        for w in worlds[:2]:
+        for w in worlds[:2] + worlds[5:]:
             check_snf(A, w)
         A2 = [[F(rng.randint(-40, 40), rng.choice([1, 3, 9, 5])) for _ in range(n)]
               for _ in range(m)]
@@ -79,6 +79,15 @@ def test_snf_random_valuation(rng):
                 check_snf(B, VAL(w))
             else:
                 check_snf(A, VAL(w))
+
+
+def test_snf_semilocal_pid():
+    # two non-inverted primes: the entry with the smallest non-inverted
+    # part need not divide the rest (2 and 3), so the gcd loop must run
+    W = Z_SEMILOC(2, 3)
+    assert check_snf([[F(2), F(3)]], W) == [F(1)]
+    assert check_snf([[F(2), F(0)], [F(0), F(3)]], W) == [F(1), F(6)]
+    assert check_snf([[F(4, 5), F(9, 7)]], W) == [F(1)]
 
 
 def test_snf_entry_outside_world():
