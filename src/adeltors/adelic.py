@@ -21,6 +21,7 @@ the iterated-fibre totalization from `shapes`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .classes import GradedClasses
@@ -30,7 +31,7 @@ from .linalg import mat_id
 from .localize import Site, TruncationTooSmall, UnsupportedRegionError
 from .posets import AssemblyData
 from .shapes import CubeDiagram, holim_punctured, punctured_cube
-from .worlds import World, canonical_map_exists, factorint, invert_val
+from .worlds import World, canonical_map_exists, carrier_block, factorint, invert_val
 
 
 def _flat(backend: str, worlds) -> ChainComplex:
@@ -48,35 +49,48 @@ def _flat_worlds(C: ChainComplex):
 
 
 class AdelicCube:
-    """The punctured cube of adelic rings for a site and assembly."""
+    """The punctured cube of adelic rings for a site and assembly.
+
+    A cube fixes its site and assembly, so the worlds it derives from
+    them depend on nothing else: the class factors, the class inversions,
+    the ext fan-out of a strand world and the unit diagram are each
+    computed on first use and kept for the life of the cube (at most
+    classes x labels x catalogue worlds entries)."""
 
     def __init__(self, site: Site, assembly: AssemblyData | None = None):
         self.site = site
         self.assembly = assembly if assembly is not None else site.assembly
         self.d = site.poset.dimension
         self.shape = punctured_cube(self.d)
+        self._factor_worlds: dict[str, tuple[World, ...]] = {}
+        self._inversions: dict[str, Callable[[World], World]] = {}
+        self._ext_worlds: dict[tuple, tuple[World, ...]] = {}
+        self._unit: CubeDiagram | None = None
         self._vertex_worlds: dict[tuple, list[World]] = {}
         for v in self.shape.vertices:
             self._vertex_worlds[tuple(v.label)] = self._build_vertex(tuple(v.label))
 
     # -- rings ---------------------------------------------------------------------
-    def _class_factor_worlds(self, x: str) -> list[World]:
+    def _class_factor_worlds(self, x: str) -> tuple[World, ...]:
         """Worlds of L_x Lambda_x 1 for an assembly class x."""
-        site, A = self.site, self.assembly
-        region = frozenset(y for y in A.subposet if A.ambient.leq(y, x))
-        lam = site.lam(region, site.unit(), assembly=A)
-        loc = site.l_class(A, x, lam)
-        return _flat_worlds(loc)
+        hit = self._factor_worlds.get(x)
+        if hit is None:
+            site, A = self.site, self.assembly
+            region = frozenset(y for y in A.subposet if A.ambient.leq(y, x))
+            lam = site.lam(region, site.unit(), assembly=A)
+            hit = self._factor_worlds[x] = tuple(_flat_worlds(site.l_class(A, x, lam)))
+        return hit
 
     def _class_inversion(self, x: str):
         """The world op of L^A_x."""
-        site, A = self.site, self.assembly
-        region = frozenset(p for p in site.poset.elements
-                           if not A.ambient.leq(x, A.alpha[p]))
-        if not region:
-            return lambda w: w
-        S = site.inversion_set(region)
-        return site.localize_op(S)
+        hit = self._inversions.get(x)
+        if hit is None:
+            site, A = self.site, self.assembly
+            region = frozenset(p for p in site.poset.elements
+                               if not A.ambient.leq(x, A.alpha[p]))
+            hit = site.localize_op(site.inversion_set(region)) if region else (lambda w: w)
+            self._inversions[x] = hit
+        return hit
 
     def _build_vertex(self, label: tuple) -> list[World]:
         dims = sorted(label)
@@ -102,22 +116,23 @@ class AdelicCube:
         return _flat(self.site.backend, self.ring_worlds(label))
 
     # -- ext along edges ----------------------------------------------------------------
-    def ext_strand_worlds(self, label_a, label_b, u: World) -> list[World]:
+    def ext_strand_worlds(self, label_a, label_b, u: World) -> tuple[World, ...]:
         """Worlds of u (x)_{ring(A)} ring(B) for one inserted index."""
         A = tuple(sorted(label_a))
         B = tuple(sorted(label_b))
+        hit = self._ext_worlds.get((A, B, u))
+        if hit is not None:
+            return hit
         (j,) = set(B) - set(A)
+        classes = self.assembly.sub_elements_of_dim(j)
         if u.is_zero_world:
-            return []
-        out: list[World] = []
-        if j > min(A):
-            for x in self.assembly.sub_elements_of_dim(j):
-                out.append(self._class_inversion(x)(u))
+            out = []
+        elif j > min(A):
+            out = [self._class_inversion(x)(u) for x in classes]
         else:
-            for x in self.assembly.sub_elements_of_dim(j):
-                for f in self._class_factor_worlds(x):
-                    out.append(_combine(u, f))
-        return [w for w in out if not w.is_zero_world]
+            out = [_combine(u, f) for x in classes for f in self._class_factor_worlds(x)]
+        hit = self._ext_worlds[(A, B, u)] = tuple(w for w in out if not w.is_zero_world)
+        return hit
 
     def ext_complex(self, label_a, label_b, C: ChainComplex) -> ChainComplex:
         """C (x)_{ring(A)} ring(B), strandwise."""
@@ -148,14 +163,13 @@ class AdelicCube:
                     # with equal fan-out on both sides the slots must match
                     if len(index[(n, i)]) == len(index[(n - 1, j)]) and a != b:
                         continue
-                    from .worlds import carrier_act
                     old_t = C.strand_list(n - 1)[j][0]
-                    blocks[(n, si, tj)] = [
-                        [carrier_act(old_t, wtgt, e) for e in row] for row in M]
+                    blocks[(n, si, tj)] = carrier_block(old_t, wtgt, M)
         return ChainComplex(C.backend, strands, blocks)
 
     # -- diagrams -------------------------------------------------------------------------
     def unit_diagram(self) -> CubeDiagram:
+        """A fresh unit diagram; `tensor` shares one built per cube."""
         values = {v.name: self.ring_complex(v.label) for v in self.shape.vertices}
         maps = {}
         for (s, t, _) in self.shape.arrows:
@@ -192,11 +206,12 @@ class AdelicCube:
         (each X strand world is flat over the base, so the tensor is the
         honest localization-completion pushout of worlds)."""
         self.check_truncation(X)
-        base = self.unit_diagram()
+        if self._unit is None:
+            self._unit = self.unit_diagram()
+        base = self._unit
         values: dict[str, ChainComplex] = {}
         layout: dict[str, dict] = {}
         backend = self.site.backend
-        from .worlds import carrier_act
         for v in self.shape.vertices:
             flat = base.value(v.name)
             ring = flat.strand_list(0)
@@ -220,8 +235,7 @@ class AdelicCube:
                     if si is None or tj is None:
                         continue
                     nwt = strands[q - 1][tj][0]
-                    blocks[(q, si, tj)] = [[carrier_act(wb, nwt, e) for e in row]
-                                           for row in M]
+                    blocks[(q, si, tj)] = carrier_block(wb, nwt, M)
             values[v.name] = ChainComplex(backend, strands, blocks)
             layout[v.name] = index
         maps: dict[tuple[str, str], ChainMap] = {}
@@ -235,7 +249,6 @@ class AdelicCube:
                         tj = layout[t].get((j, q, a))
                         if si is None or tj is None:
                             continue
-                        nwt = values[t].strand_list(q)[tj][0]
                         blocks[(q, si, tj)] = mat_id(ra, M[0][0])
             maps[(s, t)] = ChainMap(values[s], values[t], blocks)
         return CubeDiagram(self.shape, values, maps, {}, dict(base.ring_names))

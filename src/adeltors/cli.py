@@ -5,7 +5,8 @@ Reports are JSON with sorted keys, embed the backend and truncation set
 so no claim is scope-free, and every check line carries a stable check
 identifier.  Exit codes: 0 success, 1 a certificate or invariant
 failed or the object was refused (outside the classifier's rule table
-or the degree window), 2 bad input.  TTG_SEED seeds the randomized
+or the degree window), 2 bad input, 3 an internal error (a defect, one
+`internal error [<command>]` line).  TTG_SEED seeds the randomized
 property suites.
 """
 
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .adelic import AdelicCube, is_adelic_object, reconstruct_limit
-from .complexes import ChainComplex, DegreeWindowError
+from .complexes import DEGREE_HI, DEGREE_LO, ChainComplex, DegreeWindowError
 from .homology import UnsupportedMixedShape, homology
 from .library import library, random_complex
 from .localize import HypothesisFailed, Site, TruncationTooSmall, UnsupportedRegionError
@@ -36,7 +37,24 @@ from .worlds import world_from_name
 
 
 class InputError(ValueError):
-    pass
+    """Bad input, reported as one `input error [<check>]` line with exit
+    2; check names the input at fault when it is not the command's own."""
+
+    def __init__(self, message: str, check: str | None = None):
+        super().__init__(message)
+        self.check = check
+
+
+def _input_error(cmd: str, exc: InputError) -> int:
+    print(f"input error [{exc.check or cmd}]: {exc}", file=sys.stderr)
+    return 2
+
+
+# What reading a malformed poset or assembly file can raise: OSError from
+# the file, ValueError (JSONDecodeError, PosetError, a relation that is no
+# pair), and TypeError, KeyError or AttributeError from a document of the
+# wrong shape.
+_BAD_POSET_FILE = (OSError, ValueError, TypeError, KeyError, AttributeError)
 
 
 def _emit(doc, out=None):
@@ -80,6 +98,11 @@ def _site(args) -> Site:
     raise InputError(f"backend {backend!r} has no exact worlds")
 
 
+# Generators of an object live one degree inside the window: the cube's
+# cones and limits shift degrees by one.
+OBJECT_LO, OBJECT_HI = DEGREE_LO + 1, DEGREE_HI - 1
+
+
 def load_object(path: str, site: Site) -> ChainComplex:
     try:
         with open(path) as fh:
@@ -90,22 +113,33 @@ def load_object(path: str, site: Site) -> ChainComplex:
 
 
 def object_from_json(doc, site: Site) -> ChainComplex:
-    if isinstance(doc, list) or "parts" in doc:
-        parts = doc if isinstance(doc, list) else doc["parts"]
+    if isinstance(doc, dict) and "parts" in doc:
+        doc = doc["parts"]
+    if isinstance(doc, list):
         out = ChainComplex.zero(site.backend)
-        for part in parts:
+        for part in doc:
             out = out.dsum(object_from_json(part, site))
         return out
+    if not isinstance(doc, dict):
+        raise InputError(f"an object is a JSON object or a list of parts, not {doc!r}")
     try:
         w = world_from_name(doc.get("world", site.base.name), site.backend)
         ranks = {int(k): int(v) for k, v in doc.get("degrees", {}).items()}
+        for n in sorted(n for n, r in ranks.items() if r > 0):
+            if not OBJECT_LO <= n <= OBJECT_HI:
+                raise InputError(f"generator in degree {n}: objects live in degrees "
+                                 f"[{OBJECT_LO}, {OBJECT_HI}]", check="object")
         parse = (lambda s: Fraction(s)) if site.backend == "zint" else parse_ratxy
         diffs = {int(k): [[parse(str(e)) for e in row] for row in M]
                  for k, M in doc.get("diff", {}).items()}
         return ChainComplex.single(w, ranks, diffs)
     except InputError:
         raise
-    except Exception as exc:
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError, SyntaxError) as exc:
+        # ValueError covers bad numbers, world names and exponents and the
+        # complex's own shape, world and degree checks; SyntaxError comes
+        # from a malformed rational function, the rest from a document of
+        # the wrong shape or a zero denominator
         raise InputError(f"bad object description: {exc}")
 
 
@@ -121,7 +155,7 @@ def complex_to_json(C: ChainComplex):
 def cmd_spectrum(args) -> int:
     try:
         P = load_poset(args.file)
-    except Exception as exc:
+    except _BAD_POSET_FILE as exc:
         print(f"input error [poset-validation]: {exc}", file=sys.stderr)
         return 2
     doc = {"check": "poset-validation", "ok": True,
@@ -151,12 +185,12 @@ def cmd_assembly(args) -> int:
         P = load_poset(args.poset)
         with open(args.assembly) as fh:
             doc = json.load(fh)
-    except Exception as exc:
+    except _BAD_POSET_FILE as exc:
         print(f"input error [assembly-validation]: {exc}", file=sys.stderr)
         return 2
     try:
         A = assembly_from_json(P, doc)
-    except Exception as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         _emit({"check": "assembly-validation", "ok": False,
                "error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 1
@@ -202,8 +236,7 @@ def cmd_adelic(args) -> int:
         site = _site(args)
         X = load_object(args.object, site) if args.object else site.unit()
     except InputError as exc:
-        print(f"input error [adelic]: {exc}", file=sys.stderr)
-        return 2
+        return _input_error("adelic", exc)
     cube = AdelicCube(site)
     try:
         D = cube.tensor(X)
@@ -234,8 +267,7 @@ def cmd_tors(args) -> int:
         site = _site(args)
         X = load_object(args.object, site) if args.object else site.unit()
     except InputError as exc:
-        print(f"input error [tors]: {exc}", file=sys.stderr)
-        return 2
+        return _input_error("tors", exc)
     cube = AdelicCube(site)
     try:
         TD = tors(site, X, cube)
@@ -291,8 +323,7 @@ def cmd_verify(args) -> int:
         if skipped and args.suite != "all":
             raise InputError(f"suite {', '.join(skipped)} runs on --backend zint only")
     except InputError as exc:
-        print(f"input error [verify]: {exc}", file=sys.stderr)
-        return 2
+        return _input_error("verify", exc)
     suites = [s for s in suites if s not in skipped]
     cube = AdelicCube(site)
     lines = []
@@ -322,7 +353,8 @@ def cmd_verify(args) -> int:
                     rep = reconstruct_limit(D, X)
                     record("fracture-limit", rep.agree and
                            is_adelic_object(D, cube), object=name)
-                except Exception as exc:
+                except (TruncationTooSmall, UnsupportedRegionError, UnsupportedMixedShape,
+                        DegreeWindowError) as exc:
                     record("fracture-limit", False, object=name, detail=str(exc))
         elif suite == "tors":
             for name, X in library(site):
@@ -444,6 +476,9 @@ def main(argv=None) -> int:
     except DegreeWindowError as exc:
         print(f"refused [degree-window]: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # the process boundary: what is left is a defect
+        print(f"internal error [{args.cmd}]: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ the component from strand i of degree n to strand j of degree n-1.  A
 block from a W1-strand to a W2-strand is the composite of the canonical
 map W1 -> W2 with a matrix over the carrier of W2, so a complex is
 "adelically shaped" by construction; a single-world complex is the
-special case where every strand shares one world.
+special case where every strand shares one world.  World questions are
+decided once per block, not per entry: whether the canonical map exists
+when entries are checked, and how it acts on carriers when blocks are
+composed.
 
 d(d(x)) = 0 is asserted exactly on construction.  The fixed sign
 conventions: shift negates the differential once per step, and the
@@ -19,7 +22,7 @@ truncate.
 
 from __future__ import annotations
 
-from .worlds import (World, canonical_map_exists, carrier_act, is_zero_el, map_act,
+from .worlds import (World, canonical_map_exists, carrier_block, is_zero_el,
                      mult_map_allowed)
 from .linalg import mat_id, mat_mul
 
@@ -55,16 +58,21 @@ def _compose_blocks(acc, sign, first, n1, second, n2, i, k, mids, wk):
     """acc + sign * (second o first) from strand i to strand k, blockwise.
 
     The sum runs over the middle strands j, with worlds w_j from mids, of
-    second[(n2, j, k)] @ map_act(w_j -> wk, first[(n1, i, j)]), skipping
-    a j where either block is zero.  sign is 1 or -1.  This is the only
-    place block maps are composed.
+    second[(n2, j, k)] @ T(first[(n1, i, j)]), skipping a j where either
+    block is zero.  The transport T is decided once per block: the
+    canonical map w_j -> wk on carriers (y -> 0 only into VhatM/VhatMInv
+    from outside them) when it exists, else the identity, as a twisted
+    multiplication map acts.  sign is 1 or -1.  This is the only place
+    block maps are composed.
     """
     for j, (wj, _) in enumerate(mids):
         M1 = first.get((n1, i, j))
         M2 = second.get((n2, j, k))
         if M1 is None or M2 is None:
             continue
-        P = mat_mul(M2, [[map_act(wj, wk, e) for e in row] for row in M1])
+        if canonical_map_exists(wj, wk):
+            M1 = carrier_block(wj, wk, M1)
+        P = mat_mul(M2, M1)
         if sign > 0:
             acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, P)]
         else:
@@ -75,7 +83,10 @@ def _compose_blocks(acc, sign, first, n1, second, n2, i, k, mids, wk):
 def _check_blocks(blocks, src, dst, step):
     """Each block (n, i, j) maps strand i of src degree n to strand j of
     dst degree n - step: it must name both strands, have their ranks as
-    its shape, and hold entries mult_map_allowed between their worlds."""
+    its shape, and hold entries mult_map_allowed between their worlds.
+    Strand worlds are never the zero world, so along a canonical map
+    (decided once per block) that is membership in the target world;
+    only twisted blocks ask mult_map_allowed entry by entry."""
     for (n, i, j), M in blocks.items():
         ss, ts = src.strand_list(n), dst.strand_list(n - step)
         if not (0 <= i < len(ss) and 0 <= j < len(ts)):
@@ -83,10 +94,13 @@ def _check_blocks(blocks, src, dst, step):
         (ws, rs), (wt, rt) = ss[i], ts[j]
         if len(M) != rt or any(len(row) != rs for row in M):
             raise ShapeError(f"block ({n},{i},{j}) has wrong shape")
+        allowed = wt.contains if canonical_map_exists(ws, wt) else \
+            (lambda e: mult_map_allowed(ws, wt, e))
         for row in M:
             for e in row:
-                if not mult_map_allowed(ws, wt, e):
-                    raise IncompatibleWorldsError(f"invalid block entry {e}: {ws} -> {wt}")
+                if not allowed(e):
+                    raise IncompatibleWorldsError(
+                        f"invalid block entry {e} in block ({n},{i},{j}): {ws} -> {wt}")
 
 
 def _kron(A, B, zero):
@@ -240,8 +254,8 @@ class ChainComplex:
         return ChainComplex(self.backend, strands, blocks, check=False)
 
     def base_change(self, world_op) -> "ChainComplex":
-        """Apply a world operation (World -> World) strandwise; entries
-        pass through map_act from the old to the new target world."""
+        """Apply a world operation strandwise; it must be a canonical map
+        (a localization), and each block passes through it on carriers."""
         strands = {n: [(world_op(w), r) for (w, r) in ss] for n, ss in self.strands.items()}
         blocks = {}
         for (n, i, j), M in self.blocks.items():
@@ -249,7 +263,7 @@ class ChainComplex:
             new_tgt = strands[n - 1][j][0]
             if new_tgt.is_zero_world or strands[n][i][0].is_zero_world:
                 continue
-            blocks[(n, i, j)] = [[map_act(old_tgt, new_tgt, e) for e in row] for row in M]
+            blocks[(n, i, j)] = carrier_block(old_tgt, new_tgt, M)
         return ChainComplex(self.backend, strands, blocks)
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
@@ -290,7 +304,7 @@ class ChainComplex:
             DX = other.blocks.get((q, 0, 0))
             if DX is not None and (p, i, q - 1) in index:
                 sign = 1 if p % 2 == 0 else -1
-                DXw = [[carrier_act(wo, w, e) * sign for e in row] for row in DX]
+                DXw = [[e * sign for e in row] for row in carrier_block(wo, w, DX)]
                 eye = mat_id(r, w.el_one())
                 blocks[(p + q, si, index[(p, i, q - 1)])] = _kron(eye, DXw, w.el_zero())
         return ChainComplex(self.backend, strands, blocks)

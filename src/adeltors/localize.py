@@ -34,7 +34,7 @@ from .linalg import mat_id
 from .posets import (AssemblyData, SpecClosedSet, dim_filtration, finest, min_of,
                      preimage_family, up_cone, valrank2_poset, zint_poset)
 from .ratfunc import x as rf_x, y as rf_y
-from .worlds import (VAL, World, Z_INT, carrier_act, complete_world,
+from .worlds import (VAL, World, Z_INT, carrier_block, complete_world,
                      invert_primes, invert_val)
 
 
@@ -209,7 +209,7 @@ class Site:
                 if si is None or tj is None:
                     continue
                 cw = new_strands[n - 1][tj][0]
-                blocks[(n, si, tj)] = [[carrier_act(wj, cw, e) for e in row] for row in M]
+                blocks[(n, si, tj)] = carrier_block(wj, cw, M)
         LX = ChainComplex(X.backend, new_strands, blocks)
         ublocks: dict[tuple[int, int, int], list] = {}
         for (n, i, k), si in index.items():

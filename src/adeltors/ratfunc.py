@@ -412,7 +412,8 @@ def parse_ratxy(s: str) -> RatXY:
 
     Exponents are integer literals 0..MAX_EXPONENT; anything else raises
     ValueError.  A numeric literal is read exactly from its source text,
-    so '0.1' is 1/10; bool, complex and string constants raise ValueError."""
+    so '0.1' is 1/10; bool, complex and string constants raise ValueError,
+    as does an expression nested beyond the interpreter's recursion limit."""
     import ast
 
     text = s.replace("^", "**")
@@ -454,4 +455,7 @@ def parse_ratxy(s: str) -> RatXY:
             raise ValueError(f"unsupported constant {node.value!r}")
         raise ValueError(f"cannot parse {ast.dump(node)}")
 
-    return conv(ast.parse(text, mode="eval"))
+    try:
+        return conv(ast.parse(text, mode="eval"))
+    except RecursionError:
+        raise ValueError("expression nests too deeply to parse") from None

@@ -401,16 +401,33 @@ def canonical_map_exists(src: World, dst: World) -> bool:
     return dst.sym in _val_reach(src.sym)
 
 
+_X_COMPLETE = ("VhatM", "VhatMInv")
+
+
+def _kills_y(src: World, dst: World) -> bool:
+    """Whether a canonical map src -> dst sends y to 0: it does exactly
+    into the x-complete worlds from outside them."""
+    return dst.kind == "val" and dst.sym in _X_COMPLETE and src.sym not in _X_COMPLETE
+
+
 def carrier_act(src: World, dst: World, el):
     """Image of a carrier element along the canonical map src -> dst."""
     if dst.is_zero_world:
         return dst.el_zero()
     if not canonical_map_exists(src, dst):
         raise WorldError(f"no canonical map {src} -> {dst}")
-    if dst.kind == "val" and dst.sym in ("VhatM", "VhatMInv") and (
-            src.sym not in ("VhatM", "VhatMInv")):
-        return el.y_eval()
-    return el
+    return el.y_eval() if _kills_y(src, dst) else el
+
+
+def carrier_block(src: World, dst: World, M):
+    """carrier_act on every entry of the matrix M, with the map decided
+    once: M itself when the map acts as the identity on carriers."""
+    if dst.is_zero_world:
+        z = dst.el_zero()
+        return [[z for _ in row] for row in M]
+    if not canonical_map_exists(src, dst):
+        raise WorldError(f"no canonical map {src} -> {dst}")
+    return [[e.y_eval() for e in row] for row in M] if _kills_y(src, dst) else M
 
 
 # Worlds in the y-adic family sit inside k(x)((y)); the slice type of a

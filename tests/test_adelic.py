@@ -4,7 +4,7 @@ import pytest
 
 from adeltors.adelic import AdelicCube, is_adelic_object, reconstruct_limit
 from adeltors.classes import GradedClasses, ModuleClass
-from adeltors.complexes import ChainComplex, ChainMap
+from adeltors.complexes import ChainComplex, ChainMap, map_equal
 from adeltors.library import library
 from adeltors.localize import Site, TruncationTooSmall
 from adeltors.oracle import oracle_check
@@ -127,3 +127,29 @@ def test_membership_mutants(zcube, zsite):
                                   {k: [[e * F(-1) for e in row] for row in M]
                                    for k, M in f.blocks.items()})
     assert is_adelic_object(CubeDiagram(D.shape, vals4, maps4, {}, {}), zcube)
+
+
+def _same_diagram(D, E) -> bool:
+    return (D.values == E.values and D.ring_names == E.ring_names
+            and D.maps.keys() == E.maps.keys()
+            and all(map_equal(D.maps[k], E.maps[k]) for k in D.maps))
+
+
+def test_cube_ext_table_matches_fresh_cubes(zsite, vsite):
+    for site in (zsite, vsite):
+        cube = AdelicCube(site)
+        for name, X in library(site):
+            assert is_adelic_object(cube.tensor(X), cube), name
+        assert cube._ext_worlds
+        for (A, B, u), worlds in cube._ext_worlds.items():
+            assert AdelicCube(site).ext_strand_worlds(A, B, u) == worlds, (A, B, u)
+
+
+def test_tensor_leaves_the_shared_unit_diagram_alone(zsite, vsite):
+    for site in (zsite, vsite):
+        cube = AdelicCube(site)
+        for name, X in library(site):
+            assert _same_diagram(cube.tensor(X), cube.tensor(X)), name
+        fresh = AdelicCube(site).unit_diagram()
+        assert _same_diagram(cube.unit_diagram(), fresh)
+        assert _same_diagram(cube._unit, fresh)

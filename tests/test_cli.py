@@ -35,6 +35,12 @@ def test_spectrum_and_assembly(tmp_path):
     doc = json.loads(out.stdout)
     assert doc["dimension"] == 2 and doc["dims"]["p1"] == 1
     run_cli("spectrum", str(tmp_path / "missing.json"), expect=2)
+    bad_poset = tmp_path / "bad_poset.json"
+    for doc in ([], {"elements": [1]}, {"elements": [{}]}, {"relations": [["m"]]}):
+        bad_poset.write_text(json.dumps(doc))
+        proc = run_cli("spectrum", str(bad_poset), expect=2)
+        assert proc.stderr.startswith("input error [poset-validation]: ")
+        assert proc.stderr.count("\n") == 1
 
     asm = tmp_path / "asm.json"
     asm.write_text(json.dumps({"subposet": ["m", "p1", "g"],
@@ -153,12 +159,51 @@ def test_refusals_print_one_line(tmp_path):
     obj = tmp_path / "mixed.json"
     obj.write_text(json.dumps({"world": "Int", "degrees": {"1": 1, "0": 2},
                                "diff": {"1": [["-2"], ["1"]]}}))
-    # a two-term atom at the bottom of the degree window
-    low = tmp_path / "low.json"
-    low.write_text(json.dumps({"world": "Int", "degrees": {"-7": 1, "-8": 1},
-                               "diff": {"-7": [["2"]]}}))
-    for path, tag in ((obj, "mixed-homology"), (low, "degree-window")):
-        for cmd in ("adelic", "tors"):
-            proc = run_cli(cmd, "--object", str(path), expect=1)
-            assert proc.stderr.startswith(f"refused [{tag}]: ") and not proc.stdout
-            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    # a valrank2 generator at the top of the object window: tors's cones
+    # leave the degree window
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps({"world": "V", "degrees": {"7": 1}}))
+    for args, tag in ((("adelic", "--object", str(obj)), "mixed-homology"),
+                      (("tors", "--object", str(obj)), "mixed-homology"),
+                      (("tors", "--backend", "valrank2", "--object", str(top)),
+                       "degree-window")):
+        proc = run_cli(*args, expect=1)
+        assert proc.stderr.startswith(f"refused [{tag}]: ") and not proc.stdout
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_object_degree_window_refused(tmp_path, capsys):
+    # objects with a generator in degree 8 or -8 are bad input, not a
+    # refusal deep inside the cube
+    from adeltors import cli
+    obj = tmp_path / "edge.json"
+    for backend, world in (("zint", "Int"), ("valrank2", "V")):
+        for n in ("8", "-8"):
+            obj.write_text(json.dumps({"world": world, "degrees": {"0": 1, n: 1}}))
+            for cmd in ("adelic", "tors"):
+                assert cli.main([cmd, "--backend", backend, "--object", str(obj)]) == 2
+                out = capsys.readouterr()
+                assert out.err == (f"input error [object]: generator in degree {n}: "
+                                   f"objects live in degrees [-7, 7]\n") and not out.out
+
+
+def test_valrank2_tors_window_ends_at_5(tmp_path):
+    # adelic accepts a valrank2 generator in degree 6 or 7, tors refuses it
+    obj = tmp_path / "top.json"
+    for n in ("6", "7"):
+        obj.write_text(json.dumps({"world": "V", "degrees": {n: 1}}))
+        run_cli("adelic", "--backend", "valrank2", "--object", str(obj))
+        proc = run_cli("tors", "--backend", "valrank2", "--object", str(obj), expect=1)
+        assert proc.stderr.startswith("refused [degree-window]: ")
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from adeltors import cli
+
+    def broken(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "reconstruct_limit", broken)
+    assert cli.main(["verify", "fracture"]) == 3
+    out = capsys.readouterr()
+    assert out.err == "internal error [verify]: RuntimeError('injected')\n" and not out.out

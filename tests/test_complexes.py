@@ -4,11 +4,12 @@ import pytest
 
 from adeltors.complexes import (ChainComplex, ChainMap, DegreeWindowError,
                                 IncompatibleWorldsError, NotChainMapError,
-                                ShapeError, _kron, cone, cone_inclusion, cone_null_homotopy,
-                                compose, homotopy_defect, map_equal)
+                                ShapeError, _check_blocks, _kron, cone, cone_inclusion,
+                                cone_null_homotopy, compose, homotopy_defect, map_equal)
 from adeltors.homology import homology
-from adeltors.ratfunc import x as rx, y as ry
-from adeltors.worlds import VAL, Z_INT, Z_INV, invert_primes
+from adeltors.ratfunc import RatXY, x as rx, y as ry
+from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT, Z_RAT,
+                             Z_SEMILOC, invert_primes, mult_map_allowed)
 
 
 def tor_oracle(m, n):
@@ -201,3 +202,43 @@ def test_chain_map_blocks_checked():
     # unchecked maps are taken as given
     ChainMap(X, X, {(0, 0, 0): [[F(1)], [F(5)]]}, False)
     assert ChainMap(X, X, {(0, 0, 0): [[F(5)]]}).blocks == {(0, 0, 0): [[F(5)]]}
+
+
+def test_check_blocks_matches_entrywise():
+    """The once-per-block canonical-map decision accepts and refuses
+    exactly what mult_map_allowed entry by entry does."""
+    cases = [
+        ([Z_INT(), Z_INV(2), Z_RAT(), Z_LOC(2), Z_SEMILOC(2, 3), Z_PADIC(2),
+          Z_PADIC(3), Z_PADICRAT(2)],
+         [F(0), F(1), F(-6), F(1, 2), F(3, 4), F(1, 5)]),
+        ([VAL(s) for s in ("V", "Vp", "K", "VhatM", "VhatMInv", "VhatP",
+                           "VhatPFull", "VhatPInv")],
+         [RatXY.const(0), RatXY.const(1), rx(), ry(), rx().inv(), ry().inv(),
+          ry() * rx() ** -2, rx() + ry(), ry() / (RatXY.const(1) + rx())]),
+    ]
+    accepted = refused = 0
+    for worlds, entries in cases:
+        for ws in worlds:
+            for wt in worlds:
+                src, dst = ChainComplex.unit(ws), ChainComplex.unit(wt)
+                for e in entries:
+                    try:
+                        _check_blocks({(0, 0, 0): [[e]]}, src, dst, 0)
+                        ok = True
+                    except IncompatibleWorldsError:
+                        ok = False
+                    assert ok == mult_map_allowed(ws, wt, e), (ws, wt, e)
+                    accepted += ok
+                    refused += not ok
+    assert accepted and refused
+
+
+def test_check_blocks_twisted_entries():
+    # VhatP -> VhatPFull is no canonical map, but y times it is a module map
+    VhatP, VhatPFull = VAL("VhatP"), VAL("VhatPFull")
+    src = ChainComplex("valrank2", {0: [(VhatP, 2)]}, {})
+    dst = ChainComplex.unit(VhatPFull)
+    _check_blocks({(0, 0, 0): [[ry(), ry() * rx()]]}, src, dst, 0)
+    with pytest.raises(IncompatibleWorldsError) as err:
+        _check_blocks({(0, 0, 0): [[ry(), RatXY.const(1)]]}, src, dst, 0)
+    assert str(err.value) == "invalid block entry 1 in block (0,0,0): VhatP -> VhatPFull"

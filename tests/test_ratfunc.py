@@ -189,3 +189,8 @@ def test_parse_reads_decimals_exactly():
 def test_parse_rejects_non_numeric_constants(text):
     with pytest.raises(ValueError):
         parse_ratxy(text)
+
+
+def test_parse_refuses_over_deep_expressions():
+    with pytest.raises(ValueError):
+        parse_ratxy("+".join(["x"] * 3000))

@@ -3,11 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from adeltors.ratfunc import RatXY, x, y
-from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT,
-                             Z_RAT, Z_SEMILOC, canonical_map_exists,
-                             carrier_act, complete_world, fracture_pullback,
-                             invert_primes, invert_val, mult_map_allowed,
-                             world_from_name)
+from adeltors.worlds import (PRIME_FIELD, VAL, ZERO, Z_INT, Z_INV, Z_LOC, Z_PADIC,
+                             Z_PADICRAT, Z_RAT, Z_SEMILOC, WorldError,
+                             canonical_map_exists, carrier_act, carrier_block,
+                             complete_world, fracture_pullback, invert_primes,
+                             invert_val, mult_map_allowed, world_from_name)
 
 ALL_Z = [Z_INT(), Z_INV(2), Z_INV(2, 3), Z_RAT(), Z_LOC(2), Z_SEMILOC(2, 3),
          Z_PADIC(2), Z_PADICRAT(2)]
@@ -49,6 +49,34 @@ def test_carrier_actions():
     got = carrier_act(VAL("V"), VAL("VhatM"), y() / x() + x())
     assert got == x()
     assert carrier_act(Z_INT(), Z_PADIC(2), F(7)) == F(7)
+
+
+@pytest.mark.parametrize("worlds, M", [
+    (ALL_Z + [Z_PADIC(3), PRIME_FIELD(2), ZERO("zint")],
+     [[F(3), F(0)], [F(-1, 5), F(7, 2)]]),
+    (ALL_V + [ZERO("valrank2")],
+     [[y() / x() + x(), RatXY.const(0)], [y(), x() ** 2 - y()]]),
+])
+def test_carrier_block_matches_entrywise(worlds, M):
+    """carrier_block gives the per-entry carrier_act matrix, or raises the
+    same WorldError, for every ordered pair of catalogue worlds."""
+    seen = set()
+    for src in worlds:
+        for dst in worlds:
+            try:
+                want = [[carrier_act(src, dst, e) for e in row] for row in M]
+            except WorldError:
+                with pytest.raises(WorldError):
+                    carrier_block(src, dst, M)
+                seen.add("no map")
+                continue
+            assert carrier_block(src, dst, M) == want, (src, dst)
+            seen.add("zero" if dst.is_zero_world else "same" if want == M else "y -> 0")
+    if worlds[0].backend == "zint":
+        assert seen == {"no map", "zero", "same"}
+    else:
+        assert seen == {"no map", "zero", "same", "y -> 0"}
+        assert carrier_block(VAL("V"), VAL("VhatMInv"), M) == [[x(), 0], [0, x() ** 2]]
 
 
 def test_ops_tables():
