@@ -125,13 +125,20 @@ def object_from_json(doc, site: Site) -> ChainComplex:
     try:
         w = world_from_name(doc.get("world", site.base.name), site.backend)
         ranks = {int(k): int(v) for k, v in doc.get("degrees", {}).items()}
-        for n in sorted(n for n, r in ranks.items() if r > 0):
-            if not OBJECT_LO <= n <= OBJECT_HI:
+        for n in sorted(ranks):
+            if ranks[n] < 0:
+                raise InputError(f"degree {n} has rank {ranks[n]}: ranks are "
+                                 f"nonnegative", check="object")
+            if ranks[n] and not OBJECT_LO <= n <= OBJECT_HI:
                 raise InputError(f"generator in degree {n}: objects live in degrees "
                                  f"[{OBJECT_LO}, {OBJECT_HI}]", check="object")
         parse = (lambda s: Fraction(s)) if site.backend == "zint" else parse_ratxy
         diffs = {int(k): [[parse(str(e)) for e in row] for row in M]
                  for k, M in doc.get("diff", {}).items()}
+        for n in sorted(diffs):
+            if not (ranks.get(n) and ranks.get(n - 1)):
+                raise InputError(f"diff in degree {n} needs generators in degrees "
+                                 f"{n} and {n - 1}", check="object")
         return ChainComplex.single(w, ranks, diffs)
     except InputError:
         raise
@@ -190,10 +197,13 @@ def cmd_assembly(args) -> int:
         return 2
     try:
         A = assembly_from_json(P, doc)
-    except (ValueError, TypeError, KeyError) as exc:
+    except AssemblyError as exc:
         _emit({"check": "assembly-validation", "ok": False,
                "error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 1
+    except ValueError as exc:
+        print(f"input error [assembly-validation]: {exc}", file=sys.stderr)
+        return 2
     _emit({"check": "assembly-validation", "ok": True,
            "classes": {x: sorted(A.classes(x)) for x in sorted(A.subposet)}},
           args.out)

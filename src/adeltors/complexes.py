@@ -11,9 +11,18 @@ decided once per block, not per entry: whether the canonical map exists
 when entries are checked, and how it acts on carriers when blocks are
 composed.
 
-d(d(x)) = 0 is asserted exactly on construction.  The fixed sign
-conventions: shift negates the differential once per step, and the
-mapping cone of f: C -> D is C[1] (+) D with d(c, d) = (-dc, f(c)+dd).
+Trust is a bit, set the way an LCF kernel admits theorems: a complex
+or chain map is `verified` only after its exact check has passed
+(d(d(x)) = 0 and valid blocks; for a map also valid blocks and the
+chain-map identity, and both ends verified), or when a trusted
+operation built it from verified inputs.  The trusted operations are
+shift, dsum, cone, fib, cone_inclusion, fib_projection, and
+induced_cone_map once its square has been seen to commute on the nose;
+each skips its output's check exactly when its inputs are verified and
+checks as before otherwise.  check=False alone never makes a value
+verified, and neither does compose.  The fixed sign conventions: shift
+negates the differential once per step, and the mapping cone of
+f: C -> D is C[1] (+) D with d(c, d) = (-dc, f(c)+dd).
 
 Degrees are confined to the fixed window [DEGREE_LO, DEGREE_HI] =
 [-8, 8]; constructions that would leave it fail loudly rather than
@@ -103,6 +112,14 @@ def _check_blocks(blocks, src, dst, step):
                         f"invalid block entry {e} in block ({n},{i},{j}): {ws} -> {wt}")
 
 
+def _built(value, trusted: bool):
+    """value, marked verified when a trusted operation built it from
+    verified inputs; otherwise its own check decided."""
+    if trusted:
+        value.verified = True
+    return value
+
+
 def _kron(A, B, zero):
     """Kronecker product, A acting on the outer index."""
     ra, ca = len(A), len(A[0]) if A else 0
@@ -138,8 +155,10 @@ class ChainComplex:
             if n not in keep or i not in keep[n] or (n - 1) not in keep or j not in keep[n - 1]:
                 raise ShapeError("nonzero block attached to a dropped strand")
             self.blocks[(n, keep[n].index(i), keep[n - 1].index(j))] = M
+        self.verified = False
         if check:
             self._validate()
+            self.verified = True
 
     # -- bookkeeping ------------------------------------------------------------
     def degrees(self):
@@ -238,7 +257,7 @@ class ChainComplex:
         strands = {n + s: list(ss) for n, ss in self.strands.items()}
         blocks = {(n + s, i, j): [[e * sign for e in row] for row in M]
                   for (n, i, j), M in self.blocks.items()}
-        return ChainComplex(self.backend, strands, blocks, check=False)
+        return _built(ChainComplex(self.backend, strands, blocks, check=False), self.verified)
 
     def dsum(self, other: "ChainComplex") -> "ChainComplex":
         if self.backend != other.backend:
@@ -251,7 +270,8 @@ class ChainComplex:
         blocks = dict(self.blocks)
         for (n, i, j), M in other.blocks.items():
             blocks[(n, i + offs.get(n, 0), j + offs.get(n - 1, 0))] = M
-        return ChainComplex(self.backend, strands, blocks, check=False)
+        return _built(ChainComplex(self.backend, strands, blocks, check=False),
+                      self.verified and other.verified)
 
     def base_change(self, world_op) -> "ChainComplex":
         """Apply a world operation strandwise; it must be a canonical map
@@ -309,49 +329,6 @@ class ChainComplex:
                 blocks[(p + q, si, index[(p, i, q - 1)])] = _kron(eye, DXw, w.el_zero())
         return ChainComplex(self.backend, strands, blocks)
 
-    def hom_complex(self, other: "ChainComplex") -> "ChainComplex":
-        """Hom(self, other) for two single-world complexes over one world:
-        Hom_n = prod_i Hom(C_i, D_{i+n}), d(f) = d_D f - (-1)^n f d_C."""
-        w = self.single_world()
-        if w is None or other.single_world() != w:
-            raise IncompatibleWorldsError("hom needs a common single world")
-        from .homology import full_matrix
-        rC = {n: self.rank(n) for n in self.degrees()}
-        rD = {n: other.rank(n) for n in other.degrees()}
-        dC = {n: full_matrix(self, n) for n in self.degrees() if self.rank(n - 1)}
-        dD = {n: full_matrix(other, n) for n in other.degrees() if other.rank(n - 1)}
-        # basis of Hom_n: (i, a, b) = matrix unit E_{ba}: C_i gen a -> D_{i+n} gen b
-        basis: dict[int, list] = {}
-        for n in range(min(rD) - max(rC), max(rD) - min(rC) + 1):
-            bs = [(i, a, b) for i in sorted(rC) if (i + n) in rD
-                  for a in range(rC[i]) for b in range(rD[i + n])]
-            if bs:
-                basis[n] = bs
-        strands = {n: [(w, len(bs))] for n, bs in basis.items()}
-        blocks = {}
-        zero = w.el_zero()
-        for n, bs in basis.items():
-            if (n - 1) not in basis:
-                continue
-            tgt = {key: pos for pos, key in enumerate(basis[n - 1])}
-            M = [[zero] * len(bs) for _ in range(len(basis[n - 1]))]
-            sgn = w.el_one() if n % 2 == 0 else -w.el_one()
-            for col, (i, a, b) in enumerate(bs):
-                # d_D o f: (i, a, b') for d_D: D_{i+n} -> D_{i+n-1}
-                if (i + n) in dD:
-                    for b2 in range(rD.get(i + n - 1, 0)):
-                        key = (i, a, b2)
-                        if key in tgt:
-                            M[tgt[key]][col] = M[tgt[key]][col] + dD[i + n][b2][b]
-                # -(-1)^n f o d_C: source gen a2 of C_{i+1} maps through d_C
-                if (i + 1) in dC:
-                    for a2 in range(rC.get(i + 1, 0)):
-                        key = (i + 1, a2, b)
-                        if key in tgt:
-                            M[tgt[key]][col] = M[tgt[key]][col] - sgn * dC[i + 1][a][a2]
-            blocks[(n, 0, 0)] = M
-        return ChainComplex(self.backend, strands, blocks)
-
 
 class ChainMap:
     """A degreewise map of complexes given by strand blocks.
@@ -367,10 +344,12 @@ class ChainMap:
         for k, M in list(self.blocks.items()):
             if _is_zero_mat(M):
                 del self.blocks[k]
+        self.verified = False
         if check:
             _check_blocks(self.blocks, src, dst, 0)
             if not self.is_chain_map():
                 raise NotChainMapError("not a chain map")
+            self.verified = src.verified and dst.verified
 
     @staticmethod
     def from_unit(src: ChainComplex, dst: ChainComplex) -> "ChainMap":
@@ -459,7 +438,7 @@ def cone(f: ChainMap) -> ChainComplex:
         blocks[(n, i + c_at.get(n, 0), j + c_at.get(n - 1, 0))] = M
     for (n, i, j), M in f.blocks.items():
         blocks[(n + 1, i, j + c_at.get(n, 0))] = M
-    return ChainComplex(C.backend, strands, blocks)
+    return _built(ChainComplex(C.backend, strands, blocks, check=not f.verified), f.verified)
 
 
 def fib(f: ChainMap) -> ChainComplex:
@@ -476,7 +455,7 @@ def cone_inclusion(f: ChainMap) -> ChainMap:
         off = len(C.strand_list(n - 1))
         for j, (w, r) in enumerate(D.strand_list(n)):
             blocks[(n, j, off + j)] = mat_id(r, w.el_one())
-    return ChainMap(D, cf, blocks)
+    return _built(ChainMap(D, cf, blocks, check=not f.verified), f.verified)
 
 
 def cone_null_homotopy(f: ChainMap) -> dict:
@@ -500,7 +479,7 @@ def fib_projection(f: ChainMap) -> ChainMap:
         for i, (w, r) in enumerate(C.strand_list(n)):
             blocks[(n, i, i)] = mat_id(r, w.el_one())
     # fib(f)_n = C_n (+) D_{n+1}: the C-strands come first in each degree
-    return ChainMap(fc, C, blocks)
+    return _built(ChainMap(fc, C, blocks, check=not f.verified), f.verified)
 
 
 def induced_cone_map(f: ChainMap, f2: ChainMap, p: ChainMap, q: ChainMap) -> ChainMap:
@@ -516,7 +495,8 @@ def induced_cone_map(f: ChainMap, f2: ChainMap, p: ChainMap, q: ChainMap) -> Cha
         blocks[(n + 1, i, j)] = M
     for (n, i, j), M in q.blocks.items():
         blocks[(n, i + off1.get(n, 0), j + off2.get(n, 0))] = M
-    return ChainMap(c1, c2, blocks)
+    trusted = f.verified and f2.verified and p.verified and q.verified
+    return _built(ChainMap(c1, c2, blocks, check=not trusted), trusted)
 
 
 def homotopy_defect(f: ChainMap, g: ChainMap, h_blocks: dict) -> bool:

@@ -375,7 +375,19 @@ def poset_from_json(doc: dict) -> BalmerPoset:
     return validate_poset(rels, elements=els)
 
 
-def assembly_from_json(P: BalmerPoset, doc: dict) -> AssemblyData:
+def assembly_from_json(P: BalmerPoset, doc) -> AssemblyData:
+    """{"subposet": [name, ...], "alpha": {name: name, ...}}.  A document of
+    another shape, or whose subposet or alpha keys name an element outside
+    P, raises a PosetError that is no AssemblyError; an assembly that
+    fails the retraction, order or dimension conditions raises
+    AssemblyError."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("subposet"), list)
+            and isinstance(doc.get("alpha"), dict)
+            and all(isinstance(x, str) for x in doc["subposet"])
+            and all(isinstance(x, str) for x in doc["alpha"].values())):
+        raise PosetError('an assembly is {"subposet": [names], "alpha": {name: name}}')
+    for x in doc["alpha"]:
+        P._check(x)
     return validate_assembly(P, frozenset(doc["subposet"]), dict(doc["alpha"]))
 
 

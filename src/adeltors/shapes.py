@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (ChainComplex, ChainMap, NotChainMapError, compose, cone,
-                        cone_inclusion, cone_null_homotopy, fib, fib_projection,
+                        cone_inclusion, cone_null_homotopy, fib_projection,
                         homotopy_defect, induced_cone_map, map_equal)
 from .homology import is_acyclic
 from .linalg import mat_id
@@ -291,16 +291,14 @@ def cof_direction(D: CubeDiagram, i: int) -> CubeDiagram:
         raise RangeError(f"direction {i} outside 0..{shape.d}")
     values: dict[str, ChainComplex] = {}
     maps: dict[tuple[str, str], ChainMap] = {}
-    cones: dict[str, ChainComplex] = {}
     for v in shape.vertices:
         if i in v.label:
             values[v.name] = D.value(v.name)
         else:
             up = Vertex(tuple(sorted(v.label + (i,)))).name
-            f = D.map(v.name, up)
-            cones[v.name] = cone(f)
-            values[v.name] = cones[v.name]
-            maps[(up, v.name)] = cone_inclusion(f)
+            incl = cone_inclusion(D.map(v.name, up))
+            values[v.name] = incl.dst
+            maps[(up, v.name)] = incl
     for (s, t, kind) in shape.arrows:
         vs, vt = shape.vertex(s), shape.vertex(t)
         if i in vs.label and i in vt.label:
@@ -336,9 +334,9 @@ def fib_direction(D: CubeDiagram, i: int) -> CubeDiagram:
     for v in shape.vertices:
         if i not in v.label:
             up = Vertex(tuple(sorted(v.label + (i,)))).name
-            r = D.map(up, v.name)
-            values[v.name] = fib(r)
-            maps[(v.name, up)] = fib_projection(r)
+            proj = fib_projection(D.map(up, v.name))
+            values[v.name] = proj.src
+            maps[(v.name, up)] = proj
     for (s, t, kind) in shape.arrows:
         if kind != "oplax":
             continue
@@ -391,8 +389,8 @@ def cof_step(values, maps, i: int, ring_of=None):
         up = tuple(sorted(A + (i,)))
         f = maps[(A, up)]
         fs[A] = f
-        new_values[A] = cone(f)
         lax_maps[(up, A)] = cone_inclusion(f)
+        new_values[A] = lax_maps[(up, A)].dst
         homotopies[A] = cone_null_homotopy(f)
     new_oplax = {}
     for A in new_values:
@@ -572,22 +570,23 @@ def big_R(TD: CubeDiagram) -> CubeDiagram:
     values: dict[str, ChainComplex] = {}
     maps: dict[tuple[str, str], ChainMap] = {}
     rs = {}
+    projs = {}
     for v in pc.vertices:
         A = tuple(v.label)
         if d in A:
             values[v.name] = TD.value(_vname(A, d))
         else:
             up = tuple(sorted(A + (d,)))
-            r = TD.map(_vname(up, d), _vname(A, d - 1))
-            rs[A] = r
-            values[v.name] = fib(r)
+            rs[A] = TD.map(_vname(up, d), _vname(A, d - 1))
+            projs[A] = fib_projection(rs[A])
+            values[v.name] = projs[A].src
     for (s, t, kind) in pc.arrows:
         A = tuple(pc.vertex(s).label)
         B = tuple(pc.vertex(t).label)
         if d in A and d in B:
             maps[(s, t)] = TD.map(_vname(A, d), _vname(B, d))
         elif d not in A and d in B and B == tuple(sorted(A + (d,))):
-            maps[(s, t)] = fib_projection(rs[A])
+            maps[(s, t)] = projs[A]
         elif d not in A and d not in B:
             upA, upB = tuple(sorted(A + (d,))), tuple(sorted(B + (d,)))
             maps[(s, t)] = _fibre_map(rs[A], rs[B], TD.map(_vname(upA, d), _vname(upB, d)),

@@ -52,6 +52,12 @@ def test_spectrum_and_assembly(tmp_path):
                                "alpha": {"m": "m", "p1": "m", "g": "g"}}))
     proc = run_cli("assembly", str(poset), str(bad), expect=1)
     assert "DimensionNotPreserved" in proc.stdout
+    # a malformed assembly document is bad input, not a failed validation
+    for doc in ([1], {"subposet": ["m", "p1", "g"], "alpha": ["ab", "c"]}):
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("assembly", str(poset), str(bad), expect=2)
+        assert proc.stderr.startswith("input error [assembly-validation]: ")
+        assert proc.stderr.count("\n") == 1 and not proc.stdout
 
 
 def test_tors_command(tmp_path):
@@ -185,6 +191,22 @@ def test_object_degree_window_refused(tmp_path, capsys):
                 out = capsys.readouterr()
                 assert out.err == (f"input error [object]: generator in degree {n}: "
                                    f"objects live in degrees [-7, 7]\n") and not out.out
+
+
+def test_object_loader_refuses_what_it_would_reinterpret(tmp_path, capsys):
+    # a negative rank was read as the zero object, and a diff entry for a
+    # degree without generators was dropped
+    from adeltors import cli
+    obj = tmp_path / "bad.json"
+    for doc, msg in (({"world": "Int", "degrees": {"0": -2}},
+                      "degree 0 has rank -2: ranks are nonnegative"),
+                     ({"world": "Int", "degrees": {"0": 1}, "diff": {"5": [["3"]]}},
+                      "diff in degree 5 needs generators in degrees 5 and 4")):
+        obj.write_text(json.dumps(doc))
+        for cmd in ("adelic", "tors"):
+            assert cli.main([cmd, "--object", str(obj)]) == 2
+            out = capsys.readouterr()
+            assert out.err == f"input error [object]: {msg}\n" and not out.out
 
 
 def test_valrank2_tors_window_ends_at_5(tmp_path):

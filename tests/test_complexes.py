@@ -105,17 +105,6 @@ def test_compose_and_equality():
     assert map_equal(compose(idm, idm), idm)
 
 
-def test_hom_complex_ext():
-    Z = Z_INT()
-    C4 = ChainComplex.two_term(Z, F(4))
-    H = C4.hom_complex(ChainComplex.unit(Z))
-    from adeltors.classes import GradedClasses, ModuleClass
-    assert homology(H) == GradedClasses({-1: ModuleClass.cyclic(Z, F(4))})
-    HH = C4.hom_complex(ChainComplex.two_term(Z, F(6)))
-    assert homology(HH) == GradedClasses({0: ModuleClass.cyclic(Z, F(2)),
-                                          -1: ModuleClass.cyclic(Z, F(2))})
-
-
 def test_mixed_validity():
     from adeltors.worlds import Z_PADIC
     with pytest.raises(IncompatibleWorldsError):
