@@ -204,6 +204,8 @@ class ChainComplex:
                         raise ShapeError(f"d o d != 0 between degrees {n} and {n-2}")
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ChainComplex):
             return False
         if self.backend != other.backend or self.strands != other.strands:

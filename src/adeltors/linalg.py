@@ -40,10 +40,6 @@ def mat_id(n, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_eq(A, B) -> bool:
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
 class SNFError(ValueError):
     pass
 
@@ -179,7 +175,3 @@ def snf(A, world: World):
                 raise SNFError(f"normalization failed over {world}")
             row_scale(i, inv_el(u))
     return U, D, Vt
-
-
-def diagonal_entries(D):
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]

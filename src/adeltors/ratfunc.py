@@ -1,6 +1,6 @@
 """Exact rational-function arithmetic over QQ(x, y).
 
-Elements are fractions of polynomials in two variables with Fraction
+Elements are fractions of polynomials in two variables with rational
 coefficients.  The interesting structure is the rank-two monomial
 valuation
 
@@ -12,10 +12,17 @@ to fractions by v(f/g) = v(f) - v(g).  The subring {v >= 0} is the
 rank-two valuation ring the valuation backend is built on; the first
 component of v is the y-adic valuation.
 
-Polynomials are dicts {(a, b): Fraction} keyed by (x-exponent,
-y-exponent).  Fractions are reduced on construction: integer content,
-common monomial factors, and a primitive-PRS gcd in (QQ[x])[y], so
-equality and hashing are structural.  The gcd is skipped when, after
+Polynomials are dicts {(a, b): c} keyed by (x-exponent, y-exponent).
+A coefficient c is an int or a Fraction, never a float: coefficients
+are divided only in `_div`, which returns the exact quotient as an int
+when it is integral and as a Fraction otherwise (int / int would give a
+float), so integral entries stay ints through sums and products.  As
+Fraction(n) == n and hash(Fraction(n)) == hash(n), keys compare and hash
+alike whichever type a coefficient has.
+
+Fractions are reduced on construction: integer content, common
+monomial factors, and a primitive-PRS gcd in (QQ[x])[y], so equality
+and hashing are structural.  The gcd is skipped when, after
 the common monomial factor is removed, the numerator or the denominator
 is a single monomial: the gcd is then a constant.
 
@@ -24,6 +31,9 @@ to after construction, so arithmetic may return an operand or a shared
 constant instead of building a new element.  The fast paths do so for
 a + 0, 0 + a, -0, a * 0, a * 1 and 1 * a, with 0 and 1 given as RatXY,
 int or Fraction; their results equal what the full reduction builds.
+A product or quotient of two Laurent monomials c*x^A*y^B is built in
+closed form: the numerator c*x^max(A,0)*y^max(B,0) over the monic
+denominator x^max(-A,0)*y^max(-B,0), which is what the reduction gives.
 """
 
 from __future__ import annotations
@@ -31,7 +41,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 Mono = tuple[int, int]
-PolyDict = dict[Mono, Fraction]
+PolyDict = dict[Mono, int | Fraction]
+
+
+def _div(a, b):
+    """The exact quotient a / b of two coefficients: an int when it is
+    integral, a Fraction otherwise."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _trim(p: PolyDict) -> PolyDict:
@@ -41,7 +58,7 @@ def _trim(p: PolyDict) -> PolyDict:
 def poly_add(p: PolyDict, q: PolyDict) -> PolyDict:
     out = dict(p)
     for m, c in q.items():
-        out[m] = out.get(m, Fraction(0)) + c
+        out[m] = out.get(m, 0) + c
     return _trim(out)
 
 
@@ -54,7 +71,7 @@ def poly_mul(p: PolyDict, q: PolyDict) -> PolyDict:
     for (a1, b1), c1 in p.items():
         for (a2, b2), c2 in q.items():
             m = (a1 + a2, b1 + b2)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
+            out[m] = out.get(m, 0) + c1 * c2
     return _trim(out)
 
 
@@ -83,14 +100,14 @@ def _u_mul(u, w):
     out: dict[int, Fraction] = {}
     for d1, c1 in u.items():
         for d2, c2 in w.items():
-            out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
+            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
     return _u_trim(out)
 
 
 def _u_sub(u, w):
     out = dict(u)
     for d, c in w.items():
-        out[d] = out.get(d, Fraction(0)) - c
+        out[d] = out.get(d, 0) - c
     return _u_trim(out)
 
 
@@ -103,7 +120,7 @@ def _u_divmod(u, w):
     r = dict(u)
     while r and max(r) >= dw:
         dr = max(r)
-        coef = r[dr] / lw
+        coef = _div(r[dr], lw)
         q[dr - dw] = coef
         r = _u_sub(r, _u_mul({dr - dw: coef}, w))
     return _u_trim(q), r
@@ -115,7 +132,7 @@ def _u_gcd(u, w):
         u, w = w, _u_divmod(u, w)[1]
     if u:
         lc = u[max(u)]
-        u = {d: c / lc for d, c in u.items()}
+        u = {d: _div(c, lc) for d, c in u.items()}
     return u
 
 
@@ -126,7 +143,7 @@ def _content_x(p: PolyDict):
     g: dict[int, Fraction] = {}
     for _, slice_ in _y_parts(p).items():
         g = _u_gcd(g, slice_)
-        if g == {0: Fraction(1)}:
+        if g == {0: 1}:
             break
     return g
 
@@ -200,7 +217,7 @@ class RatXY:
         if not den:
             raise ZeroDivisionError("zero denominator in QQ(x,y)")
         if not num:
-            den = {(0, 0): Fraction(1)}
+            den = {(0, 0): 1}
         elif reduce:
             # monomial + content fast path
             va, vb = min(a for (a, b) in num), min(b for (_, b) in num)
@@ -211,15 +228,15 @@ class RatXY:
                 den = {(a - sa, b - sb): c for (a, b), c in den.items()}
             if len(num) > 1 and len(den) > 1:
                 g = poly_gcd(num, den)
-                if poly_val(g) is not None and g != {(0, 0): Fraction(1)}:
+                if poly_val(g) is not None and g != {(0, 0): 1}:
                     num = _poly_divexact(num, g)
                     den = _poly_divexact(den, g)
         # normalize: denominator gets leading (lex-max monomial) coefficient 1
         lead = max(den, key=lambda m: (m[1], m[0]))
         lc = den[lead]
         if lc != 1:
-            num = {m: c / lc for m, c in num.items()}
-            den = {m: c / lc for m, c in den.items()}
+            num = {m: _div(c, lc) for m, c in num.items()}
+            den = {m: _div(c, lc) for m, c in den.items()}
         self.num = num
         self.den = den
         self._key = (tuple(sorted(num.items())), tuple(sorted(den.items())))
@@ -227,13 +244,12 @@ class RatXY:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def const(q) -> "RatXY":
-        q = Fraction(q)
-        return RatXY({(0, 0): q} if q else {}, {(0, 0): Fraction(1)}, reduce=False)
+        return RatXY.monomial(0, 0, q)
 
     @staticmethod
     def monomial(a: int, b: int, coef=1) -> "RatXY":
-        c = Fraction(coef)
-        return RatXY({(a, b): c} if c else {}, {(0, 0): Fraction(1)}, reduce=False)
+        c = _div(Fraction(coef), 1)
+        return RatXY({(a, b): c} if c else {}, {(0, 0): 1}, reduce=False)
 
     # -- arithmetic ----------------------------------------------------------
     @staticmethod
@@ -247,6 +263,15 @@ class RatXY:
                 return _ONE
             return RatXY.const(other)
         return NotImplemented
+
+    def _laurent(self):
+        """(c, A, B) when self is c*x^A*y^B, else None.  A one-term
+        denominator is monic, so its coefficient is 1."""
+        if len(self.num) != 1 or len(self.den) != 1:
+            return None
+        ((a, b), c), = self.num.items()
+        (e, f), = self.den
+        return c, a - e, b - f
 
     def __add__(self, other) -> "RatXY":
         other = self._coerce(other)
@@ -285,6 +310,9 @@ class RatXY:
             return self
         if self._key == _ONE._key:
             return other
+        s, o = self._laurent(), other._laurent()
+        if s and o:
+            return _laurent_element(s[0] * o[0], s[1] + o[1], s[2] + o[2])
         return RatXY(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -295,6 +323,9 @@ class RatXY:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in QQ(x,y)")
+        s, o = self._laurent(), other._laurent()
+        if s and o:
+            return _laurent_element(_div(s[0], o[0]), s[1] - o[1], s[2] - o[2])
         return RatXY(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
 
     def __pow__(self, n: int) -> "RatXY":
@@ -305,7 +336,7 @@ class RatXY:
         return out
 
     def inv(self) -> "RatXY":
-        return RatXY.const(1) / self
+        return _ONE / self
 
     def is_zero(self) -> bool:
         return not self.num
@@ -380,9 +411,14 @@ class RatXY:
 
     def __repr__(self):
         n = self._poly_str(self.num)
-        if self.den == {(0, 0): Fraction(1)}:
+        if self.den == {(0, 0): 1}:
             return n
         return f"({n})/({self._poly_str(self.den)})"
+
+
+def _laurent_element(c, A: int, B: int) -> RatXY:
+    """The canonical c*x^A*y^B (c != 0): what the full reduction builds."""
+    return RatXY({(max(A, 0), max(B, 0)): c}, {(max(-A, 0), max(-B, 0)): 1}, reduce=False)
 
 
 _ZERO, _ONE, _X, _Y = RatXY.const(0), RatXY.const(1), RatXY.monomial(1, 0), RatXY.monomial(0, 1)

@@ -105,6 +105,20 @@ def test_compose_and_equality():
     assert map_equal(compose(idm, idm), idm)
 
 
+def test_equality_with_itself_reads_no_block(monkeypatch):
+    Z = Z_INT()
+    C, copy = ChainComplex.two_term(Z, F(4)), ChainComplex.two_term(Z, F(4))
+    f = ChainMap.from_unit(C, C)
+
+    def no_block(*args):
+        raise RuntimeError("block read")
+    monkeypatch.setattr(ChainComplex, "block", no_block)
+    assert C == C and not (C != C)
+    assert map_equal(f, f)
+    with pytest.raises(RuntimeError):
+        C == copy
+
+
 def test_mixed_validity():
     from adeltors.worlds import Z_PADIC
     with pytest.raises(IncompatibleWorldsError):

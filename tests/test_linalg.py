@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from adeltors.linalg import diagonal_entries, mat_eq, mat_id, mat_mul, snf
+from adeltors.linalg import mat_id, mat_mul, snf
 from adeltors.ratfunc import RatXY, x, y
 from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_RAT,
                              Z_SEMILOC)
@@ -19,8 +19,8 @@ def _is_zero(e):
 
 def check_snf(A, world):
     U, D, Vt = snf(A, world)
-    assert mat_eq(mat_mul(mat_mul(U, D), Vt), A)
-    ds = diagonal_entries(D)
+    assert mat_mul(mat_mul(U, D), Vt) == A
+    ds = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     for i in range(len(ds) - 1):
         if not _is_zero(ds[i]) and not _is_zero(ds[i + 1]):
             assert world.divides(ds[i], ds[i + 1])
@@ -141,4 +141,4 @@ def test_snf_invariants_match_sympy(rng):
         _, D, _ = snf([[F(e) for e in row] for row in A], Z_INT())
         S = smith_normal_form(sympy.Matrix(A), domain=sympy.ZZ)
         want = [abs(int(S[i, i])) for i in range(min(m, n))]
-        assert diagonal_entries(D) == want, A
+        assert [D[i][i] for i in range(min(m, n))] == want, A

@@ -84,9 +84,10 @@ def _poly(rng, terms, ymax=2):
 
 
 def _operand(rng):
-    """Zero, one, constants, monomials, y-free and general elements, and
-    the int and Fraction operands the fast paths treat apart."""
-    kind = rng.randrange(9)
+    """Zero, one, constants, monomials, Laurent monomials, y-free and
+    general elements, and the int and Fraction operands the fast paths
+    treat apart."""
+    kind = rng.randrange(10)
     if kind == 0:
         return RatXY.const(0)
     if kind == 1:
@@ -99,6 +100,13 @@ def _operand(rng):
         return rng.choice([0, 1, -1, 2])
     if kind == 5:
         return rng.choice([Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3)])
+    if kind == 9:
+        # negative exponents reached by division; integral (4/2) and
+        # non-integral (1/3) coefficient quotients
+        top = RatXY.monomial(rng.randint(0, 3), rng.randint(0, 2),
+                             rng.choice([1, -1, 4, 6, Fraction(2, 3)]))
+        return top / RatXY.monomial(rng.randint(0, 3), rng.randint(0, 2),
+                                    rng.choice([1, 2, 3, -2, Fraction(1, 2)]))
     ymax = 0 if kind == 6 else 2
     den = _poly(rng, rng.randint(1, 3), ymax)
     while not _trim(den):
@@ -124,8 +132,13 @@ def _reduce_everything(num, den):
     g = poly_gcd(num, den)
     num, den = _poly_divexact(num, g), _poly_divexact(den, g)
     lc = den[max(den, key=lambda m: (m[1], m[0]))]
-    return (tuple(sorted((m, c / lc) for m, c in num.items())),
-            tuple(sorted((m, c / lc) for m, c in den.items())))
+    return (tuple(sorted((m, Fraction(c) / lc) for m, c in num.items())),
+            tuple(sorted((m, Fraction(c) / lc) for m, c in den.items())))
+
+
+def _exact(f):
+    """Whether every coefficient of f is an int or a Fraction (never a float)."""
+    return all(type(c) in (int, Fraction) for c in [*f.num.values(), *f.den.values()])
 
 
 def test_fast_paths_match_full_reduction(rng):
@@ -133,7 +146,7 @@ def test_fast_paths_match_full_reduction(rng):
         a, b = _operand(rng), _operand(rng)
         (an, ad), (bn, bd) = _parts(a), _parts(b)
         if isinstance(a, RatXY):
-            assert a._key == _reduce_everything(an, ad)
+            assert a._key == _reduce_everything(an, ad) and _exact(a)
             assert (-a)._key == _reduce_everything(poly_neg(an), ad)
         if not isinstance(a, RatXY) and not isinstance(b, RatXY):
             b = RatXY.const(b)
@@ -144,6 +157,31 @@ def test_fast_paths_match_full_reduction(rng):
         assert (a + b)._key == add and (b + a)._key == add
         assert (a - b)._key == sub
         assert (a * b)._key == mul and (b * a)._key == mul
+        assert all(map(_exact, [a + b, b + a, a - b, a * b, b * a]))
+        if bn:
+            div = _reduce_everything(poly_mul(an, bd), poly_mul(ad, bn))
+            q = (a if isinstance(a, RatXY) else RatXY.const(a)) / b
+            assert q._key == div and _exact(q)
+            if isinstance(b, RatXY):
+                assert b.inv()._key == _reduce_everything(bd, bn) and _exact(b.inv())
+
+
+def test_laurent_quotients_keep_integers():
+    f = RatXY.monomial(1, 0, 4) / RatXY.monomial(0, 1, 2)
+    assert f.num == {(1, 0): 2} and type(f.num[(1, 0)]) is int and f.den == {(0, 1): 1}
+    g = RatXY.monomial(0, 2) / RatXY.monomial(3, 0, 3)
+    assert g.num == {(0, 2): Fraction(1, 3)} and g.den == {(3, 0): 1}
+    assert (g * RatXY.monomial(3, 0, 6)).num == {(0, 2): 2}
+    assert (f * g)._key == ((((0, 1), Fraction(2, 3)),), (((2, 0), 1),))
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("4/2", "2"), ("0.5*x", "1/2*x"), ("x/y", "(x)/(y)"),
+    ("-3*x^2*y/(6*y^3)", "(-1/2*x^2)/(y^2)"), ("(1 + x)/(2*y)", "(1/2 + 1/2*x)/(y)"),
+    ("2.0", "2")])
+def test_printed_forms_are_pinned(text, printed):
+    """repr reads the same whether a coefficient is an int or a Fraction."""
+    assert repr(parse_ratxy(text)) == printed
 
 
 def _is_y_free_by_evaluation(f):
