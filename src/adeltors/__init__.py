@@ -14,7 +14,7 @@ from .complexes import (ChainComplex, ChainMap, cone, fib, compose,
                         NotChainMapError, ShapeError)
 from .homology import UnsupportedMixedShape, decompose_single, homology, is_acyclic
 from .linalg import snf
-from .localize import (FunctorRequest, HypothesisFailed, Site,
+from .localize import (HypothesisFailed, Site,
                        TruncationTooSmall, UnsupportedRegionError)
 from .adelic import AdelicCube, is_adelic_object, reconstruct_limit
 from .posets import (AssemblyData, BalmerPoset, SpecClosedSet, chain_poset,
@@ -24,7 +24,7 @@ from .posets import (AssemblyData, BalmerPoset, SpecClosedSet, chain_poset,
 from .ratfunc import RatXY, parse_ratxy
 from .shapes import (CubeDiagram, IndexCategory, Vertex, big_L, big_R,
                      build_ifull, build_igeq, build_iminus, cof_direction,
-                     cof_plus, face, fib_direction, full_cube, holim_punctured,
+                     face, fib_direction, full_cube, holim_punctured,
                      iminus_count, is_cofibre_layer, punctured_cube, to_dot)
 from .torsion import (chromatic_report, cousin_report, one_tors_vertex,
                       reconstruct, tors, validate)

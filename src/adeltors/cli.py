@@ -142,11 +142,11 @@ def object_from_json(doc, site: Site) -> ChainComplex:
         return ChainComplex.single(w, ranks, diffs)
     except InputError:
         raise
-    except (ValueError, TypeError, AttributeError, ZeroDivisionError, SyntaxError) as exc:
-        # ValueError covers bad numbers, world names and exponents and the
-        # complex's own shape, world and degree checks; SyntaxError comes
-        # from a malformed rational function, the rest from a document of
-        # the wrong shape or a zero denominator
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        # ValueError covers bad numbers, rational functions, world names and
+        # exponents and the complex's own shape, world and degree checks;
+        # the rest come from a document of the wrong shape or a zero
+        # denominator
         raise InputError(f"bad object description: {exc}")
 
 

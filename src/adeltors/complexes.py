@@ -20,9 +20,16 @@ shift, dsum, cone, fib, cone_inclusion, fib_projection, and
 induced_cone_map once its square has been seen to commute on the nose;
 each skips its output's check exactly when its inputs are verified and
 checks as before otherwise.  check=False alone never makes a value
-verified, and neither does compose.  The fixed sign conventions: shift
-negates the differential once per step, and the mapping cone of
-f: C -> D is C[1] (+) D with d(c, d) = (-dc, f(c)+dd).
+verified, and neither does compose.
+
+A map's cone is built once: cone(f) keeps its value on f, and
+cone_inclusion, fib, fib_projection and induced_cone_map all reach it
+through cone(f), so they share one object.  Nothing changes a ChainMap
+after __init__, so the kept cone never goes stale.
+
+The fixed sign conventions: shift negates the differential once per
+step, and the mapping cone of f: C -> D is C[1] (+) D with
+d(c, d) = (-dc, f(c)+dd).
 
 Degrees are confined to the fixed window [DEGREE_LO, DEGREE_HI] =
 [-8, 8]; constructions that would leave it fail loudly rather than
@@ -347,6 +354,7 @@ class ChainMap:
             if _is_zero_mat(M):
                 del self.blocks[k]
         self.verified = False
+        self._cone = None
         if check:
             _check_blocks(self.blocks, src, dst, 0)
             if not self.is_chain_map():
@@ -421,7 +429,10 @@ def map_equal(f: ChainMap, g: ChainMap) -> bool:
 
 
 def cone(f: ChainMap) -> ChainComplex:
-    """Mapping cone: cone(f)_n = C_{n-1} (+) D_n, d(c,d) = (-dc, f(c)+dd)."""
+    """Mapping cone: cone(f)_n = C_{n-1} (+) D_n, d(c,d) = (-dc, f(c)+dd).
+    Built on the first call and kept on f; later calls return it."""
+    if f._cone is not None:
+        return f._cone
     C, D = f.src, f.dst
     strands: dict[int, list] = {}
     c_at: dict[int, int] = {}
@@ -440,7 +451,8 @@ def cone(f: ChainMap) -> ChainComplex:
         blocks[(n, i + c_at.get(n, 0), j + c_at.get(n - 1, 0))] = M
     for (n, i, j), M in f.blocks.items():
         blocks[(n + 1, i, j + c_at.get(n, 0))] = M
-    return _built(ChainComplex(C.backend, strands, blocks, check=not f.verified), f.verified)
+    f._cone = _built(ChainComplex(C.backend, strands, blocks, check=not f.verified), f.verified)
+    return f._cone
 
 
 def fib(f: ChainMap) -> ChainComplex:

@@ -54,13 +54,6 @@ class TruncationTooSmall(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FunctorRequest:
-    kind: str                       # "Gamma" | "Lcomp" | "Lambda" | "Delta"
-    region: frozenset[str]          # specialization closed member set
-    assembly: AssemblyData | None = None
-
-
 class Site:
     """A backend with its truncated spectrum and assembly data."""
 
@@ -229,13 +222,6 @@ class Site:
         LX, u = self.completed(X, targets)
         return fib(u)
 
-    def apply(self, req: FunctorRequest, X: ChainComplex) -> ChainComplex:
-        table = {"Gamma": self.gamma, "Lcomp": self.l_complement,
-                 "Lambda": self.lam, "Delta": self.delta}
-        if req.kind not in table:
-            raise UnsupportedRegionError(f"unknown functor kind {req.kind!r}")
-        return table[req.kind](req.region, X, req.assembly)
-
     # -- prime-indexed versions (Notation-style shorthands) ----------------------------
     def gamma_at(self, p: str, X: ChainComplex) -> ChainComplex:
         return self.gamma(self.poset.down(p), X)
@@ -247,9 +233,6 @@ class Site:
         if not Vc:
             return X
         return self.l_complement(Vc, X)
-
-    def lam_at(self, p: str, X: ChainComplex) -> ChainComplex:
-        return self.lam(self.poset.down(p), X)
 
     def gamma_le(self, n: int, X: ChainComplex) -> ChainComplex:
         return self.gamma(dim_filtration(self.poset, n).members, X)

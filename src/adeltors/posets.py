@@ -160,9 +160,6 @@ class SpecClosedSet:
             if not self.poset.down(p) <= self.members:
                 raise NotSpecClosedError(f"{p!r} has closure outside the set")
 
-    def complement(self) -> frozenset[str]:
-        return frozenset(self.poset.elements) - self.members
-
     def max_elements(self) -> frozenset[str]:
         return frozenset(p for p in self.members
                          if not any(q != p and self.poset.leq(p, q) for q in self.members))
@@ -362,12 +359,6 @@ def torus_poset(rank: int, samples: int) -> tuple[BalmerPoset, AssemblyData]:
 
 
 # -- JSON interfaces ----------------------------------------------------------------
-
-def poset_to_json(P: BalmerPoset) -> dict:
-    rels = sorted((q, p) for (q, p) in P.order if q != p)
-    return {"elements": [{"id": e} for e in P.elements],
-            "relations": [[q, p] for q, p in rels]}
-
 
 def poset_from_json(doc: dict) -> BalmerPoset:
     els = [e["id"] for e in doc.get("elements", [])]

@@ -449,7 +449,8 @@ def parse_ratxy(s: str) -> RatXY:
     Exponents are integer literals 0..MAX_EXPONENT; anything else raises
     ValueError.  A numeric literal is read exactly from its source text,
     so '0.1' is 1/10; bool, complex and string constants raise ValueError,
-    as does an expression nested beyond the interpreter's recursion limit."""
+    as do text Python cannot parse and an expression nested beyond the
+    interpreter's recursion limit."""
     import ast
 
     text = s.replace("^", "**")
@@ -493,5 +494,7 @@ def parse_ratxy(s: str) -> RatXY:
 
     try:
         return conv(ast.parse(text, mode="eval"))
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {s!r}: {exc.msg}") from None
     except RecursionError:
         raise ValueError("expression nests too deeply to parse") from None

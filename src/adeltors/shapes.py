@@ -19,6 +19,12 @@ iterated cofibres (new layer vertices are mapping cones of the top
 structure maps, with canonical null-homotopy witnesses); R forgets the
 low filtration degrees and takes fibres back to a punctured cube.  R is
 built independently of L so round trips are genuine checks.
+
+Each rewrite is written once, on label-keyed dicts: cof_step is the one
+cofibre step (cof_direction makes one, big_L one per layer) and fib_step
+the one fibre step (fib_direction and big_R).  A cone is built once and
+kept on its map, so a cone vertex is the very target of its lax
+inclusion and the very end of every induced map at it.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ def _subsets(ground):
     return out
 
 
+def _with(A, i):
+    return tuple(sorted(A + (i,)))
+
+
 def _restrict(shape: IndexCategory, keep, kind: str) -> IndexCategory:
     """The full subcategory of shape on the vertices keep."""
     names = {v.name for v in keep}
@@ -110,7 +120,7 @@ def full_cube(d: int) -> IndexCategory:
     for v in verts:
         for i in range(d + 1):
             if i not in v.label:
-                tgt = tuple(sorted(v.label + (i,)))
+                tgt = _with(v.label, i)
                 arrows.append((v.name, Vertex(tgt).name, "oplax"))
     return IndexCategory(d, "cube", tuple(verts), tuple(sorted(arrows)))
 
@@ -149,7 +159,7 @@ def _layer_arrows(verts):
         # oplax: add i <= k not in A (for k = d the target keeps d automatically)
         for i in range(k + 1):
             if i not in A:
-                tgt = Vertex(tuple(sorted(A + (i,))), k)
+                tgt = Vertex(_with(A, i), k)
                 if tgt.name in names:
                     arrows.append((v.name, tgt.name, "oplax"))
         # lax: k in A and A != {k}: module map res M(A^k) -> M((A\k)^{k-1})
@@ -277,6 +287,73 @@ def iminus_count(d: int) -> int:
     return 2 ** d + sum(2 ** (k + 1) - 1 for k in range(d))
 
 
+# -- the one cofibre step and the one fibre step, on label-keyed dicts ------------------
+
+
+def _vname(label, k=None, dummy=False):
+    return Vertex(tuple(sorted(label)), k, dummy).name
+
+
+def _by_label(D: CubeDiagram, verts):
+    """D's values and stored maps on the vertices verts, keyed by labels
+    (which must tell those vertices apart)."""
+    label = {v.name: v.label for v in verts}
+    return ({label[n]: D.value(n) for n in label},
+            {(label[s], label[t]): D.map(s, t) for (s, t, _) in D.shape.arrows
+             if s in label and t in label})
+
+
+def _by_name(shape: IndexCategory, values, maps):
+    """Label-keyed values and maps renamed to the vertices of shape."""
+    name = {v.label: v.name for v in shape.vertices}
+    return ({name[A]: c for A, c in values.items()},
+            {(name[A], name[B]): m for (A, B), m in maps.items()})
+
+
+def cof_step(maps, i: int, lows):
+    """The cofibre step in direction i.  For each label A in lows, with
+    f_A = maps[(A, A u i)]: the cone cone(f_A), the lax inclusion
+    (A u i) -> cone(f_A), and the null-homotopy witness of incl o f_A;
+    for each stored arrow A -> B inside lows, the induced map
+    cone(f_A) -> cone(f_B).
+
+    Returns (cones keyed A, lax maps keyed (A u i, A), induced maps keyed
+    (A, B), witnesses keyed A)."""
+    fs = {A: maps[(A, _with(A, i))] for A in lows}
+    lax = {(_with(A, i), A): cone_inclusion(f) for A, f in fs.items()}
+    induced = {(A, B): induced_cone_map(fs[A], fs[B], m, maps[(_with(A, i), _with(B, i))])
+               for (A, B), m in maps.items() if A in fs and B in fs}
+    return ({A: incl.dst for (_, A), incl in lax.items()}, lax, induced,
+            {A: cone_null_homotopy(f) for A, f in fs.items()})
+
+
+def fib_step(values, maps, i: int):
+    """The fibre step in direction i, undoing a cofibre step.  Each label
+    A avoiding i becomes fib(r_A) of the lax map r_A = maps[(A u i, A)],
+    joined to A u i by its projection; each stored arrow between two such
+    labels becomes the induced fibre map, and arrows between labels
+    containing i are kept.  Returns the new (values, maps)."""
+    rs = {A: maps[(_with(A, i), A)] for A in values if i not in A}
+    out_maps = {(A, _with(A, i)): fib_projection(r) for A, r in rs.items()}
+    out_values = {A: out_maps[(A, _with(A, i))].src if A in rs else c
+                  for A, c in values.items()}
+    for (A, B), m in maps.items():
+        if A in rs and B in rs:
+            out_maps[(A, B)] = _fibre_map(rs[A], rs[B], maps[(_with(A, i), _with(B, i))], m,
+                                          out_values[A], out_values[B])
+        elif i in A and i in B:
+            out_maps[(A, B)] = m
+    return out_values, out_maps
+
+
+def _fibre_map(rs: ChainMap, rt: ChainMap, p: ChainMap, q: ChainMap,
+               src: ChainComplex, tgt: ChainComplex) -> ChainMap:
+    """fib(rs) -> fib(rt) for a strictly commuting square (p, q): the
+    induced cone map shifted down once to act on fibres."""
+    c = induced_cone_map(rs, rt, p, q)
+    return ChainMap(src, tgt, {(n - 1, a, b): M for (n, a, b), M in c.blocks.items()})
+
+
 # -- cofibre and fibre rewrites on full cubes ------------------------------------------
 
 
@@ -289,25 +366,9 @@ def cof_direction(D: CubeDiagram, i: int) -> CubeDiagram:
         raise ShapeMismatchError("cof_direction needs a full power-set cube")
     if not (0 <= i <= shape.d):
         raise RangeError(f"direction {i} outside 0..{shape.d}")
-    values: dict[str, ChainComplex] = {}
-    maps: dict[tuple[str, str], ChainMap] = {}
-    for v in shape.vertices:
-        if i in v.label:
-            values[v.name] = D.value(v.name)
-        else:
-            up = Vertex(tuple(sorted(v.label + (i,)))).name
-            incl = cone_inclusion(D.map(v.name, up))
-            values[v.name] = incl.dst
-            maps[(up, v.name)] = incl
-    for (s, t, kind) in shape.arrows:
-        vs, vt = shape.vertex(s), shape.vertex(t)
-        if i in vs.label and i in vt.label:
-            maps[(s, t)] = D.map(s, t)
-        elif i not in vs.label and i not in vt.label:
-            ups = Vertex(tuple(sorted(vs.label + (i,)))).name
-            upt = Vertex(tuple(sorted(vt.label + (i,)))).name
-            maps[(s, t)] = induced_cone_map(D.map(s, ups), D.map(t, upt),
-                                            D.map(s, t), D.map(ups, upt))
+    values, maps = _by_label(D, shape.vertices)
+    cones, lax, induced, _ = cof_step(maps, i, [A for A in values if i not in A])
+    kept = {(A, B): m for (A, B), m in maps.items() if i in A}
     arrows = []
     for (s, t, kind) in shape.arrows:
         vs, vt = shape.vertex(s), shape.vertex(t)
@@ -317,7 +378,8 @@ def cof_direction(D: CubeDiagram, i: int) -> CubeDiagram:
             arrows.append((t, s, "lax"))
     mixed = IndexCategory(shape.d, "cube-mixed-%d" % i, shape.vertices,
                           tuple(sorted(arrows)))
-    return CubeDiagram(mixed, values, maps, {}, dict(D.ring_names))
+    return CubeDiagram(mixed, *_by_name(mixed, {**values, **cones}, {**kept, **lax, **induced}),
+                       {}, dict(D.ring_names))
 
 
 def fib_direction(D: CubeDiagram, i: int) -> CubeDiagram:
@@ -326,125 +388,12 @@ def fib_direction(D: CubeDiagram, i: int) -> CubeDiagram:
     shape = D.shape
     if shape.kind != "cube-mixed-%d" % i:
         raise ShapeMismatchError("fib_direction undoes the matching cof_direction")
-    values: dict[str, ChainComplex] = {}
-    maps: dict[tuple[str, str], ChainMap] = {}
-    for v in shape.vertices:
-        if i in v.label:
-            values[v.name] = D.value(v.name)
-    for v in shape.vertices:
-        if i not in v.label:
-            up = Vertex(tuple(sorted(v.label + (i,)))).name
-            proj = fib_projection(D.map(up, v.name))
-            values[v.name] = proj.src
-            maps[(v.name, up)] = proj
-    for (s, t, kind) in shape.arrows:
-        if kind != "oplax":
-            continue
-        vs, vt = shape.vertex(s), shape.vertex(t)
-        if i in vs.label and i in vt.label:
-            maps[(s, t)] = D.map(s, t)
-        elif i not in vs.label and i not in vt.label:
-            ups = Vertex(tuple(sorted(vs.label + (i,)))).name
-            upt = Vertex(tuple(sorted(vt.label + (i,)))).name
-            maps[(s, t)] = _fibre_map(D.map(ups, s), D.map(upt, t), D.map(ups, upt),
-                                      D.map(s, t), values[s], values[t])
     cube = full_cube(shape.d)
-    return CubeDiagram(cube, values, maps, {}, dict(D.ring_names))
-
-
-def _fibre_map(rs: ChainMap, rt: ChainMap, p: ChainMap, q: ChainMap,
-               src: ChainComplex, tgt: ChainComplex) -> ChainMap:
-    """fib(rs) -> fib(rt) for a strictly commuting square (p, q): the
-    induced cone map shifted down once to act on fibres."""
-    c = induced_cone_map(rs, rt, p, q)
-    return ChainMap(src, tgt, {(n - 1, a, b): M for (n, a, b), M in c.blocks.items()})
+    return CubeDiagram(cube, *_by_name(cube, *fib_step(*_by_label(D, shape.vertices), i)),
+                       {}, dict(D.ring_names))
 
 
 # -- layers, the big rewrites, and the punctured limit -----------------------------------
-
-
-def _vname(label, k=None, dummy=False):
-    return Vertex(tuple(sorted(label)), k, dummy).name
-
-
-def cof_step(values, maps, i: int, ring_of=None):
-    """One cofibre layer: from the filtration-i layer (a punctured cube
-    over {0..i} with oplax maps) produce the vertices, lax inclusions,
-    induced oplax maps, dummies, and null-homotopy witnesses of
-    filtration degree i-1.
-
-    values/maps are keyed by subset tuples.  Returns (new_values keyed by
-    subset, lax_maps keyed (upper subset, lower subset), new_oplax keyed
-    (subset, subset), homotopies keyed by lower subset).
-    """
-    ring_of = ring_of or {}
-    new_values: dict[tuple, ChainComplex] = {}
-    lax_maps = {}
-    homotopies = {}
-    fs = {}
-    for s in _subsets(range(i)):
-        if not s:
-            continue
-        A = tuple(sorted(s))
-        up = tuple(sorted(A + (i,)))
-        f = maps[(A, up)]
-        fs[A] = f
-        lax_maps[(up, A)] = cone_inclusion(f)
-        new_values[A] = lax_maps[(up, A)].dst
-        homotopies[A] = cone_null_homotopy(f)
-    new_oplax = {}
-    for A in new_values:
-        for j in range(i):
-            if j in A:
-                continue
-            B = tuple(sorted(A + (j,)))
-            upA = tuple(sorted(A + (i,)))
-            upB = tuple(sorted(B + (i,)))
-            new_oplax[(A, B)] = induced_cone_map(
-                fs[A], fs[B], maps[(A, B)], maps[(upA, upB)])
-    return new_values, lax_maps, new_oplax, homotopies
-
-
-def cof_plus(D: CubeDiagram, i: int | None = None) -> CubeDiagram:
-    """The enhanced cofibre of a one-layer punctured-cube diagram: emits
-    filtration degrees {i, i-1}, zero dummy vertices, and the pushout
-    witnesses.  The output passes the cofibre-layer test by construction."""
-    shape = D.shape
-    if shape.kind != "pcube":
-        raise ShapeMismatchError("cof_plus consumes a punctured cube layer")
-    i = shape.d if i is None else i
-    values = {tuple(v.label): D.value(v.name) for v in shape.vertices}
-    maps = {}
-    for (s, t, kind) in shape.arrows:
-        maps[(tuple(shape.vertex(s).label), tuple(shape.vertex(t).label))] = D.map(s, t)
-    new_values, lax_maps, new_oplax, homs = cof_step(values, maps, i)
-    verts = [Vertex(A, i) for A in sorted(values, key=lambda a: (len(a), a))]
-    verts += [Vertex(A, i - 1) for A in sorted(new_values, key=lambda a: (len(a), a))]
-    verts += [Vertex(A, i - 1, dummy=True) for A in sorted(new_values, key=lambda a: (len(a), a))]
-    arrows = []
-    out_values = {}
-    out_maps = {}
-    out_homs = {}
-    for A in values:
-        out_values[_vname(A, i)] = values[A]
-    for (A, B) in maps:
-        arrows.append((_vname(A, i), _vname(B, i), "oplax"))
-        out_maps[(_vname(A, i), _vname(B, i))] = maps[(A, B)]
-    for A in new_values:
-        out_values[_vname(A, i - 1)] = new_values[A]
-        out_values[_vname(A, i - 1, True)] = ChainComplex.zero(D_backend(D))
-        arrows.append((_vname(A, i), _vname(A, i - 1, True), "dummy_in"))
-        arrows.append((_vname(A, i - 1, True), _vname(A, i - 1), "dummy_out"))
-        out_homs[_vname(A, i - 1, True)] = homs[A]
-    for (up, A) in lax_maps:
-        arrows.append((_vname(up, i), _vname(A, i - 1), "lax"))
-        out_maps[(_vname(up, i), _vname(A, i - 1))] = lax_maps[(up, A)]
-    for (A, B) in new_oplax:
-        arrows.append((_vname(A, i - 1), _vname(B, i - 1), "oplax"))
-        out_maps[(_vname(A, i - 1), _vname(B, i - 1))] = new_oplax[(A, B)]
-    out_shape = IndexCategory(shape.d, "glueplus", tuple(verts), tuple(sorted(arrows)))
-    rings = {v.name: D.ring_names.get(_vname(v.label), "") for v in verts}
-    return CubeDiagram(out_shape, out_values, out_maps, out_homs, rings)
 
 
 def D_backend(D: CubeDiagram) -> str:
@@ -453,72 +402,41 @@ def D_backend(D: CubeDiagram) -> str:
     return "zint"
 
 
-def forget_plus(D: CubeDiagram) -> CubeDiagram:
-    """Drop the dummy vertices (the forgetful functor v of the layer
-    machinery)."""
-    shape = D.shape
-    sub = _restrict(shape, [v for v in shape.vertices if not v.dummy], shape.kind + "-novoid")
-    names = set(sub.names())
-    return CubeDiagram(sub, {n: c for n, c in D.values.items() if n in names},
-                       {k: m for k, m in D.maps.items() if k[0] in names and k[1] in names},
-                       {}, {n: r for n, r in D.ring_names.items() if n in names})
-
-
 def big_L(D: CubeDiagram) -> CubeDiagram:
     """Iterated cofibres: punctured adelic-shaped diagram to an I(d)
-    diagram, one new filtration layer at a time."""
+    diagram, one cofibre step per new filtration layer."""
     shape = D.shape
     if shape.kind != "pcube":
         raise ShapeMismatchError("big_L consumes a punctured cube diagram")
     d = shape.d
-    values = {tuple(v.label): D.value(v.name) for v in shape.vertices}
-    maps = {(tuple(shape.vertex(s).label), tuple(shape.vertex(t).label)): D.map(s, t)
-            for (s, t, _) in shape.arrows}
-    layer_vals: dict[int, dict] = {d: {A: values[A] for A in values if d in A}}
-    layer_oplax: dict[int, dict] = {d: {k: m for k, m in maps.items()
-                                        if d in k[0] and d in k[1]}}
-    lax_all: dict[int, dict] = {}
-    homs_all: dict[int, dict] = {}
-    # the mixed step: cones of the direction-d maps, no dummies recorded
-    lvl, lax, opl, _ = cof_step(values, maps, d)
-    layer_vals[d - 1] = lvl
-    layer_oplax[d - 1] = opl
-    lax_all[d - 1] = lax
-    for i in range(d - 1, 0, -1):
-        lvl, lax, opl, homs = cof_step(layer_vals[i], layer_oplax[i], i)
-        layer_vals[i - 1] = lvl
-        layer_oplax[i - 1] = opl
-        lax_all[i - 1] = lax
-        homs_all[i - 1] = homs
-    out_shape = build_ifull(d)
-    out_values: dict[str, ChainComplex] = {}
-    out_maps: dict[tuple[str, str], ChainMap] = {}
+    values, maps = _by_label(D, shape.vertices)
+    out_values = {_vname(A, d): c for A, c in values.items() if d in A}
+    out_maps = {(_vname(A, d), _vname(B, d)): m for (A, B), m in maps.items() if d in A}
     out_homs: dict[str, dict] = {}
-    for k, lv in layer_vals.items():
-        for A, c in lv.items():
-            out_values[_vname(A, k)] = c
+    for i in range(d, 0, -1):
+        # layer i (all of D when i = d) gives layer i-1; the witnesses of
+        # the first step have no dummy vertex to sit on
+        cones, lax, maps, homs = cof_step(maps, i, [A for A in _subsets(range(i)) if A])
+        out_values.update((_vname(A, i - 1), c) for A, c in cones.items())
+        out_maps.update(((_vname(U, i), _vname(A, i - 1)), m) for (U, A), m in lax.items())
+        out_maps.update(((_vname(A, i - 1), _vname(B, i - 1)), m) for (A, B), m in maps.items())
+        if i < d:
+            out_homs.update((_vname(A, i - 1, True), h) for A, h in homs.items())
+    out_shape = build_ifull(d)
     for v in out_shape.vertices:
         if v.dummy:
             out_values[v.name] = ChainComplex.zero(D_backend(D))
-            out_homs[v.name] = homs_all[v.k][tuple(v.label)]
-    for k, lo in layer_oplax.items():
-        for (A, B), m in lo.items():
-            out_maps[(_vname(A, k), _vname(B, k))] = m
-    for k, lx in lax_all.items():
-        for (up, A), m in lx.items():
-            out_maps[(_vname(up, k + 1), _vname(A, k))] = m
-    rings = {}
-    for v in out_shape.vertices:
-        rings[v.name] = D.ring_names.get(_vname(v.label), "")
+    rings = {v.name: D.ring_names.get(_vname(v.label), "") for v in out_shape.vertices}
     return CubeDiagram(out_shape, out_values, out_maps, out_homs, rings)
 
 
 def is_cofibre_layer(D: CubeDiagram, k: int) -> bool:
     """Dummy vertices of filtration k vanish and the squares through them
-    are pushouts: the induced map cone -> M(A^k) is a homology isomorphism."""
+    are pushouts: the induced map cone -> M(A^k) is a homology isomorphism.
+    Layers exist for k in 0..d-2; any other k raises RangeError."""
     shape = D.shape
-    if k > shape.d - 2 or k < 0:
-        return True
+    if not (0 <= k <= shape.d - 2):
+        raise RangeError(f"cofibre layer {k} outside 0..{shape.d - 2}")
     for v in shape.vertices:
         if not (v.dummy and v.k == k):
             continue
@@ -526,7 +444,7 @@ def is_cofibre_layer(D: CubeDiagram, k: int) -> bool:
             return False
         A = tuple(v.label)
         up = _vname(A, k + 1)
-        mid = _vname(tuple(sorted(A + (k + 1,))), k + 1)
+        mid = _vname(_with(A, k + 1), k + 1)
         low = _vname(A, k)
         f = D.map(up, mid)
         r = D.map(mid, low)
@@ -564,37 +482,12 @@ def big_R(TD: CubeDiagram) -> CubeDiagram:
     """Forget filtration degrees below d-1, then take fibres of the lax
     maps: an I(d) diagram back to a punctured cube.  Independent of the
     construction of big_L."""
-    shape = TD.shape
-    d = shape.d
+    d = TD.shape.d
     pc = punctured_cube(d)
-    values: dict[str, ChainComplex] = {}
-    maps: dict[tuple[str, str], ChainMap] = {}
-    rs = {}
-    projs = {}
-    for v in pc.vertices:
-        A = tuple(v.label)
-        if d in A:
-            values[v.name] = TD.value(_vname(A, d))
-        else:
-            up = tuple(sorted(A + (d,)))
-            rs[A] = TD.map(_vname(up, d), _vname(A, d - 1))
-            projs[A] = fib_projection(rs[A])
-            values[v.name] = projs[A].src
-    for (s, t, kind) in pc.arrows:
-        A = tuple(pc.vertex(s).label)
-        B = tuple(pc.vertex(t).label)
-        if d in A and d in B:
-            maps[(s, t)] = TD.map(_vname(A, d), _vname(B, d))
-        elif d not in A and d in B and B == tuple(sorted(A + (d,))):
-            maps[(s, t)] = projs[A]
-        elif d not in A and d not in B:
-            upA, upB = tuple(sorted(A + (d,))), tuple(sorted(B + (d,)))
-            maps[(s, t)] = _fibre_map(rs[A], rs[B], TD.map(_vname(upA, d), _vname(upB, d)),
-                                      TD.map(_vname(A, d - 1), _vname(B, d - 1)),
-                                      values[s], values[t])
-    rings = {v.name: TD.ring_names.get(_vname(tuple(v.label), d if d in v.label else d - 1), "")
+    top = [v for v in TD.shape.vertices if v.k >= d - 1]
+    rings = {v.name: TD.ring_names.get(_vname(v.label, d if d in v.label else d - 1), "")
              for v in pc.vertices}
-    return CubeDiagram(pc, values, maps, {}, rings)
+    return CubeDiagram(pc, *_by_name(pc, *fib_step(*_by_label(TD, top), d)), {}, rings)
 
 
 def holim_punctured(D: CubeDiagram) -> ChainComplex:
@@ -656,7 +549,7 @@ def fib_cof_inverse_check(D: CubeDiagram, i: int) -> bool:
             if got != C:
                 return False
             continue
-        up = Vertex(tuple(sorted(v.label + (i,)))).name
+        up = Vertex(_with(v.label, i)).name
         f = D.map(v.name, up)
         Q = D.value(up)
         phi_blocks: dict[tuple[int, int, int], list] = {}

@@ -134,6 +134,17 @@ def test_bad_exponent_refused(tmp_path):
     assert "input error [adelic]" in proc.stderr
 
 
+def test_unparsable_entry_refused(tmp_path):
+    # the printed form x^2y is no expression Python can parse
+    obj = tmp_path / "v.json"
+    obj.write_text(json.dumps({"world": "V", "degrees": {"1": 1, "0": 1},
+                               "diff": {"1": [["x^2y"]]}}))
+    for cmd in ("adelic", "tors"):
+        proc = run_cli(cmd, "--backend", "valrank2", "--object", str(obj), expect=2)
+        assert proc.stderr.startswith(f"input error [{cmd}]") and not proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
 def test_decimal_entry_reads_exactly(tmp_path):
     # d o d = 0 holds only when "0.1" is exactly 1/10
     reports = []

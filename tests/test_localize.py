@@ -6,8 +6,7 @@ from adeltors.classes import GradedClasses, ModuleClass
 from adeltors.complexes import ChainComplex, ChainMap, cone
 from adeltors.homology import homology, is_acyclic
 from adeltors.library import random_complex
-from adeltors.localize import (FunctorRequest, HypothesisFailed,
-                               UnsupportedRegionError)
+from adeltors.localize import HypothesisFailed
 from adeltors.oracle import oracle_check
 from adeltors.ratfunc import x as rx, y as ry
 from adeltors.worlds import VAL, Z_PADIC, Z_RAT
@@ -40,7 +39,7 @@ def test_gamma_examples(zsite):
     want = ModuleClass.cyclic(zsite.base, F(p_primary_oracle(12, 2)))
     assert homology(g) == GradedClasses({0: want})
     assert is_acyclic(zsite.l_at("g", Z12))
-    lam = zsite.lam_at("(2)", zsite.unit())
+    lam = zsite.lam(zsite.poset.down("(2)"), zsite.unit())
     assert homology(lam) == GradedClasses({0: ModuleClass.free(Z_PADIC(2))})
     oracle_check(lam, homology(lam))
 
@@ -88,16 +87,13 @@ def test_delta_square(zsite):
     assert homology(zsite.delta(V, Q)) == homology(Q)
 
 
-def test_functor_request_dispatch(zsite):
+def test_gamma_region(zsite):
     X = ChainComplex.two_term(zsite.base, F(6))
-    req = FunctorRequest("Gamma", frozenset({"(2)"}))
-    assert homology(zsite.apply(req, X)) == \
+    assert homology(zsite.gamma(frozenset({"(2)"}), X)) == \
         GradedClasses({0: ModuleClass.cyclic(zsite.base, F(2))})
     from adeltors.posets import NotSpecClosedError
     with pytest.raises(NotSpecClosedError):
-        zsite.apply(FunctorRequest("Gamma", frozenset({"g"})), X)
-    with pytest.raises(UnsupportedRegionError):
-        zsite.apply(FunctorRequest("Nonsense", frozenset({"(2)"})), X)
+        zsite.gamma(frozenset({"g"}), X)
 
 
 def test_support_examples(zsite, vsite):

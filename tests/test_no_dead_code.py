@@ -1,15 +1,15 @@
 """Every function and method in the package has a caller.
 
 A module-level function or a non-dunder method of a module-level class
-counts as used when its name appears as a whole word somewhere in the
-Python sources of src/, tests/, demos/ or bench/ other than on its own
-``def`` line.  The package ``__init__.py`` only re-exports names, so it
-is not searched.
+counts as used when its name occurs as an identifier (a name, an
+attribute or an imported name) somewhere in the Python sources of src/,
+tests/, demos/ or bench/.  A word inside a string or a comment is no
+use, and neither is a ``def`` line.  The package ``__init__.py`` only
+re-exports names, so it is not searched.
 """
 
 import ast
 import os
-import re
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PACKAGE = os.path.join(ROOT, "src", "adeltors")
@@ -33,22 +33,28 @@ def _defined_names():
     return names
 
 
-def _searched_lines():
+def _used_identifiers():
     skip = os.path.abspath(os.path.join(PACKAGE, "__init__.py"))
-    lines = []
+    used = set()
     for top in SEARCHED:
         for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
             for fname in files:
                 path = os.path.abspath(os.path.join(dirpath, fname))
-                if fname.endswith(".py") and path != skip:
-                    with open(path) as fh:
-                        lines.extend(fh.read().splitlines())
-    return lines
+                if not fname.endswith(".py") or path == skip:
+                    continue
+                with open(path) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        used.add(node.name.split(".")[-1])
+    return used
 
 
 def test_every_function_has_a_caller():
-    text = "\n".join(re.sub(r"^(\s*(?:async\s+)?def\s+)\w+", r"\1", line)
-                     for line in _searched_lines())
-    used = set(re.findall(r"\w+", text))
+    used = _used_identifiers()
     dead = sorted(name for name in _defined_names() if name not in used)
     assert not dead, f"functions without callers: {dead}"

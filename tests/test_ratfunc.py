@@ -229,6 +229,12 @@ def test_parse_rejects_non_numeric_constants(text):
         parse_ratxy(text)
 
 
+@pytest.mark.parametrize("text", ["x^2y", "1 +", "x)(", "", "x; y"])
+def test_parse_rejects_unparsable_text(text):
+    with pytest.raises(ValueError):
+        parse_ratxy(text)
+
+
 def test_parse_refuses_over_deep_expressions():
     with pytest.raises(ValueError):
         parse_ratxy("+".join(["x"] * 3000))

@@ -7,8 +7,8 @@ from adeltors.homology import homology
 from adeltors.library import random_complex
 from adeltors.posets import RangeError
 from adeltors.shapes import (CubeDiagram, Vertex, big_L, build_igeq,
-                             build_iminus, cof_plus, cof_direction, face,
-                             fib_cof_inverse_check, forget_plus, full_cube,
+                             build_iminus, cof_direction, face,
+                             fib_cof_inverse_check, full_cube,
                              holim_punctured, iminus_count, is_cofibre_layer,
                              punctured_cube, to_dot)
 from adeltors.worlds import Z_INT, invert_primes
@@ -113,6 +113,30 @@ def test_cof_fib_inverse_random(rng):
             assert fib_cof_inverse_check(D, i)
 
 
+def localization_cube(X, primes=(2, 3, 5)):
+    """The full cube over {0..d}, d = len(primes) - 1, whose vertex A is
+    X with the primes primes[j], j in A, inverted, and whose arrows are
+    the localization maps."""
+    cube = full_cube(len(primes) - 1)
+    vals = {v.name: X.base_change(lambda w, A=v.label: invert_primes(
+        w, frozenset(primes[j] for j in A)) if A else w) for v in cube.vertices}
+    maps = {(s, t): ChainMap.from_unit(vals[s], vals[t]) for (s, t, _) in cube.arrows}
+    return CubeDiagram(cube, vals, maps, {}, {})
+
+
+def test_cof_fib_inverse_middle_direction(rng):
+    """d = 2: each direction, the middle one included, inverts."""
+    Z = Z_INT()
+    objects = [ChainComplex.unit(Z), ChainComplex.two_term(Z, F(60))]
+    objects += [random_complex(rng, Z, primes=(2, 3, 5), atoms=2, degs=(0, 1))
+                for _ in range(2)]
+    for X in objects:
+        D = localization_cube(X)
+        assert D.check_commutes()
+        for i in (0, 1, 2):
+            assert fib_cof_inverse_check(D, i), (X, i)
+
+
 def test_cof_direction_cone_example():
     Z = Z_INT()
     X = ChainComplex.unit(Z)
@@ -133,51 +157,6 @@ def test_cof_direction_cone_example():
         {0: ModuleClass.free(Z), 1: ModuleClass.free(Z)})
 
 
-def one_layer_diagram(X, zsite):
-    """A punctured-cube layer over {0..1} built from localizations."""
-    op = lambda w: invert_primes(w, frozenset({2}))
-    X2 = X.base_change(op)
-    pc = punctured_cube(1)
-    vals = {"0": X, "1": X2, "10": X2}
-    maps = {("0", "10"): ChainMap.from_unit(X, X2),
-            ("1", "10"): ChainMap.from_unit(X2, X2)}
-    return CubeDiagram(pc, vals, maps, {}, {})
-
-
-def test_cof_plus_layer(zsite):
-    X = ChainComplex.two_term(zsite.base, F(4))
-    D = one_layer_diagram(X, zsite)
-    E = cof_plus(D)
-    assert is_cofibre_layer(E, 0)
-    # dummies are literally zero
-    for v in E.shape.vertices:
-        if v.dummy:
-            assert E.value(v.name).is_empty()
-    # all-zero input gives all-zero output
-    Z0 = ChainComplex.zero("zint")
-    D0 = CubeDiagram(punctured_cube(1), {"0": Z0, "1": Z0, "10": Z0},
-                     {("0", "10"): ChainMap(Z0, Z0, {}),
-                      ("1", "10"): ChainMap(Z0, Z0, {})}, {}, {})
-    E0 = cof_plus(D0)
-    assert all(E0.value(v.name).is_empty() for v in E0.shape.vertices)
-
-
-def test_cof_plus_forget_round_trip(zsite):
-    X = ChainComplex.two_term(zsite.base, F(6))
-    D = one_layer_diagram(X, zsite)
-    E = cof_plus(D)
-    back = forget_plus(E)
-    again = cof_plus(CubeDiagram(punctured_cube(1),
-                                 {v.name.split("^")[0]: back.value(v.name)
-                                  for v in back.shape.vertices if v.k == 1},
-                                 {(s.split("^")[0], t.split("^")[0]): back.maps[(s, t)]
-                                  for (s, t) in back.maps
-                                  if back.shape.vertex(s).k == 1
-                                  and back.shape.vertex(t).k == 1}, {}, {}))
-    for v in E.shape.vertices:
-        assert homology(again.value(v.name)) == homology(E.value(v.name))
-
-
 def test_big_L_identity_zero(vcube):
     Z0 = ChainComplex.zero("valrank2")
     pc = punctured_cube(2)
@@ -186,6 +165,11 @@ def test_big_L_identity_zero(vcube):
     D = CubeDiagram(pc, vals, maps, {}, {})
     TD = big_L(D)
     assert all(TD.value(v.name).is_empty() for v in TD.shape.vertices)
+    # d = 2 has the one cofibre layer k = 0, and no other
+    assert is_cofibre_layer(TD, 0)
+    for k in (-1, 1, 2):
+        with pytest.raises(RangeError):
+            is_cofibre_layer(TD, k)
 
 
 def test_holim_shapes(zcube, zsite):

@@ -8,7 +8,7 @@ from adeltors.complexes import ChainComplex, ChainMap
 from adeltors.homology import homology, is_acyclic
 from adeltors.library import library
 from adeltors.localize import Site
-from adeltors.shapes import CubeDiagram
+from adeltors.shapes import CubeDiagram, big_R
 from adeltors.torsion import (ValidateFailed, chromatic_report, cousin_report,
                               one_tors_vertex, reconstruct, tors, validate)
 from adeltors.worlds import VAL, Z_INV, Z_RAT
@@ -68,6 +68,17 @@ def test_round_trips_library(zsite, zcube, vsite, vcube):
             assert rep.agree, (name, rep.got, rep.want)
 
 
+def test_stored_maps_join_vertex_values(zsite, zcube, vsite, vcube):
+    """Every stored map of tors and of big_R(tors) starts and ends at the
+    very complexes stored at its vertices, not at copies of them."""
+    for site, cube in ((zsite, zcube), (vsite, vcube)):
+        for name, X in library(site):
+            TD = tors(site, X, cube)
+            for D in (TD, big_R(TD)):
+                for (s, t), f in D.maps.items():
+                    assert f.src is D.value(s) and f.dst is D.value(t), (name, s, t)
+
+
 def test_round_trip_zero(zsite, zcube):
     TD = tors(zsite, ChainComplex.zero("zint"), zcube)
     rep = reconstruct(zsite, TD, ChainComplex.zero("zint"), zcube)
@@ -104,6 +115,19 @@ def test_validate_mutants(zsite, zcube):
     assert not rep2.adjoint[("1^1", "10^1")] and not rep2.ok
     with pytest.raises(ValidateFailed):
         reconstruct(zsite, mut2, zsite.unit(), zcube)
+
+
+def test_cofibre_layer_needs_its_witness(vsite, vcube):
+    """Dropping the null-homotopy witness at 0^(0), or doubling its entry,
+    fails the cofibre-layer certificate."""
+    TD = tors(vsite, vsite.unit(), vcube)
+    assert validate(vsite, TD, vcube).layers[0]
+    h = TD.homotopies["0^(0)"]
+    doubled = {key: [[2 * e for e in row] for row in M] for key, M in h.items()}
+    for homs in ({n: w for n, w in TD.homotopies.items() if n != "0^(0)"},
+                 dict(TD.homotopies, **{"0^(0)": doubled})):
+        mut = CubeDiagram(TD.shape, TD.values, TD.maps, homs, TD.ring_names)
+        assert not validate(vsite, mut, vcube).layers[0]
 
 
 def test_membership_soundness_random_mutants(zsite, zcube, rng):
