@@ -10,14 +10,19 @@ table entry is validated here along an independent computational path:
     H_n(C/p^N) = H_n(C)/p^N (+) (p^N-torsion of H_{n-1}(C)), for
     doubling N until two successive checks agree.
 
-  * valuation backend: realize worlds inside k((x))((y)) on a finite
-    Laurent window (y-slices with O- or R-type x-ranges), turn every
-    block into an exact QQ-matrix by expanding rational functions, and
-    compare homology dimensions against per-piece model complexes run
-    through the same truncation, for doubling windows.
+  * valuation backend: realize worlds inside k((x))((y)) and compare
+    homology dimensions on two residue tracks against per-piece
+    predictions, for doubling N.  The x-track takes C (x) V/x^N over QQ:
+    it expands an entry's rational function on the Laurent window
+    [1-N, N) of its y^0 slice, reading only the entry's num and den
+    polynomials.  The y-track takes (C (x) V/y^N)[1/x] over QQ(x): it
+    expands an entry as a y-adic series with k(x)-coefficients.
 
-Nothing here shares code with the classifier: matrices go through plain
-fraction Gauss elimination and integer Smith forms only.
+Each track call expands every distinct non-zero entry once and ranks
+each differential matrix once.  Nothing here shares code with the
+classifier: the integer side runs integer Smith forms, the x-track
+eliminates over QQ with Fractions, and the y-track eliminates over
+QQ(x) with RatXY arithmetic.
 """
 
 from __future__ import annotations
@@ -39,42 +44,29 @@ class OracleMismatch(AssertionError):
 
 
 def _mat_rank_q(M) -> int:
-    """Rank over QQ by Gauss elimination."""
+    """Rank over QQ by forward elimination: each pivot row clears the
+    rows below it, over its own non-zero columns only."""
     A = [[Fraction(e) for e in row] for row in M]
-    rank = 0
     rows = len(A)
     cols = len(A[0]) if rows else 0
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        A[r] = [e / A[r][c] for e in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [A[i][k] - f * A[r][k] for k in range(cols)]
+        prow = A[r]
+        support = [k for k in range(c + 1, cols) if prow[k]]
+        for i in range(r + 1, rows):
+            row = A[i]
+            if row[c]:
+                f = row[c] / prow[c]
+                for k in support:
+                    row[k] -= f * prow[k]
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
-
-
-def _q_inverse(M):
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] +
-         [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if A[i][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        A[c] = [e / A[c][c] for e in A[c]]
-        for i in range(n):
-            if i != c and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [A[i][k] - f * A[c][k] for k in range(2 * n)]
-    return [row[n:] for row in A]
+    return r
 
 
 def zint_truncate(C: ChainComplex, p: int, N: int):
@@ -127,19 +119,17 @@ def zmod_homology_exponents(ranks, mats, p: int, N: int) -> dict[int, list[int]]
                 d = int(D[i][i]) if i < k else 0
                 g = _gcd(abs(d), M)
                 mults.append(M // g)
-            Vt_inv = _q_inverse(Vt)
-            K = [[Vt_inv[i][j] * mults[j] for j in range(a)] for i in range(a)]
         else:
             mults = [1] * a
-            K = [[Fraction(1 if i == j else 0) for j in range(a)] for i in range(a)]
-            Vt = [row[:] for row in K]
+            Vt = [[Fraction(1 if i == j else 0) for j in range(a)] for i in range(a)]
         rel_cols: list[list[Fraction]] = []
         if D_up is not None:
             for c in range(len(D_up[0])):
                 rel_cols.append([Fraction(D_up[r][c]) for r in range(a)])
         for j in range(a):
             rel_cols.append([Fraction(M if i == j else 0) for i in range(a)])
-        # express relations in the kernel basis: K^{-1} rel = diag(1/m) Vt rel
+        # the kernel lattice has basis K = Vt^{-1} diag(m), so a relation
+        # in that basis is K^{-1} rel = diag(1/m) Vt rel
         R = []
         for i in range(a):
             row = []
@@ -315,40 +305,6 @@ def _x_track_basis(w: World, N: int):
     return list(range(N)) if zer == "O" else []
 
 
-def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
-    """QQ-dimensions of H_*(C (x) V/x^N)."""
-    bases: dict[int, list] = {}
-    for n in C.degrees():
-        basis = []
-        for i, (w, r) in enumerate(C.strand_list(n)):
-            for k in range(r):
-                basis.extend((i, k, a) for a in _x_track_basis(w, N))
-        bases[n] = basis
-    mats: dict[int, list] = {}
-    for n in C.degrees():
-        if not bases.get(n) or not bases.get(n - 1):
-            continue
-        tgt_index = {key: pos for pos, key in enumerate(bases[n - 1])}
-        A = [[Fraction(0)] * len(bases[n]) for _ in range(len(bases[n - 1]))]
-        for (m, i, j), Mb in C.blocks.items():
-            if m != n:
-                continue
-            for col, (si, sk, a) in enumerate(bases[n]):
-                if si != i:
-                    continue
-                for row_k in range(len(Mb)):
-                    e = Mb[row_k][sk]
-                    if e == 0 if isinstance(e, Fraction) else e.is_zero():
-                        continue
-                    prod = e * RatXY.monomial(a, 0)
-                    for (bb, aa), c in laurent_window(prod, 0, 0, 0, N).items():
-                        key = (j, row_k, aa)
-                        if key in tgt_index:
-                            A[tgt_index[key]][col] += c
-        mats[n] = A
-    return _dims_from(bases, mats, _mat_rank_q)
-
-
 def _y_loc_basis(w: World, N: int):
     """(W/y^N W)[1/x] as a k(x)-space: the surviving y-slices."""
     kind, neg, zer, pos = _VAL_SLICES[w.sym]
@@ -359,40 +315,60 @@ def _y_loc_basis(w: World, N: int):
     return list(range(N))  # slices 0..N-1, each a copy of k(x) after inverting x
 
 
-def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
-    """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x)."""
-    bases: dict[int, list] = {}
-    for n in C.degrees():
-        basis = []
-        for i, (w, r) in enumerate(C.strand_list(n)):
-            for k in range(r):
-                basis.extend((i, k, b) for b in _y_loc_basis(w, N))
-        bases[n] = basis
-    zero = RatXY.const(0)
+def _track_matrices(C: ChainComplex, N: int, basis, expand, zero):
+    """Bases and differential matrices of C on one residue track.
+
+    basis(w, N) lists the coordinates t a generator of world w keeps;
+    expand(e) gives {s: c}, an entry e sending coordinate t of its
+    source generator to c times coordinate t + s of its target.  Each
+    distinct non-zero entry is expanded once per call."""
+    bases = {n: [(i, k, t) for i, (w, r) in enumerate(C.strand_list(n))
+                 for k in range(r) for t in basis(w, N)]
+             for n in C.degrees()}
+    expanded: dict = {}
     mats: dict[int, list] = {}
     for n in C.degrees():
-        if not bases.get(n) or not bases.get(n - 1):
+        if not bases[n] or not bases.get(n - 1):
             continue
         tgt_index = {key: pos for pos, key in enumerate(bases[n - 1])}
         A = [[zero] * len(bases[n]) for _ in range(len(bases[n - 1]))]
         for (m, i, j), Mb in C.blocks.items():
             if m != n:
                 continue
-            for col, (si, sk, b) in enumerate(bases[n]):
+            for col, (si, sk, t) in enumerate(bases[n]):
                 if si != i:
                     continue
-                for row_k in range(len(Mb)):
-                    e = Mb[row_k][sk]
+                for row_k, row in enumerate(Mb):
+                    e = row[sk]
                     if e.is_zero():
                         continue
-                    # y-adic expansion of e up to N terms, with k(x)-coefficients
-                    coeffs = _y_series(e, N + 1)
-                    for db, cf in coeffs.items():
-                        bb = b + db
-                        key = (j, row_k, bb)
-                        if key in tgt_index and not cf.is_zero():
-                            A[tgt_index[key]][col] = A[tgt_index[key]][col] + cf
+                    series = expanded.get(e)
+                    if series is None:
+                        series = expanded[e] = expand(e)
+                    for s, c in series.items():
+                        pos = tgt_index.get((j, row_k, t + s))
+                        if pos is not None:
+                            A[pos][col] += c
         mats[n] = A
+    return bases, mats
+
+
+def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
+    """QQ-dimensions of H_*(C (x) V/x^N).  An entry e sends x^t to
+    e*x^t, whose x^(t+k) coefficient is the x^k coefficient of e, so one
+    window [1-N, N) of e serves every column t in [0, N)."""
+    def expand(e):
+        return {k: c for (_, k), c in laurent_window(e, 0, 0, 1 - N, N).items()}
+    bases, mats = _track_matrices(C, N, _x_track_basis, expand, Fraction(0))
+    return _dims_from(bases, mats, _mat_rank_q)
+
+
+def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
+    """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x):
+    an entry's y-adic expansion, with k(x)-coefficients, shifts the
+    y-slices."""
+    bases, mats = _track_matrices(C, N, _y_loc_basis,
+                                  lambda e: _y_series(e, N + 1), RatXY.const(0))
     return _dims_from(bases, mats, _mat_rank_ratx)
 
 
@@ -425,37 +401,36 @@ def _y_series(e: RatXY, terms: int) -> dict[int, RatXY]:
 
 
 def _mat_rank_ratx(M) -> int:
+    """Rank over QQ(x) (RatXY entries), as _mat_rank_q."""
     A = [row[:] for row in M]
-    rank, r = 0, 0
     rows = len(A)
     cols = len(A[0]) if rows else 0
+    r = 0
     for c in range(cols):
         piv = next((i for i in range(r, rows) if not A[i][c].is_zero()), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = A[r][c].inv()
-        A[r] = [e * inv for e in A[r]]
-        for i in range(rows):
-            if i != r and not A[i][c].is_zero():
-                f = A[i][c]
-                A[i] = [A[i][k] - f * A[r][k] for k in range(cols)]
+        prow = A[r]
+        support = [k for k in range(c + 1, cols) if not prow[k].is_zero()]
+        for i in range(r + 1, rows):
+            row = A[i]
+            if not row[c].is_zero():
+                f = row[c] / prow[c]
+                for k in support:
+                    row[k] = row[k] - f * prow[k]
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
+    return r
 
 
 def _dims_from(bases, mats, rank_fn) -> dict[int, int]:
+    """dim H_n = dim C_n - rank d_n - rank d_(n+1), each rank taken once."""
+    ranks = {n: rank_fn(A) for n, A in mats.items()}
     out = {}
     for n, basis in bases.items():
-        dim = len(basis)
-        if dim == 0:
-            continue
-        rk_out = rank_fn(mats[n]) if n in mats else 0
-        rk_in = rank_fn(mats[n + 1]) if (n + 1) in mats else 0
-        h = dim - rk_out - rk_in
+        h = len(basis) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         if h:
             out[n] = h
     return out

@@ -3,16 +3,20 @@ must stabilize under the residue-truncation oracle.  The integer side is
 pushed to N = 2^10 as the outer bound; the valuation side doubles its
 window twice."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from adeltors import oracle
 from adeltors.classes import GradedClasses, ModuleClass
 from adeltors.complexes import ChainComplex
 from adeltors.homology import homology
+from adeltors.library import library, random_complex
 from adeltors.oracle import (OracleMismatch, predicted_exponents,
                              val_oracle_check, x_track_dims, y_track_dims,
                              zint_oracle_check)
+from adeltors.ratfunc import RatXY, x as rx, y as ry
 from adeltors.ruleoracle import validate_rule_tables
 from adeltors.worlds import Z_INT
 
@@ -50,9 +54,182 @@ def test_uct_shape_of_predictions():
 
 
 def test_val_tracks_on_models(vsite):
-    from adeltors.ratfunc import x as rx, y as ry
     V = vsite.base
     C = ChainComplex.two_term(V, rx() * ry())
     assert x_track_dims(C, 4) == {0: 4, 1: 4}    # Cyclic(V, xy): N and N
     assert y_track_dims(C, 4) == {0: 1, 1: 1}    # y-exponent is 1
     val_oracle_check(C, homology(C))
+
+
+def test_val_oracle_rejects_wrong_claims(vsite):
+    """H_0 of [V --xy--> V] is Cyclic(V, xy): Free(V) and Cyclic(V, x)
+    miss on the x-residue, Cyclic(V, xy^2) only on the y-residue."""
+    V = vsite.base
+    C = ChainComplex.two_term(V, rx() * ry())
+    messages = []
+    for wrong in (ModuleClass.free(V), ModuleClass.cyclic(V, rx()),
+                  ModuleClass.cyclic(V, rx() * ry() ** 2)):
+        with pytest.raises(OracleMismatch) as err:
+            val_oracle_check(C, GradedClasses({0: wrong}))
+        messages.append(str(err.value).split(" N=")[0])
+    assert messages == ["x-residue", "x-residue", "y-residue"]
+
+
+def _val_objects(vsite):
+    """Seeded random V-complexes, and two whose entries have non-monomial
+    denominators."""
+    V, x, y = vsite.base, rx(), ry()
+    rng = random.Random(20260917)
+    out = [random_complex(rng, V, primes=(2, 3), atoms=4) for _ in range(12)]
+    u = (1 + x).inv()
+    out.append(ChainComplex.two_term(V, x * u))
+    out.append(ChainComplex.single(V, {1: 2, 0: 2},
+                                   {1: [[x * u, y], [y * (1 - x).inv(), x * u]]}))
+    return out
+
+
+def _mixed_objects(vsite, vcube):
+    """Cube vertices of the valrank2 library objects: strands over the
+    completed and localized worlds, some of which neither track sees."""
+    out = []
+    for _, X in library(vsite):
+        out.extend(vcube.tensor(X).values.values())
+    return out
+
+
+def _entries(C):
+    return [e for Mb in C.blocks.values() for row in Mb for e in row if not e.is_zero()]
+
+
+def test_x_window_shift_identity(vsite, vcube):
+    """The x^(a+k) coefficient of e*x^a is the x^k coefficient of e: one
+    window [1-N, N) of e, shifted by a and clipped to [0, N), is the
+    window [0, N) of e*x^a for every a < N."""
+    x = rx()
+    extra = [(1 + x).inv(), (1 + ry()) / (1 - x * ry()), x ** -2 + 3 * x / (2 - x * x)]
+    entries = {e for C in _val_objects(vsite) + _mixed_objects(vsite, vcube)
+               for e in _entries(C)} | set(extra)
+    for e in entries:
+        for N in (2, 4, 8):
+            wide = oracle.laurent_window(e, 0, 0, 1 - N, N)
+            for a in range(N):
+                shifted = {(b, k + a): c for (b, k), c in wide.items() if 0 <= k + a < N}
+                assert oracle.laurent_window(e * RatXY.monomial(a, 0), 0, 0, 0, N) == shifted
+
+
+def _column_by_column(C, N, bases, track):
+    """Reference matrices: column (i, k, t) of degree n is the image of
+    x^t (x-track) or y^t (y-track) on generator k of strand i, expanded
+    afresh for every column."""
+    mats = {}
+    for n, basis in bases.items():
+        if not basis or not bases.get(n - 1):
+            continue
+        rows = {key: r for r, key in enumerate(bases[n - 1])}
+        A = [[0] * len(basis) for _ in bases[n - 1]]
+        for col, (i, k, t) in enumerate(basis):
+            for (m, bi, j), Mb in C.blocks.items():
+                if (m, bi) != (n, i):
+                    continue
+                for row, entries in enumerate(Mb):
+                    e = entries[k]
+                    if e.is_zero():
+                        continue
+                    if track == "x":
+                        image = {a: c for (_, a), c in oracle.laurent_window(
+                            e * RatXY.monomial(t, 0), 0, 0, 0, N).items()}
+                    else:
+                        image = {t + s: c for s, c in oracle._y_series(e, N + 1).items()}
+                    for u, c in image.items():
+                        if (j, row, u) in rows:
+                            A[rows[(j, row, u)]][col] += c
+        mats[n] = A
+    return mats
+
+
+def test_track_matrices_match_column_by_column(vsite, vcube, monkeypatch):
+    """Expanding each entry once gives the same matrices as expanding it
+    again for every column it meets."""
+    seen = []
+    dims_from = oracle._dims_from
+
+    def capture(bases, mats, rank_fn):
+        seen.append((bases, mats))
+        return dims_from(bases, mats, rank_fn)
+    monkeypatch.setattr(oracle, "_dims_from", capture)
+    complexes = _val_objects(vsite) + _mixed_objects(vsite, vcube)
+    built = 0
+    for C in complexes:
+        has_xcomplete = any(w.sym in ("VhatM", "VhatMInv") for w in C.worlds)
+        for N in (2, 4):
+            for track, dims in (("x", x_track_dims), ("y", y_track_dims)):
+                if track == "y" and has_xcomplete:
+                    continue
+                seen.clear()
+                dims(C, N)
+                (bases, mats), = seen
+                assert mats == _column_by_column(C, N, bases, track)
+                built += len(mats)
+    assert built > 100
+
+
+def test_each_entry_expanded_once_per_track_call(vsite, monkeypatch):
+    """One laurent_window (x-track) and one _y_series (y-track) per
+    distinct non-zero entry; on these V-only objects every entry lies in
+    a block that both tracks see."""
+    calls = []
+    for name in ("laurent_window", "_y_series"):
+        def counted(e, *args, _f=getattr(oracle, name)):
+            calls.append(e)
+            return _f(e, *args)
+        monkeypatch.setattr(oracle, name, counted)
+    repeated = 0
+    for C in _val_objects(vsite):
+        entries = _entries(C)
+        repeated += len(entries) > len(set(entries))
+        for dims in (x_track_dims, y_track_dims):
+            calls.clear()
+            dims(C, 4)
+            assert len(calls) == len(set(calls)) == len(set(entries))
+    assert repeated       # some entry sits at two positions
+
+
+def _full_rank(rng, rows, r, pick):
+    """A rows x r matrix of rank r: identity rows among random sparse ones."""
+    M = [[pick(rng) for _ in range(r)] for _ in range(rows - r)]
+    M += [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    rng.shuffle(M)
+    return M
+
+
+def _known_rank(rng, pick):
+    """A sparse matrix of known rank r = P Q, P and Q of full rank r,
+    padded with zero rows and columns; returns (M, r)."""
+    r = rng.randint(0, 4)
+    m, n = r + rng.randint(0, 3), r + rng.randint(0, 3)
+    P = _full_rank(rng, m, r, pick)
+    Qt = _full_rank(rng, n, r, pick)
+    M = [[sum((P[i][t] * Qt[j][t] for t in range(r)), 0 * pick(rng)) for j in range(n)]
+         for i in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        M.insert(rng.randint(0, len(M)), [0 * pick(rng)] * n)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, n)
+        M = [row[:at] + [0 * pick(rng)] + row[at:] for row in M]
+        n += 1
+    return M, r
+
+
+def test_rank_kernels_on_known_ranks():
+    rng = random.Random(20260918)
+    x = rx()
+    q_values = [F(0)] * 3 + [F(1), F(-1), F(2), F(1, 3)]
+    x_values = [RatXY.const(0)] * 3 + [RatXY.const(1), x, 1 - x, (1 + x).inv(), x * x + 2]
+    for rank_fn, values, trials in ((oracle._mat_rank_q, q_values, 300),
+                                    (oracle._mat_rank_ratx, x_values, 60)):
+        for _ in range(trials):
+            M, r = _known_rank(rng, lambda g: g.choice(values))
+            Mt = [list(col) for col in zip(*M)]
+            assert rank_fn(M) == r
+            if Mt:
+                assert rank_fn(Mt) == r
