@@ -5,8 +5,9 @@ pullbacks, cross-atom quotients and completion identifications.  Every
 table entry is validated here along an independent computational path:
 
   * integer backend: reduce a complex mod p^N.  Worlds with p invertible
-    die, all others become Z/p^N, and H_n of the truncation must match
-    the claimed classes through the universal-coefficient shape
+    die, PrimeField(p) is refused, all others become Z/p^N, and H_n of
+    the truncation must match the claimed classes through the
+    universal-coefficient shape
     H_n(C/p^N) = H_n(C)/p^N (+) (p^N-torsion of H_{n-1}(C)), for
     doubling N until two successive checks agree.
 
@@ -19,21 +20,21 @@ table entry is validated here along an independent computational path:
     expands an entry as a y-adic series with k(x)-coefficients.
 
 Each track call expands every distinct non-zero entry once and ranks
-each differential matrix once.  Nothing here shares code with the
-classifier: the integer side runs integer Smith forms, the x-track
-eliminates over QQ with Fractions, and the y-track eliminates over
-QQ(x) with RatXY arithmetic.
+each differential matrix once.  Nothing here shares a kernel with the
+classifier or with linalg: the integer side runs its own diagonal form
+on plain ints, the x-track eliminates over QQ with Fractions, and the
+y-track eliminates over QQ(x) with RatXY arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .classes import GradedClasses, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
-from .linalg import snf
 from .ratfunc import RatXY
-from .worlds import World, Z_INT, world_from_name
+from .worlds import World, world_from_name
 
 
 class OracleMismatch(AssertionError):
@@ -43,42 +44,20 @@ class OracleMismatch(AssertionError):
 # -- integer side ---------------------------------------------------------------------
 
 
-def _mat_rank_q(M) -> int:
-    """Rank over QQ by forward elimination: each pivot row clears the
-    rows below it, over its own non-zero columns only."""
-    A = [[Fraction(e) for e in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        prow = A[r]
-        support = [k for k in range(c + 1, cols) if prow[k]]
-        for i in range(r + 1, rows):
-            row = A[i]
-            if row[c]:
-                f = row[c] / prow[c]
-                for k in support:
-                    row[k] -= f * prow[k]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def zint_truncate(C: ChainComplex, p: int, N: int):
-    """Integer matrices of C mod p^N: (ranks per degree, diff per degree)."""
+    """Integer matrices of C mod p^N: (ranks per degree, diff per degree).
+
+    Worlds with p invertible die.  A PrimeField(p) strand is refused:
+    F_p (x)^L Z/p^N is F_p in two degrees, not a free Z/p^N module."""
     M = p ** N
     ranks: dict[int, int] = {}
     index: dict[tuple[int, int], int] = {}
     for n in C.degrees():
         at = 0
         for i, (w, r) in enumerate(C.strand_list(n)):
-            alive = w.kind == "z" and p not in w.inv or (w.kind == "fp" and w.char == p)
-            if alive:
+            if w.kind == "fp" and w.char == p:
+                raise ValueError(f"{w} strand has no free truncation mod {p}^{N}")
+            if w.kind == "z" and p not in w.inv:
                 index[(n, i)] = at
                 at += r
         ranks[n] = at
@@ -100,52 +79,78 @@ def zint_truncate(C: ChainComplex, p: int, N: int):
     return ranks, mats
 
 
+def _diagonalize(A):
+    """Diagonal form of a non-empty int matrix: (diag, Vt) with
+    A = U diag(diag) Vt for unimodular U and Vt, diag its non-zero
+    entries.  Only Vt is built.  The entries need not divide one
+    another: every diagonal form reached by unimodular operations has
+    the same p-local invariants, which is all the oracle reads."""
+    D = [list(row) for row in A]
+    m, n = len(D), len(D[0])
+    Vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = []
+    for pos in range(min(m, n)):
+        while True:
+            nonzero = [(abs(e), i, j) for i in range(pos, m)
+                       for j, e in enumerate(D[i][pos:], pos) if e]
+            if not nonzero:
+                return diag, Vt
+            _, pi, pj = min(nonzero)
+            D[pos], D[pi] = D[pi], D[pos]
+            for row in D[pos:]:
+                row[pos], row[pj] = row[pj], row[pos]
+            Vt[pos], Vt[pj] = Vt[pj], Vt[pos]
+            prow = D[pos]
+            piv = prow[pos]
+            for row in D[pos + 1:]:
+                q = row[pos] // piv
+                if q:
+                    for t in range(pos, n):
+                        row[t] -= q * prow[t]
+            # col_j -= q col_pos, so Vt gains row_pos += q row_j
+            for j in range(pos + 1, n):
+                q = prow[j] // piv
+                if q:
+                    for row in D[pos:]:
+                        row[j] -= q * row[pos]
+                    Vt[pos] = [u + q * v for u, v in zip(Vt[pos], Vt[j])]
+            if not (any(row[pos] for row in D[pos + 1:]) or any(prow[pos + 1:])):
+                break
+        diag.append(piv)
+    return diag, Vt
+
+
 def zmod_homology_exponents(ranks, mats, p: int, N: int) -> dict[int, list[int]]:
     """H_n of a free Z/p^N complex as sorted p-exponent lists."""
     M = p ** N
     out: dict[int, list[int]] = {}
-    world = Z_INT()
     for n, a in ranks.items():
         if a == 0:
             continue
         D_n = mats.get(n)
         D_up = mats.get(n + 1)
         if D_n is not None:
-            A = [[Fraction(e) for e in row] for row in D_n]
-            U, D, Vt = snf(A, world)
-            k = min(len(D), len(D[0]) if D else 0)
-            mults = []
-            for i in range(a):
-                d = int(D[i][i]) if i < k else 0
-                g = _gcd(abs(d), M)
-                mults.append(M // g)
+            diag, Vt = _diagonalize(D_n)
+            mults = [M // math.gcd(d, M) for d in diag] + [1] * (a - len(diag))
         else:
             mults = [1] * a
-            Vt = [[Fraction(1 if i == j else 0) for j in range(a)] for i in range(a)]
-        rel_cols: list[list[Fraction]] = []
-        if D_up is not None:
-            for c in range(len(D_up[0])):
-                rel_cols.append([Fraction(D_up[r][c]) for r in range(a)])
-        for j in range(a):
-            rel_cols.append([Fraction(M if i == j else 0) for i in range(a)])
+            Vt = [[int(i == j) for j in range(a)] for i in range(a)]
+        rel_cols = [list(col) for col in zip(*D_up)] if D_up is not None else []
+        rel_cols += [[M if i == j else 0 for i in range(a)] for j in range(a)]
         # the kernel lattice has basis K = Vt^{-1} diag(m), so a relation
         # in that basis is K^{-1} rel = diag(1/m) Vt rel
         R = []
-        for i in range(a):
+        for Vt_i, m in zip(Vt, mults):
             row = []
             for col in rel_cols:
-                v = sum(Vt[i][t] * col[t] for t in range(a)) / mults[i]
-                if v.denominator != 1:
+                v, r = divmod(sum(u * c for u, c in zip(Vt_i, col)), m)
+                if r:
                     raise OracleMismatch("relation escapes the kernel lattice")
                 row.append(v)
             R.append(row)
-        _, DR, _ = snf(R, world)
         exps = []
-        k = min(len(DR), len(DR[0]) if DR else 0)
-        for i in range(a):
-            d = int(DR[i][i]) if i < k else 0
-            d = _gcd(abs(d), M) if d else M
-            e = 0
+        for d in _diagonalize(R)[0]:
+            e, d = 0, math.gcd(d, M)
             while d % p == 0:
                 d //= p
                 e += 1
@@ -153,12 +158,6 @@ def zmod_homology_exponents(ranks, mats, p: int, N: int) -> dict[int, list[int]]
                 exps.append(e)
         out[n] = sorted(exps)
     return {n: v for n, v in out.items() if v}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def predicted_exponents(classes: GradedClasses, p: int, N: int) -> dict[int, list[int]]:
@@ -398,6 +397,32 @@ def _y_series(e: RatXY, terms: int) -> dict[int, RatXY]:
                 acc = acc - q[j] * dd[k - j]
         q[k] = acc / dd[0]
     return {k + vn - vd: v for k, v in q.items() if not v.is_zero()}
+
+
+def _mat_rank_q(M) -> int:
+    """Rank over QQ by forward elimination: each pivot row clears the
+    rows below it, over its own non-zero columns only."""
+    A = [[Fraction(e) for e in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        prow = A[r]
+        support = [k for k in range(c + 1, cols) if prow[k]]
+        for i in range(r + 1, rows):
+            row = A[i]
+            if row[c]:
+                f = row[c] / prow[c]
+                for k in support:
+                    row[k] -= f * prow[k]
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def _mat_rank_ratx(M) -> int:

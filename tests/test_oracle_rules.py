@@ -3,8 +3,10 @@ must stabilize under the residue-truncation oracle.  The integer side is
 pushed to N = 2^10 as the outer bound; the valuation side doubles its
 window twice."""
 
+import ast
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -13,12 +15,14 @@ from adeltors.classes import GradedClasses, ModuleClass
 from adeltors.complexes import ChainComplex
 from adeltors.homology import homology
 from adeltors.library import library, random_complex
-from adeltors.oracle import (OracleMismatch, predicted_exponents,
+from adeltors.linalg import snf
+from adeltors.oracle import (OracleMismatch, oracle_check, predicted_exponents,
                              val_oracle_check, x_track_dims, y_track_dims,
-                             zint_oracle_check)
+                             zint_oracle_check, zint_truncate,
+                             zmod_homology_exponents)
 from adeltors.ratfunc import RatXY, x as rx, y as ry
 from adeltors.ruleoracle import validate_rule_tables
-from adeltors.worlds import Z_INT
+from adeltors.worlds import PRIME_FIELD, Z_INT
 
 
 def test_zint_rule_table():
@@ -51,6 +55,150 @@ def test_uct_shape_of_predictions():
     cls = GradedClasses({0: ModuleClass.quot("pruefer", 2)})
     pred = predicted_exponents(cls, 2, 8)
     assert pred == {1: [8]}   # pure torsion part, one degree up
+
+
+def test_prime_field_strand_refused_at_its_own_prime():
+    """F_p (x)^L Z/p^N is F_p in two degrees, not a free Z/p^N module, so
+    a PrimeField(p) strand is refused mod p^N and dies mod q^N."""
+    C = ChainComplex.unit(PRIME_FIELD(2))
+    with pytest.raises(ValueError, match=r"PrimeField\(2\) .* mod 2\^4"):
+        oracle_check(C, homology(C))
+    C3 = ChainComplex.unit(PRIME_FIELD(3))
+    assert zint_truncate(C3, 2, 4) == ({0: 0}, {})
+    assert zint_oracle_check(C3, homology(C3), 2)
+
+
+def test_oracle_imports_nothing_from_the_classifier():
+    """The residue oracle is an independent path: oracle.py imports no
+    kernel of linalg and nothing of homology."""
+    with open(oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    assert names and not {n for n in names if n.split(".")[-1] in ("linalg", "homology")}
+
+
+def _apply(D, v, M):
+    return tuple(sum(a * b for a, b in zip(row, v)) % M for row in D)
+
+
+def _random_zmod_complex(rng, M):
+    """Ranks up to 2 in degrees 0..3; each column of d_(n+1) is drawn
+    from an enumerated ker d_n, so d o d = 0 mod M.  Entries are shifted
+    by -M, 0 or M, so that some are negative or not reduced."""
+    ranks = {n: rng.randint(0, 2) for n in range(4)}
+    mats = {}
+    for n in range(1, 4):
+        if not (ranks[n] and ranks[n - 1]):
+            continue
+        below = mats.get(n - 1)
+        kernel = [v for v in product(range(M), repeat=ranks[n - 1])
+                  if below is None or not any(_apply(below, v, M))]
+        cols = [rng.choice(kernel) for _ in range(ranks[n])]
+        mats[n] = [[col[i] + M * rng.randint(-1, 1) for col in cols]
+                   for i in range(ranks[n - 1])]
+    return ranks, mats
+
+
+def _valuation(d, p):
+    if d == 0:
+        return float("inf")
+    e = 0
+    while d % p == 0:
+        d //= p
+        e += 1
+    return e
+
+
+def _brute_exponents(ranks, mats, p, N):
+    """H_n = ker d_n / im d_(n+1) by enumeration: with H the sum of
+    Z/p^e_i, log_p |H[p^k]| = sum_i min(e_i, k), so the number of
+    e_i >= k is the step of that count from k - 1 to k."""
+    M = p ** N
+    out = {}
+    for n, a in ranks.items():
+        if not a:
+            continue
+        D, up = mats.get(n), mats.get(n + 1)
+        kernel = [v for v in product(range(M), repeat=a) if D is None or not any(_apply(D, v, M))]
+        image = ({_apply(up, w, M) for w in product(range(M), repeat=ranks[n + 1])}
+                 if up else {(0,) * a})
+        logs = [_valuation(sum(tuple(p ** k * c % M for c in v) in image for v in kernel)
+                           // len(image), p) for k in range(N + 1)]
+        at_least = [logs[k] - logs[k - 1] for k in range(1, N + 1)] + [0]
+        exps = [k + 1 for k in range(N) for _ in range(at_least[k] - at_least[k + 1])]
+        if exps:
+            out[n] = exps
+    return out
+
+
+def test_zmod_exponents_match_enumeration():
+    """zmod_homology_exponents against counting |H[p^k]| element by
+    element, on tiny complexes over Z/p^N with p^N <= 9."""
+    rng = random.Random(20261018)
+    cases = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+    for _ in range(300):
+        p, N = rng.choice(cases)
+        ranks, mats = _random_zmod_complex(rng, p ** N)
+        assert zmod_homology_exponents(ranks, mats, p, N) == _brute_exponents(ranks, mats, p, N)
+
+
+def _inverse_and_det(A):
+    """Gauss-Jordan over QQ: (A^-1, det A), or (None, 0) if singular."""
+    n = len(A)
+    W = [[F(e) for e in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    det = F(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if W[i][c]), None)
+        if piv is None:
+            return None, 0
+        if piv != c:
+            W[c], W[piv] = W[piv], W[c]
+            det = -det
+        det *= W[c][c]
+        W[c] = [e / W[c][c] for e in W[c]]
+        for i in range(n):
+            if i != c and W[i][c]:
+                W[i] = [e - W[i][c] * f for e, f in zip(W[i], W[c])]
+    return [row[n:] for row in W], det
+
+
+def test_diagonalize_matches_smith_form_p_locally():
+    """The oracle's diagonal form against linalg.snf: the same p-adic
+    valuations on the diagonal for p = 2, 3, 5, a unimodular Vt, and
+    A Vt^-1 = U diag, so column i of A Vt^-1 is divisible by diag[i] and
+    zero past the rank."""
+    rng = random.Random(20261019)
+    values = [0] * 6 + [1, -1, 2, -3, 4, 6, -9, 12, 3 ** 16, -(3 ** 16), 2 ** 10 * 3 ** 9, 5 ** 6]
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[rng.choice(values) if rng.random() < 0.7 else rng.randint(-3 ** 16, 3 ** 16)
+              for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            A[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = 0
+        diag, Vt = oracle._diagonalize(A)
+        _, D, _ = snf([[F(e) for e in row] for row in A], Z_INT())
+        k = min(m, n)
+        assert len(diag) <= k and all(diag)
+        ours = diag + [0] * (k - len(diag))
+        for p in (2, 3, 5):
+            assert (sorted(_valuation(d, p) for d in ours)
+                    == sorted(_valuation(int(D[i][i]), p) for i in range(k)))
+        inv, det = _inverse_and_det(Vt)
+        assert abs(det) == 1
+        for row in A:
+            w = [sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+            assert all((w[i] / diag[i]).denominator == 1 for i in range(len(diag)))
+            assert not any(w[len(diag):])
 
 
 def test_val_tracks_on_models(vsite):
