@@ -39,7 +39,7 @@ truncate.
 from __future__ import annotations
 
 from .worlds import (World, canonical_map_exists, carrier_block, is_zero_el,
-                     mult_map_allowed)
+                     mult_map_allowed, normal_el)
 from .linalg import mat_id, mat_mul
 
 DEGREE_LO, DEGREE_HI = -8, 8
@@ -128,7 +128,8 @@ def _built(value, trusted: bool):
 
 
 def _kron(A, B, zero):
-    """Kronecker product, A acting on the outer index."""
+    """Kronecker product, A acting on the outer index; integral products
+    are ints."""
     ra, ca = len(A), len(A[0]) if A else 0
     rb, cb = len(B), len(B[0]) if B else 0
     out = [[zero for _ in range(ca * cb)] for _ in range(ra * rb)]
@@ -138,7 +139,7 @@ def _kron(A, B, zero):
             a = A[i][j]
             if not is_zero_el(a):
                 for k, l, b in nz_b:
-                    out[i * rb + k][j * cb + l] = a * b
+                    out[i * rb + k][j * cb + l] = normal_el(a * b)
     return out
 
 

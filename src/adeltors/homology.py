@@ -25,8 +25,6 @@ residue-truncation oracle in the test suite; the classifier refuses
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .classes import GradedClasses, ModuleClass, PRUEFER, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
 from .linalg import mat_mul, snf
@@ -48,7 +46,7 @@ def full_matrix(C: ChainComplex, n: int):
     if len(worlds) > 1:
         raise UnsupportedMixedShape("full_matrix needs a single world")
     w = next(iter(worlds)) if worlds else None
-    z = w.el_zero() if w else Fraction(0)
+    z = w.el_zero() if w else 0
     M = [[z for _ in range(cols)] for _ in range(rows)]
     coff = 0
     for i, (_, ri) in enumerate(C.strand_list(n)):
@@ -189,13 +187,13 @@ def cone_atom_classes(w1: World, w2: World, a) -> tuple[ModuleClass, ModuleClass
         if w1.comp not in (None, w2.comp) or (w1.comp is None) != (w2.comp is None):
             raise UnsupportedMixedShape(f"cone atom over completion edge {w1} -> {w2}")
         diff = _zint_quot_primes(w1, w2)
-        g = int(w1.canonical_generator(a))
+        g = w1.canonical_generator(a)
         a_s = 1
         from .worlds import factorint
         for p, e in factorint(g):
             if p in diff:
                 a_s *= p ** e
-        mid = ModuleClass.cyclic(w1, Fraction(a_s)) if a_s > 1 else ModuleClass()
+        mid = ModuleClass.cyclic(w1, a_s) if a_s > 1 else ModuleClass()
         return mid, ModuleClass()
     s1, s2 = w1.sym, w2.sym
     gen = w1.canonical_generator(a)

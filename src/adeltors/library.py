@@ -82,6 +82,8 @@ def randomize_basis(C: ChainComplex, rng: random.Random, steps: int = 6) -> Chai
             M = mats[n + 1]
             for t in range(len(M[0])):
                 M[i][t] = M[i][t] - c * M[j][t]
+    if w.backend == "zint":  # Fraction entries, as an object file gives them
+        mats = {n: [[Fraction(e) for e in row] for row in M] for n, M in mats.items()}
     return ChainComplex.single(w, ranks, mats)
 
 

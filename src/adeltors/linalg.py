@@ -10,14 +10,17 @@ results are deterministic.
 
 snf(A, world) returns (U, D, Vt) with A = U @ D @ Vt, U and Vt products
 of elementary world-invertible operations, D diagonal with d_i | d_{i+1}
-and diagonal entries in canonical generator form.
+and diagonal entries in canonical generator form.  Integral entries stay
+ints: the working copy demotes integral Fractions, and every quotient
+goes through worlds.div_el.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .worlds import World, inv_el, is_zero_el
+from .worlds import World, div_el, inv_el, is_zero_el, normal_el
 
 
 def mat_mul(A, B):
@@ -49,7 +52,7 @@ def snf(A, world: World):
     m = len(A)
     n = len(A[0]) if m else 0
     one = world.el_one()
-    D = [list(row) for row in A]
+    D = [[normal_el(e) for e in row] for row in A]
     U = mat_id(m, one)
     Vt = mat_id(n, one)
 
@@ -79,24 +82,23 @@ def snf(A, world: World):
             D[t][i], D[t][j] = D[t][j], D[t][i]
         Vt[i], Vt[j] = Vt[j], Vt[i]
 
-    def row_scale(i, u):  # row_i *= u, u a unit
+    def row_scale(i, u):  # row_i *= u, u a unit; integral results as ints
         for t in range(n):
-            D[i][t] = D[i][t] * u
+            D[i][t] = normal_el(D[i][t] * u)
         uinv = inv_el(u)
         for t in range(m):
-            U[t][i] = U[t][i] * uinv
+            U[t][i] = normal_el(U[t][i] * uinv)
 
     if euclidean:
         # clear denominators rowwise; the scale factors are world units
         for i in range(m):
             dens = [e.denominator for e in D[i] if not is_zero_el(e)]
             if dens:
-                import math
                 l = math.lcm(*dens)
                 if l != 1:
                     if not world.is_unit(Fraction(1, l)):
                         raise SNFError(f"entry denominators not units over {world}")
-                    row_scale(i, Fraction(l))
+                    row_scale(i, l)
 
     pos = 0
     while True:
@@ -123,7 +125,7 @@ def snf(A, world: World):
                 done = True
                 for i in range(pos + 1, m):
                     if not is_zero_el(D[i][pos]) and D[i][pos] % p != 0:
-                        row_add(pos, i, Fraction(-(D[i][pos] // p)))
+                        row_add(pos, i, -(D[i][pos] // p))
                         row_swap(pos, i)
                         done = False
                         break
@@ -131,7 +133,7 @@ def snf(A, world: World):
                     continue
                 for j in range(pos + 1, n):
                     if not is_zero_el(D[pos][j]) and D[pos][j] % p != 0:
-                        col_add(pos, j, Fraction(-(D[pos][j] // p)))
+                        col_add(pos, j, -(D[pos][j] // p))
                         col_swap(pos, j)
                         done = False
                         break
@@ -143,12 +145,12 @@ def snf(A, world: World):
             if not is_zero_el(D[i][pos]):
                 if not world.divides(p, D[i][pos]):
                     raise SNFError(f"pivot {p} fails to divide {D[i][pos]} over {world}")
-                row_add(pos, i, -(D[i][pos] / p))
+                row_add(pos, i, -div_el(D[i][pos], p))
         for j in range(pos + 1, n):
             if not is_zero_el(D[pos][j]):
                 if not world.divides(p, D[pos][j]):
                     raise SNFError(f"pivot {p} fails to divide {D[pos][j]} over {world}")
-                col_add(pos, j, -(D[pos][j] / p))
+                col_add(pos, j, -div_el(D[pos][j], p))
 
         if euclidean:
             # make the pivot divide the remaining submatrix (invariant factors)
@@ -156,7 +158,7 @@ def snf(A, world: World):
             for i in range(pos + 1, m):
                 for j in range(pos + 1, n):
                     if not is_zero_el(D[i][j]) and D[i][j] % p != 0:
-                        row_add(i, pos, Fraction(1))
+                        row_add(i, pos, 1)
                         fixed = False
                         break
                 if not fixed:
@@ -170,7 +172,7 @@ def snf(A, world: World):
         d = D[i][i]
         if not is_zero_el(d):
             canon = world.canonical_generator(d)
-            u = d / canon
+            u = div_el(d, canon)
             if not world.is_unit(u):
                 raise SNFError(f"normalization failed over {world}")
             row_scale(i, inv_el(u))

@@ -2,10 +2,14 @@
 
 A world is an exact coefficient ring from a fixed catalogue.  Completed
 worlds are symbolic: their elements are never materialized, matrices
-over them carry entries from a dense effective carrier (Fraction for
-the integer backend, RatXY for the rank-two valuation backend), and all
+over them carry entries from a dense effective carrier (on the integer
+backend an int when integral and a Fraction only where a real
+denominator appears; RatXY on the rank-two valuation backend), and all
 structural questions (membership, units, divisibility, valuations) are
-decided on carrier elements.
+decided on carrier elements.  Integer-backend entries a caller hands in
+may still be integral Fractions; the package keeps them as given and
+demotes them to ints (`normal_el`) where it builds new blocks, and it
+divides carriers only through `div_el`, which never gives a float.
 
 Integer backend ("zint").  A world is (comp, inv) where comp is None or
 a prime p (completion at p) and inv records the invertible primes,
@@ -63,8 +67,8 @@ def factorint(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def vp(q: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+def vp(q: int | Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational (int or Fraction)."""
     v = 0
     num, den = q.numerator, q.denominator
     while num % p == 0:
@@ -159,10 +163,10 @@ class World:
 
     # -- carrier arithmetic -----------------------------------------------------
     def el_zero(self):
-        return Fraction(0) if self.backend == "zint" else rf_zero()
+        return 0 if self.backend == "zint" else rf_zero()
 
     def el_one(self):
-        return Fraction(1) if self.backend == "zint" else rf_one()
+        return 1 if self.backend == "zint" else rf_one()
 
     def _invertible_part_only(self, n: int) -> bool:
         """Whether |n| > 0 factors entirely through invertible primes,
@@ -206,9 +210,9 @@ class World:
             return True
         if is_zero_el(a):
             return False
-        return self.contains(b / a)
+        return self.contains(div_el(b, a))
 
-    def _noninvertible_part(self, el: Fraction) -> int:
+    def _noninvertible_part(self, el: int | Fraction) -> int:
         """The product of non-invertible prime powers of el, factor-free."""
         if self.inv.cofinite:
             out = 1
@@ -248,7 +252,7 @@ class World:
         if self.kind == "fp" or self.is_unit(el):
             return self.el_one()
         if self.kind == "z":
-            return Fraction(self._noninvertible_part(el))
+            return self._noninvertible_part(el)
         b, a = el.val()
         if self.sym in ("V", "VhatPFull"):
             return RatXY.monomial(a, b)
@@ -259,14 +263,32 @@ class World:
         raise WorldError(f"no generator normal form over {self}")
 
 
-def is_zero_el(el) -> bool:
+def is_zero_el(el: int | Fraction | RatXY) -> bool:
     """Whether a carrier element (int, Fraction or RatXY) is zero."""
     return el == 0 if isinstance(el, (int, Fraction)) else el.is_zero()
 
 
-def inv_el(u):
-    """The inverse of a nonzero carrier element (int, Fraction or RatXY)."""
-    return Fraction(1) / u if isinstance(u, (int, Fraction)) else u.inv()
+def normal_el(el: int | Fraction | RatXY) -> int | Fraction | RatXY:
+    """el with an integral Fraction demoted to its numerator, an int;
+    every other carrier element unchanged."""
+    return el.numerator if type(el) is Fraction and el.denominator == 1 else el
+
+
+def div_el(a: int | Fraction | RatXY, b: int | Fraction | RatXY) -> int | Fraction | RatXY:
+    """The exact quotient a / b (b nonzero) of two carrier elements.  Two
+    ints divide by divmod, with a Fraction only on a remainder (a bare
+    int / int would give a float); other rationals divide as Fractions,
+    demoted to an int when integral; RatXY divides as RatXY."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return normal_el(a / b)
+
+
+def inv_el(u: int | Fraction | RatXY) -> int | Fraction | RatXY:
+    """The inverse of a nonzero carrier element (int, Fraction or RatXY);
+    a rational inverse is an int when integral."""
+    return div_el(1, u) if isinstance(u, (int, Fraction)) else u.inv()
 
 
 # -- valuation-backend tables --------------------------------------------------
@@ -421,13 +443,19 @@ def carrier_act(src: World, dst: World, el):
 
 def carrier_block(src: World, dst: World, M):
     """carrier_act on every entry of the matrix M, with the map decided
-    once: M itself when the map acts as the identity on carriers."""
+    once.  On the identity it gives M itself, or, when M holds a
+    Fraction, a copy with its integral Fractions demoted to ints: blocks
+    built from a caller's entries are int-only from here on."""
     if dst.is_zero_world:
         z = dst.el_zero()
         return [[z for _ in row] for row in M]
     if not canonical_map_exists(src, dst):
         raise WorldError(f"no canonical map {src} -> {dst}")
-    return [[e.y_eval() for e in row] for row in M] if _kills_y(src, dst) else M
+    if _kills_y(src, dst):
+        return [[e.y_eval() for e in row] for row in M]
+    if any(type(e) is Fraction for row in M for e in row):
+        return [[normal_el(e) for e in row] for row in M]
+    return M
 
 
 # Worlds in the y-adic family sit inside k(x)((y)); the slice type of a

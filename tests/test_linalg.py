@@ -14,7 +14,7 @@ from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_RAT,
 
 
 def _is_zero(e):
-    return e == 0 if isinstance(e, F) else e.is_zero()
+    return e == 0 if isinstance(e, (int, F)) else e.is_zero()
 
 
 def check_snf(A, world):
@@ -65,6 +65,24 @@ def test_snf_random_many(rng):
               for _ in range(m)]
         check_snf(A3, Z_INV(2))
         check_snf(A3, Z_RAT())
+
+
+SNF_WORLDS = [Z_INT(), Z_INV(2), Z_LOC(3), Z_SEMILOC(2, 3), Z_RAT(), Z_PADIC(2)]
+
+
+def test_snf_int_and_fraction_copies_agree(rng):
+    """An int matrix and its Fraction copy give equal U, D, Vt; no entry
+    is ever a float, and over Z every entry is an int."""
+    for trial in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
+        AF = [[F(e) for e in row] for row in A]
+        for w in SNF_WORLDS:
+            got = snf(A, w)
+            assert got == snf(AF, w), (A, w)
+            assert all(type(e) in (int, F) for M in got for row in M for e in row), (A, w)
+            check_snf(A, w)
+        assert all(type(e) is int for M in snf(AF, Z_INT()) for row in M for e in row), A
 
 
 def test_snf_random_valuation(rng):

@@ -1,13 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adeltors.ratfunc import RatXY, x, y
 from adeltors.worlds import (PRIME_FIELD, VAL, ZERO, Z_INT, Z_INV, Z_LOC, Z_PADIC,
                              Z_PADICRAT, Z_RAT, Z_SEMILOC, WorldError,
                              canonical_map_exists, carrier_act, carrier_block,
-                             complete_world, fracture_pullback, invert_primes,
-                             invert_val, mult_map_allowed, world_from_name)
+                             complete_world, div_el, fracture_pullback, inv_el,
+                             invert_primes, invert_val, mult_map_allowed, normal_el,
+                             world_from_name)
 
 ALL_Z = [Z_INT(), Z_INV(2), Z_INV(2, 3), Z_RAT(), Z_LOC(2), Z_SEMILOC(2, 3),
          Z_PADIC(2), Z_PADICRAT(2)]
@@ -111,3 +113,43 @@ def test_mult_maps():
 def test_zero_and_one(w):
     assert w.contains(w.el_zero()) and w.contains(w.el_one())
     assert w.is_unit(w.el_one()) and not w.is_unit(w.el_zero())
+
+
+def test_zint_carrier_constants_are_ints():
+    for w in ALL_Z:
+        assert type(w.el_zero()) is int and type(w.el_one()) is int
+    assert Z_INT().canonical_generator(F(-12)) == 12
+    assert type(Z_INV(2).canonical_generator(F(12))) is int
+    assert Z_INV(2).canonical_generator(F(12)) == 3
+    assert Z_LOC(2).canonical_generator(F(12, 7)) == 4
+    assert type(Z_LOC(2).canonical_generator(F(12, 7))) is int
+    assert Z_INV(2).divides(2, 3) and not Z_INT().divides(2, 3)
+
+
+def test_div_el_exact_quotients():
+    cases = [(-7, 2, F(-7, 2)), (7, -2, F(-7, 2)), (-6, 3, -2), (6, -4, F(-3, 2)),
+             (0, -5, 0), (-1, -1, 1), (F(3, 2), F(1, 2), 3), (7, F(7, 3), 3),
+             (F(-5, 4), 5, F(-1, 4)), (3 * (10 ** 30 + 1), 3, 10 ** 30 + 1),
+             (10 ** 30 + 1, -(10 ** 30), F(-(10 ** 30 + 1), 10 ** 30))]
+    for a, b, q in cases:
+        got = div_el(a, b)
+        assert got == q and type(got) is type(q), (a, b, got)
+        assert got * b == a
+    assert div_el(x() * y(), y()) == x()
+    for u, v in [(1, 1), (-1, -1), (2, F(1, 2)), (-3, F(-1, 3)), (F(1, 3), 3),
+                 (F(-2, 3), F(-3, 2))]:
+        assert inv_el(u) == v and type(inv_el(u)) is type(v), u
+    assert normal_el(F(-4)) == -4 and type(normal_el(F(-4))) is int
+    assert type(normal_el(F(1, 2))) is F and normal_el(x()) == x()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(-10 ** 40, 10 ** 40).filter(bool),
+       st.integers(1, 50))
+def test_div_el_is_exact_and_never_a_float(a, b, den):
+    q = div_el(a, b)
+    assert q * b == a
+    assert type(q) is (int if a % b == 0 else F)
+    qf = div_el(F(a, den), F(b))
+    assert qf * b == F(a, den)
+    assert type(qf) is (int if qf.denominator == 1 else F)
