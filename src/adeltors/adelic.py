@@ -285,30 +285,36 @@ _VAL_INVERTED = {"V": (), "VhatM": (), "VhatPFull": (),
 
 def is_adelic_object(D: CubeDiagram, cube: AdelicCube) -> bool:
     """Every adjoint structure map ext_A^B M(A) -> M(B) is a homology
-    isomorphism."""
+    isomorphism, certified exactly on each arrow by `adjoint_iso`: an
+    isomorphism of complexes, otherwise a chain map with acyclic cone."""
     if D.shape.kind != "pcube":
         from .shapes import ShapeMismatchError
         raise ShapeMismatchError("adelic membership applies to punctured cubes")
-    for (s, t, _) in D.shape.arrows:
-        A = tuple(D.shape.vertex(s).label)
-        B = tuple(D.shape.vertex(t).label)
-        if not _adjoint_iso(cube, A, B, D.value(s), D.value(t), D.map(s, t)):
-            return False
-    return True
+    return all(adjoint_iso(cube, D, s, t) for (s, t, _) in D.shape.arrows)
 
 
-def _adjoint_iso(cube: AdelicCube, A, B, MA: ChainComplex, MB: ChainComplex,
-                 f: ChainMap) -> bool:
-    E = cube.ext_complex(A, B, MA)
-    fb = _adjoint_map(cube, A, B, MA, E, MB, f)
-    if fb is None:
+def adjoint_iso(cube: AdelicCube, D: CubeDiagram, s: str, t: str) -> bool:
+    """Whether the adjoint ext_A^B M(A) -> M(B) of D's map s -> t is a
+    homology isomorphism: an isomorphism of complexes when it relabels
+    strands, else a chain map whose cone must be acyclic."""
+    E, MB, blocks = _adjoint_blocks(cube, D, s, t)
+    if _relabels(E, MB, blocks):
+        return True
+    try:
+        fb = ChainMap(E, MB, blocks)
+    except NotChainMapError:
         return False
     return is_acyclic(cone(fb))
 
 
-def _adjoint_map(cube: AdelicCube, A, B, MA, E, MB, f: ChainMap):
-    """The adjoint ext M(A) -> M(B) of a structure map, blockwise: the
-    entries of f re-sourced at the surviving ext strands."""
+def _adjoint_blocks(cube: AdelicCube, D: CubeDiagram, s: str, t: str):
+    """(ext M(A), M(B), blocks) for the arrow s -> t with labels A, B:
+    the blocks of the adjoint are the entries of the structure map
+    re-sourced at the surviving ext strands."""
+    A = tuple(D.shape.vertex(s).label)
+    B = tuple(D.shape.vertex(t).label)
+    MA, MB, f = D.value(s), D.value(t), D.map(s, t)
+    E = cube.ext_complex(A, B, MA)
     index: dict[tuple[int, int], list[int]] = {}
     for n in MA.degrees():
         at = 0
@@ -319,14 +325,28 @@ def _adjoint_map(cube: AdelicCube, A, B, MA, E, MB, f: ChainMap):
     blocks = {}
     for (n, i, j), M in f.blocks.items():
         tgt_world = MB.strand_list(n)[j][0]
-        for si in index[(n, i)]:
-            src_world = E.strand_list(n)[si][0]
-            if canonical_map_exists(src_world, tgt_world):
-                blocks[(n, si, j)] = M
-    try:
-        return ChainMap(E, MB, blocks)
-    except NotChainMapError:
-        return None
+        blocks.update({(n, si, j): M for si in index[(n, i)]
+                       if canonical_map_exists(E.strand_list(n)[si][0], tgt_world)})
+    return E, MB, blocks
+
+
+def _relabels(E: ChainComplex, MB: ChainComplex, blocks) -> bool:
+    """Whether blocks form a strand bijection with identity blocks: each
+    block pairs a strand of E with one of MB of equal world and rank by an
+    identity, as many pairs and images as strands on either side, and MB's
+    differential is E's relabelled entry by entry.  Such a map is an
+    isomorphism of complexes."""
+    sigma: dict[tuple[int, int], int] = {}
+    for (n, i, j), M in blocks.items():
+        w, r = E.strand_list(n)[i]
+        if (n, i) in sigma or MB.strand_list(n)[j] != (w, r) or M != mat_id(r, w.el_one()):
+            return False
+        sigma[(n, i)] = j
+    sizes = {len(sigma), len({(n, j) for (n, _), j in sigma.items()}),
+             sum(map(len, E.strands.values())), sum(map(len, MB.strands.values()))}
+    return len(sizes) == 1 and len(E.blocks) == len(MB.blocks) and all(
+        MB.blocks.get((n, sigma[(n, i)], sigma[(n - 1, j)])) == M
+        for (n, i, j), M in E.blocks.items())
 
 
 def _ext_steps(A, B):

@@ -265,7 +265,7 @@ class ChainComplex:
         """Suspension: degrees go up by s, differential picks up (-1)^s."""
         sign = 1 if s % 2 == 0 else -1
         strands = {n + s: list(ss) for n, ss in self.strands.items()}
-        blocks = {(n + s, i, j): [[e * sign for e in row] for row in M]
+        blocks = {(n + s, i, j): [[normal_el(e) * sign for e in row] for row in M]
                   for (n, i, j), M in self.blocks.items()}
         return _built(ChainComplex(self.backend, strands, blocks, check=False), self.verified)
 
@@ -447,7 +447,7 @@ def cone(f: ChainMap) -> ChainComplex:
             c_at[n] = len(sC)
     blocks: dict[tuple[int, int, int], list] = {}
     for (n, i, j), M in C.blocks.items():
-        blocks[(n + 1, i, j)] = [[-e for e in row] for row in M]
+        blocks[(n + 1, i, j)] = [[-normal_el(e) for e in row] for row in M]
     for (n, i, j), M in D.blocks.items():
         blocks[(n, i + c_at.get(n, 0), j + c_at.get(n - 1, 0))] = M
     for (n, i, j), M in f.blocks.items():

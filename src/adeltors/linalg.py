@@ -11,8 +11,8 @@ results are deterministic.
 snf(A, world) returns (U, D, Vt) with A = U @ D @ Vt, U and Vt products
 of elementary world-invertible operations, D diagonal with d_i | d_{i+1}
 and diagonal entries in canonical generator form.  Integral entries stay
-ints: the working copy demotes integral Fractions, and every quotient
-goes through worlds.div_el.
+ints: the working copy and every row and column operation demote
+integral Fractions, and every quotient goes through worlds.div_el.
 """
 
 from __future__ import annotations
@@ -60,17 +60,17 @@ def snf(A, world: World):
     # or local, where the minimal pivot divides every entry
     euclidean = world.kind == "z" and not (world.inv.cofinite and len(world.inv.primes) < 2)
 
-    def row_add(i, j, c):  # row_j += c * row_i
+    def row_add(i, j, c):  # row_j += c * row_i; integral results as ints
         for t in range(n):
-            D[j][t] = D[j][t] + c * D[i][t]
+            D[j][t] = normal_el(D[j][t] + c * D[i][t])
         for t in range(m):
-            U[t][i] = U[t][i] - c * U[t][j]
+            U[t][i] = normal_el(U[t][i] - c * U[t][j])
 
-    def col_add(i, j, c):  # col_j += c * col_i
+    def col_add(i, j, c):  # col_j += c * col_i; integral results as ints
         for t in range(m):
-            D[t][j] = D[t][j] + c * D[t][i]
+            D[t][j] = normal_el(D[t][j] + c * D[t][i])
         for t in range(n):
-            Vt[i][t] = Vt[i][t] - c * Vt[j][t]
+            Vt[i][t] = normal_el(Vt[i][t] - c * Vt[j][t])
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]

@@ -13,13 +13,13 @@ from fractions import Fraction as F
 from adeltors import torsion
 from adeltors.adelic import AdelicCube, reconstruct_limit
 from adeltors.cli import object_from_json
-from adeltors.complexes import ChainComplex, ChainMap
+from adeltors.complexes import ChainComplex, ChainMap, cone, fib
 from adeltors.homology import UnsupportedMixedShape
 from adeltors.library import random_complex, zint_library
 from adeltors.localize import Site
 from adeltors.shapes import CubeDiagram
 from adeltors.torsion import reconstruct, tors
-from adeltors.worlds import Z_INT, Z_INV, carrier_block
+from adeltors.worlds import Z_INT, Z_INV, carrier_block, invert_primes
 
 
 def _carrier_ok(e) -> bool:
@@ -124,3 +124,19 @@ def test_carrier_block_demotes_integral_fractions():
     assert M[0][0].__class__ is F  # the caller's block is left as given
     ints = [[1, 2]]
     assert carrier_block(Z_INT(), Z_INV(2), ints) is ints
+
+
+def test_cone_fib_and_shift_of_fraction_inputs_are_int_only():
+    """The negation in cone and the sign in shift demote a caller's
+    integral Fractions; a real denominator stays a Fraction."""
+    site = Site("zint", T=(2, 3))
+    objs = _objects(site)
+    assert sum(_fraction_inputs(X) > 0 for X in objs) >= 40
+    for X in objs:
+        Y = X.base_change(lambda w: invert_primes(w, frozenset({2})))
+        u = ChainMap.from_unit(X, Y)
+        bad = []
+        for value in (cone(u), fib(u), X.shift(1), X.shift(-1), X.shift(2)):
+            _bad_entries(value, {}, bad)
+        assert not bad, f"entries breaking the carrier rule: {bad[:5]}"
+    assert F(-3, 2) in objs[-1].shift(1).blocks[(2, 1, 1)][0]

@@ -72,15 +72,18 @@ SNF_WORLDS = [Z_INT(), Z_INV(2), Z_LOC(3), Z_SEMILOC(2, 3), Z_RAT(), Z_PADIC(2)]
 
 def test_snf_int_and_fraction_copies_agree(rng):
     """An int matrix and its Fraction copy give equal U, D, Vt; no entry
-    is ever a float, and over Z every entry is an int."""
+    is ever a float or an integral Fraction, and over Z every entry is an
+    int."""
     for trial in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
         AF = [[F(e) for e in row] for row in A]
         for w in SNF_WORLDS:
-            got = snf(A, w)
-            assert got == snf(AF, w), (A, w)
-            assert all(type(e) in (int, F) for M in got for row in M for e in row), (A, w)
+            got, got_f = snf(A, w), snf(AF, w)
+            assert got == got_f, (A, w)
+            for out in (got, got_f):
+                assert all(type(e) is int or (type(e) is F and e.denominator != 1)
+                           for M in out for row in M for e in row), (A, w)
             check_snf(A, w)
         assert all(type(e) is int for M in snf(AF, Z_INT()) for row in M for e in row), A
 
