@@ -16,11 +16,13 @@ or chain map is `verified` only after its exact check has passed
 (d(d(x)) = 0 and valid blocks; for a map also valid blocks and the
 chain-map identity, and both ends verified), or when a trusted
 operation built it from verified inputs.  The trusted operations are
-shift, dsum, cone, fib, cone_inclusion, fib_projection, and
-induced_cone_map once its square has been seen to commute on the nose;
-each skips its output's check exactly when its inputs are verified and
-checks as before otherwise.  check=False alone never makes a value
-verified, and neither does compose.
+shift, dsum, cone, fib, cone_inclusion, fib_projection,
+induced_cone_map once its square has been seen to commute on the nose,
+and shapes.holim_punctured once every square of its punctured cube has
+been seen to commute on the nose (its values and structure maps
+verified); each skips its output's check exactly when its inputs are
+verified and checks as before otherwise.  check=False alone never makes
+a value verified, and neither does compose.
 
 A map's cone is built once: cone(f) keeps its value on f, and
 cone_inclusion, fib, fib_projection and induced_cone_map all reach it

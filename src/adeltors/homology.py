@@ -412,6 +412,10 @@ class _Cells:
         return False
 
     def components(self):
+        adj: dict[int, list[int]] = {c: [] for c in self.world}
+        for (s, t) in self.d:
+            adj[s].append(t)
+            adj[t].append(s)
         seen = set()
         comps = []
         for c in self.order():
@@ -420,14 +424,8 @@ class _Cells:
             comp = {c}
             todo = [c]
             while todo:
-                cur = todo.pop()
-                for (s, t) in self.d:
-                    nxt = None
-                    if s == cur and t not in comp:
-                        nxt = t
-                    elif t == cur and s not in comp:
-                        nxt = s
-                    if nxt is not None:
+                for nxt in adj[todo.pop()]:
+                    if nxt not in comp:
                         comp.add(nxt)
                         todo.append(nxt)
             seen |= comp

@@ -2,9 +2,9 @@
 verified inputs, marks a complex or chain map as verified.
 
 The pipeline test re-runs the full check on every value the trusted
-cone operations hand out as verified, on the library and on seeded
-random objects of both backends, and compares the verdicts with an
-unwrapped run."""
+cone operations and the punctured-cube limit hand out as verified, on
+the library and on seeded random objects of both backends, and compares
+the verdicts with an unwrapped run."""
 
 import json
 import random
@@ -12,21 +12,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from adeltors import adelic, complexes, shapes
+from adeltors import adelic, complexes, shapes, torsion
 from adeltors.adelic import AdelicCube, is_adelic_object, reconstruct_limit
 from adeltors.complexes import (ChainComplex, ChainMap, NotChainMapError, ShapeError,
                                 _check_blocks, compose, cone, fib, induced_cone_map)
 from adeltors.homology import UnsupportedMixedShape
 from adeltors.library import library, random_complex
-from adeltors.shapes import CubeDiagram, fib_cof_inverse_check, full_cube
+from adeltors.shapes import (CubeDiagram, big_R, fib_cof_inverse_check, full_cube,
+                             holim_punctured, punctured_cube)
 from adeltors.torsion import reconstruct, tors, validate
 from adeltors.worlds import Z_INT, invert_primes, invert_val
 
-# the trusted cone operations, with the modules that import them by name
+# the trusted operations, each with the module that defines it first and
+# then the modules that import it by name
 TRUSTED = {"cone": (complexes, shapes, adelic),
            "cone_inclusion": (complexes, shapes),
            "fib_projection": (complexes, shapes),
-           "induced_cone_map": (complexes, shapes)}
+           "induced_cone_map": (complexes, shapes),
+           "holim_punctured": (shapes, torsion, adelic)}
 
 
 def _recheck(value, seen):
@@ -46,7 +49,7 @@ def _recheck(value, seen):
 def _wrap_trusted(monkeypatch):
     seen, counts = {}, {"verified": 0, "unverified": 0}
     for name, modules in TRUSTED.items():
-        op = getattr(complexes, name)
+        op = getattr(modules[0], name)
 
         def wrapped(*args, _op=op):
             out = _op(*args)
@@ -137,3 +140,83 @@ def test_compose_is_not_trusted():
     C = ChainComplex.two_term(Z_INT(), F(6))
     idm = ChainMap.from_unit(C, C)
     assert idm.verified and not compose(idm, idm).verified
+
+
+# -- the punctured-cube limit ------------------------------------------------------------
+
+
+def _unchecked(D, arrow=None):
+    """D with the structure map at arrow (every one when None) rebuilt
+    with check=False, so that D's limit takes the full check."""
+    maps = {k: ChainMap(f.src, f.dst, f.blocks, check=False) if arrow in (None, k) else f
+            for k, f in D.maps.items()}
+    return CubeDiagram(D.shape, D.values, maps, D.homotopies, D.ring_names)
+
+
+def _count_validate(monkeypatch):
+    calls = []
+    full_check = ChainComplex._validate
+
+    def counted(self):
+        calls.append(self)
+        full_check(self)
+    monkeypatch.setattr(ChainComplex, "_validate", counted)
+    return calls
+
+
+def test_trusted_limit_equals_checked_limit(zsite, vsite):
+    rng = random.Random(20261019)
+    for site in (zsite, vsite):
+        cube = AdelicCube(site)
+        objects = [X for _, X in library(site)] + \
+            [random_complex(rng, site.base, primes=(2, 3), atoms=1 + k % 4) for k in range(40)]
+        for X in objects:
+            for D in (cube.tensor(X), big_R(tors(site, X, cube))):
+                lim, full = holim_punctured(D), holim_punctured(_unchecked(D))
+                assert lim.verified and full.verified and lim == full
+                lim._validate()
+
+
+def test_trusted_limit_runs_no_total_check(zsite, zcube, vsite, vcube, monkeypatch):
+    diagrams = [big_R(tors(site, X, cube)) for site, cube in ((zsite, zcube), (vsite, vcube))
+                for _, X in library(site)[:3]]
+    calls = _count_validate(monkeypatch)
+    for D in diagrams:
+        assert holim_punctured(D).verified
+    assert calls == []
+    for D in diagrams:
+        full = holim_punctured(_unchecked(D))
+        assert full.verified and calls.pop() is full and calls == []
+
+
+def _square_cube(twist):
+    """punctured_cube(2) on one Z in degree 0 with identity structure maps,
+    except 0 -> 10, which is multiplication by twist: the square
+    0 -> {10, 20} -> 210 commutes exactly when twist is 1."""
+    C = ChainComplex.single(Z_INT(), {0: 1})
+    pc = punctured_cube(2)
+    maps = {(s, t): ChainMap(C, C, {(0, 0, 0): [[twist if (s, t) == ("0", "10") else 1]]})
+            for (s, t, _) in pc.arrows}
+    return CubeDiagram(pc, {v.name: C for v in pc.vertices}, maps, {}, {})
+
+
+def test_limit_of_a_square_that_does_not_commute_raises():
+    D = _square_cube(2)
+    assert all(f.verified for f in D.maps.values()) and not D.check_commutes()
+    with pytest.raises(ShapeError, match="does not commute"):
+        holim_punctured(D)
+
+
+def test_unchecked_input_sends_the_limit_to_the_full_check(monkeypatch):
+    ok, bad = (_unchecked(_square_cube(twist), ("0", "10")) for twist in (1, 2))
+    assert not ok.maps[("0", "10")].verified
+    # a value built unchecked does the same as a map
+    by_value = _square_cube(1)
+    C = by_value.values["0"]
+    by_value.values["0"] = ChainComplex(C.backend, C.strands, C.blocks, check=False)
+    calls = _count_validate(monkeypatch)
+    for D in (ok, by_value):
+        lim = holim_punctured(D)
+        assert lim.verified and calls.pop() is lim and calls == []
+    with pytest.raises(ShapeError, match="d o d"):
+        holim_punctured(bad)
