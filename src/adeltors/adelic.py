@@ -274,13 +274,7 @@ def _combine(u: World, f: World) -> World:
             raise UnsupportedRegionError("cross-completion tensor outside the catalogue")
         comp = f.comp if f.comp is not None else u.comp
         return World("zint", "z", comp, u.inv.union(f.inv))
-    gens = _VAL_INVERTED[u.sym]
-    return invert_val(f, frozenset(gens))
-
-
-_VAL_INVERTED = {"V": (), "VhatM": (), "VhatPFull": (),
-                 "Vp": ("x",), "VhatMInv": ("x",), "VhatP": ("x",),
-                 "K": ("x", "y"), "VhatPInv": ("x", "y")}
+    return invert_val(f, frozenset(("x", "y")[:u.loc_height]))
 
 
 def is_adelic_object(D: CubeDiagram, cube: AdelicCube) -> bool:

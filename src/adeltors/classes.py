@@ -83,11 +83,10 @@ class ModuleClass:
         if gen.is_zero():
             return ModuleClass.free(world)
         b, a = gen.val()
-        if world.sym in ("V", "VhatPFull", "VhatM"):
+        # canonical_generator leaves only V-like (l = 0) and Vp-like worlds
+        if world.loc_height == 0:
             return ModuleClass([("cyc", "V", (b, a))])
-        if world.sym in ("Vp", "VhatP"):
-            return ModuleClass([("cyc", "Vp", b)])
-        raise ValueError(f"no cyclic normal form over {world}")
+        return ModuleClass([("cyc", "Vp", b)])
 
     @staticmethod
     def quot(tag: str, p: int | None = None) -> "ModuleClass":

@@ -138,11 +138,13 @@ def _zint_quot_primes(w1: World, w2: World) -> frozenset[int]:
     raise UnsupportedMixedShape(f"infinite divisible quotient {w2}/{w1}")
 
 
-def _gen_exponents(w: World, a):
-    """Split a canonical generator into data for the rule tables."""
-    if w.backend == "zint":
-        return int(a)
-    return a.val()  # (b, a) exponents of y, x
+def _val_atom_pair(w1: World, w2: World) -> bool:
+    """Whether the atom rules cover the valrank2 localization W1 -> W2: it
+    inverts a generator and keeps the completion, or lands in a world
+    where x and y are both inverted."""
+    return (w1.kind == w2.kind == "val" and w1.comp_height <= w2.comp_height
+            and w1.loc_height < w2.loc_height
+            and (w1.comp_height == w2.comp_height or w2.loc_height == 2))
 
 
 def cross_atom_classes(w1: World, w2: World, e) -> tuple[ModuleClass, ModuleClass]:
@@ -157,20 +159,11 @@ def cross_atom_classes(w1: World, w2: World, e) -> tuple[ModuleClass, ModuleClas
             coker = coker + ModuleClass.quot(PRUEFER, p)
         coker = coker + ModuleClass.cyclic(w2, w2.canonical_generator(e))
         return ker, coker
-    s1, s2 = w1.sym, w2.sym
-    b, _a = _gen_exponents(w1, w1.canonical_generator(e))
-    table = {
-        ("V", "Vp"): PRUEFER_X, ("VhatPFull", "VhatP"): PRUEFER_X,
-        ("VhatM", "VhatMInv"): PRUEFER_X,
-        ("Vp", "K"): PRUEFER_Y, ("VhatP", "VhatPInv"): PRUEFER_Y,
-        ("Vp", "VhatPInv"): PRUEFER_Y,
-        ("V", "K"): QUOT_KV, ("VhatPFull", "VhatPInv"): QUOT_KV,
-        ("V", "VhatPInv"): QUOT_KV,
-    }
-    tag = table.get((s1, s2))
-    if tag is None:
+    b, _a = w1.canonical_generator(e).val()   # exponents of y, x; b = 0 once c = 2
+    if not _val_atom_pair(w1, w2):
         raise UnsupportedMixedShape(f"no cross-atom rule for {w1} -> {w2}")
-    if tag == PRUEFER_X and b > 0 and s1 in ("V", "VhatPFull"):
+    tag = {(0, 1): PRUEFER_X, (1, 2): PRUEFER_Y, (0, 2): QUOT_KV}[(w1.loc_height, w2.loc_height)]
+    if tag == PRUEFER_X and b > 0:
         raise UnsupportedMixedShape(f"cross atom {w1} -> {w2} with y-power {b}")
     return ModuleClass(), ModuleClass.quot(tag)
 
@@ -195,18 +188,13 @@ def cone_atom_classes(w1: World, w2: World, a) -> tuple[ModuleClass, ModuleClass
                 a_s *= p ** e
         mid = ModuleClass.cyclic(w1, a_s) if a_s > 1 else ModuleClass()
         return mid, ModuleClass()
-    s1, s2 = w1.sym, w2.sym
     gen = w1.canonical_generator(a)
-    b, j = _gen_exponents(w1, gen)
-    if (s1, s2) in (("V", "Vp"), ("VhatPFull", "VhatP")):
-        if b == 0:
-            return ModuleClass.cyclic(w1, gen), ModuleClass()
+    b, _a = gen.val()
+    if not _val_atom_pair(w1, w2):
+        raise UnsupportedMixedShape(f"no cone-atom rule for {w1} -> {w2}")
+    if (w1.loc_height, w2.loc_height) == (0, 1) and b != 0:
         return ModuleClass.quot(PRUEFER_X), ModuleClass.quot(PRUEFER_X)
-    if (s1, s2) in (("V", "K"), ("VhatPFull", "VhatPInv"), ("V", "VhatPInv"),
-                    ("Vp", "K"), ("VhatP", "VhatPInv"), ("Vp", "VhatPInv"),
-                    ("VhatM", "VhatMInv")):
-        return ModuleClass.cyclic(w1, gen), ModuleClass()
-    raise UnsupportedMixedShape(f"no cone-atom rule for {w1} -> {w2}")
+    return ModuleClass.cyclic(w1, gen), ModuleClass()
 
 
 # -- the cell-level classifier --------------------------------------------------------

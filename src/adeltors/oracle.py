@@ -300,13 +300,13 @@ def laurent_window(f: RatXY, bmin: int, bmax: int, amin: int, amax: int):
 def _x_track_basis(w: World, N: int):
     """The x-adic residue W/x^N W: only the O-type slice survives (x is
     invertible on R-type slices and the y-tail lies in every x-power)."""
-    _, neg, zer, pos = _VAL_SLICES[w.sym]
+    _, neg, zer, pos = _VAL_SLICES[w.name]
     return list(range(N)) if zer == "O" else []
 
 
 def _y_loc_basis(w: World, N: int):
     """(W/y^N W)[1/x] as a k(x)-space: the surviving y-slices."""
-    kind, neg, zer, pos = _VAL_SLICES[w.sym]
+    kind, neg, zer, pos = _VAL_SLICES[w.name]
     if kind == "zero":
         raise OracleMismatch("y-residue track needs y-adic-family strands only")
     if kind == "all":
@@ -466,8 +466,8 @@ def _piece_dims(piece, N: int, track: str) -> tuple[int, int]:
     if piece[0] == "free":
         w = world_from_name(piece[1])
         if track == "x":
-            return (N, 0) if _VAL_SLICES[w.sym][2] == "O" else (0, 0)
-        kind = _VAL_SLICES[w.sym][0]
+            return (N, 0) if _VAL_SLICES[w.name][2] == "O" else (0, 0)
+        kind = _VAL_SLICES[w.name][0]
         if kind == "zero":
             raise OracleMismatch("y-residue track cannot see x-complete worlds")
         return (N, 0) if kind == "nonneg" else (0, 0)
@@ -504,7 +504,7 @@ def val_oracle_check(C: ChainComplex, classes: GradedClasses,
     """Both residue tracks agree with the class predictions for each N
     (x-adic over QQ always; y-adic over QQ(x) when no x-complete strand
     is present)."""
-    has_xcomplete = any(w.sym in ("VhatM", "VhatMInv") for w in C.worlds)
+    has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
     for N in Ns:
         got = x_track_dims(C, N)
         want = _predicted_dims(classes, N, "x")

@@ -511,28 +511,29 @@ def holim_punctured(D: CubeDiagram) -> ChainComplex:
     strands: dict[int, list] = {}
     index: dict[tuple[str, int, int], int] = {}
     backend = D_backend(D)
-    for v in shape.vertices:
-        C = D.value(v.name)
+    by_name = {v.name: v for v in shape.vertices}
+    for name, v in by_name.items():
+        C = D.value(name)
         sh = 1 - len(v.label)
         for n in C.degrees():
             m = n + sh
             strands.setdefault(m, [])
             for i, (w, r) in enumerate(C.strand_list(n)):
-                index[(v.name, n, i)] = len(strands[m])
+                index[(name, n, i)] = len(strands[m])
                 strands[m].append((w, r))
     blocks: dict[tuple[int, int, int], list] = {}
-    for v in shape.vertices:
-        C = D.value(v.name)
+    for name, v in by_name.items():
+        C = D.value(name)
         sh = 1 - len(v.label)
         sgn = 1 if sh % 2 == 0 else -1
         for (n, i, j), M in C.blocks.items():
-            si = index[(v.name, n, i)]
-            tj = index[(v.name, n - 1, j)]
+            si = index[(name, n, i)]
+            tj = index[(name, n - 1, j)]
             blocks[(n + sh, si, tj)] = [[e * sgn for e in row] for row in M]
     maps: dict[tuple[str, str], ChainMap] = {}
     for (s, t, kind) in shape.arrows:
-        A = tuple(shape.vertex(s).label)
-        i_new = next(iter(set(shape.vertex(t).label) - set(A)))
+        A = tuple(by_name[s].label)
+        i_new = next(iter(set(by_name[t].label) - set(A)))
         cech = (-1) ** sum(1 for j in A if j < i_new)
         f = D.maps.get((s, t))
         if f is None:
@@ -543,7 +544,7 @@ def holim_punctured(D: CubeDiagram) -> ChainComplex:
             si = index[(s, n, i)]
             tj = index[(t, n, j)]
             blocks[(n + shA, si, tj)] = [[e * cech for e in row] for row in M]
-    trusted = all(D.value(v.name).verified for v in shape.vertices) and \
+    trusted = all(D.value(name).verified for name in by_name) and \
         all(f.verified and f.src == D.value(s) and f.dst == D.value(t)
             for (s, t), f in maps.items())
     if trusted and not CubeDiagram(shape, D.values, maps).check_commutes():

@@ -22,17 +22,33 @@ either as a finite set or as a cofinite one:
 
 Valuation backend ("valrank2").  The base ring V = {v >= 0} in QQ(x,y)
 for the rank-two valuation v(x)=(0,1), v(y)=(1,0); see `ratfunc`.  Its
-localizations and symbolic completions:
+spectrum is the chain m < p < g (m = (x, y), p = (y), g = 0), and a
+world is one point pair on that chain: a completion height c (0 none,
+1 at p = y-adic, 2 at m = x-adic, where y becomes 0) and a localization
+height l (at m, p or g), the length of the inverted prefix of (x, y).
+Inverting y inverts x, because y/x lies in V.
 
-    V         rank-two valuation ring           Vp       = V[1/x], the y-adic DVR
-    K         = QQ(x,y), fraction field         VhatM    = x-adic completion (= k[[x]])
-    VhatMInv  = VhatM[1/x] (= k((x)))           VhatPFull= y-adic completion of V
-    VhatP     = y-adic completion of Vp         VhatPInv = VhatP[1/y] (= k(x)((y)))
+              l = 0          l = 1           l = 2
+    c = 0     V              Vp = V[1/x]     K = QQ(x,y)
+    c = 1     VhatPFull      VhatP           VhatPInv = k(x)((y))
+    c = 2     VhatM = k[[x]] VhatMInv = k((x))   -
 
-Canonical maps between worlds are localizations and completions; they
-compose along a thin lattice, so a map W1 -> W2 either exists uniquely
-or not at all.  On carriers a canonical map acts as the identity except
-into the x-complete worlds VhatM/VhatMInv, where y goes to 0.
+Every operation is computed from (c, l):
+
+    canonical map W1 -> W2      c1 <= c2 and l1 <= l2
+    invert x                    l := max(l, 1)
+    invert y                    zero if c = 2, else l := 2
+    complete at height h        zero if l + h > 2, else (max(c, h), l)
+    fracture pullback           (c2, l1) of (c1, l1) -> (c1, l2) <- (c2, l2)
+                                when c1 > c2, l1 < l2 and (c1, l2) exists
+    atom rules (`homology`)     c1 <= c2, l1 < l2 and (c1 = c2 or l2 = 2)
+
+Canonical maps compose along this thin lattice, so a map W1 -> W2 either
+exists uniquely or not at all.  On carriers a canonical map acts as the
+identity except into c = 2 from c < 2, where y goes to 0.  The worlds
+with c <= 1 form the y-adic family inside k(x)((y)); a member's slice at
+y-weight b is 0 for b < 0 unless y is inverted, O (no x-pole) for b = 0
+unless x is inverted, and all of k(x) otherwise.
 """
 
 from __future__ import annotations
@@ -127,7 +143,8 @@ class World:
     kind: str              # "z" | "val" | "fp" | "zero"
     comp: int | None = None        # z: completion prime
     inv: InvSet = FIN0             # z: invertible primes
-    sym: str = ""                  # val: symbol name
+    comp_height: int = 0           # val: completion height c
+    loc_height: int = 0            # val: localization height l
     char: int = 0                  # fp: the prime
 
     # -- naming ---------------------------------------------------------------
@@ -138,7 +155,7 @@ class World:
         if self.kind == "fp":
             return f"PrimeField({self.char})"
         if self.kind == "val":
-            return self.sym
+            return _VAL_NAMES[self.comp_height][self.loc_height]
         ps = ",".join(str(p) for p in sorted(self.inv.primes))
         if self.comp is None:
             if not self.inv.cofinite:
@@ -155,7 +172,8 @@ class World:
 
     def sort_key(self):
         return (self.backend, self.kind, self.comp or 0, self.inv.cofinite,
-                tuple(sorted(self.inv.primes)), self.sym, self.char)
+                tuple(sorted(self.inv.primes)),
+                self.name if self.kind == "val" else "", self.char)
 
     @property
     def is_zero_world(self) -> bool:
@@ -191,7 +209,12 @@ class World:
             if el == 0:
                 return True
             return self._invertible_part_only(el.denominator)
-        return _VAL_MEMBER[self.sym](el)
+        l = self.loc_height
+        if self.comp_height == 2:
+            return el.is_zero() or (el.is_y_free() and (l == 1 or el.vx_of_y_free() >= 0))
+        if l == 2:
+            return True
+        return el.is_zero() or (el.val() >= (0, 0) if l == 0 else el.vy() >= 0)
 
     def is_unit(self, el) -> bool:
         if self.kind == "zero":
@@ -202,7 +225,12 @@ class World:
             return vp(el, self.char) == 0
         if self.kind == "z":
             return self._invertible_part_only(el.numerator)
-        return _VAL_UNIT[self.sym](el)
+        l = self.loc_height
+        if self.comp_height == 2:
+            return el.is_y_free() and (l == 1 or el.vx_of_y_free() == 0)
+        if l == 2:
+            return True
+        return el.val() == (0, 0) if l == 0 else el.vy() == 0
 
     def divides(self, a, b) -> bool:
         """a | b in this world (a nonzero)."""
@@ -236,14 +264,12 @@ class World:
         if self.kind == "fp":
             return (1, 0)
         v = el.val()
-        sym = self.sym
-        if sym in ("V", "VhatPFull"):
-            return (v, 0)
-        if sym in ("Vp", "VhatP"):
-            return (v[0], 0)
-        if sym == "VhatM":
+        # fields: x and y inverted, or x inverted once y is 0 (c = 2)
+        if self.kind != "val" or self.loc_height + self.comp_height // 2 == 2:
+            return (0, 0)
+        if self.comp_height == 2:
             return (v[1], 0)
-        return (0, 0)  # fields
+        return (v, 0) if self.loc_height == 0 else (v[0], 0)
 
     def canonical_generator(self, el):
         """Unit-normalized generator of the ideal (el)."""
@@ -254,12 +280,10 @@ class World:
         if self.kind == "z":
             return self._noninvertible_part(el)
         b, a = el.val()
-        if self.sym in ("V", "VhatPFull"):
-            return RatXY.monomial(a, b)
-        if self.sym in ("Vp", "VhatP"):
-            return RatXY.monomial(0, b)
-        if self.sym == "VhatM":
-            return RatXY.monomial(el.vx_of_y_free(), 0)
+        if self.kind == "val" and self.loc_height + self.comp_height // 2 < 2:
+            if self.comp_height == 2:
+                return RatXY.monomial(el.vx_of_y_free(), 0)
+            return RatXY.monomial(a if self.loc_height == 0 else 0, b)
         raise WorldError(f"no generator normal form over {self}")
 
 
@@ -291,52 +315,11 @@ def inv_el(u: int | Fraction | RatXY) -> int | Fraction | RatXY:
     return div_el(1, u) if isinstance(u, (int, Fraction)) else u.inv()
 
 
-# -- valuation-backend tables --------------------------------------------------
-
-_VAL_MEMBER = {
-    "V": lambda f: f.is_zero() or f.val() >= (0, 0),
-    "Vp": lambda f: f.is_zero() or f.vy() >= 0,
-    "K": lambda f: True,
-    "VhatM": lambda f: f.is_zero() or (f.is_y_free() and f.vx_of_y_free() >= 0),
-    "VhatMInv": lambda f: f.is_zero() or f.is_y_free(),
-    "VhatP": lambda f: f.is_zero() or f.vy() >= 0,
-    "VhatPFull": lambda f: f.is_zero() or f.val() >= (0, 0),
-    "VhatPInv": lambda f: True,
-}
-
-_VAL_UNIT = {
-    "V": lambda f: f.val() == (0, 0),
-    "Vp": lambda f: f.vy() == 0,
-    "K": lambda f: True,
-    "VhatM": lambda f: f.is_y_free() and f.vx_of_y_free() == 0,
-    "VhatMInv": lambda f: f.is_y_free(),
-    "VhatP": lambda f: f.vy() == 0,
-    "VhatPFull": lambda f: f.val() == (0, 0),
-    "VhatPInv": lambda f: True,
-}
-
-_VAL_EDGES = {
-    "V": {"Vp", "VhatPFull", "VhatM"},
-    "Vp": {"K", "VhatP", "VhatMInv"},
-    "VhatPFull": {"VhatP", "VhatM"},
-    "VhatP": {"VhatPInv", "VhatMInv"},
-    "VhatM": {"VhatMInv"},
-    "K": {"VhatPInv"},
-    "VhatMInv": set(),
-    "VhatPInv": set(),
-}
-
-
-@lru_cache(maxsize=None)
-def _val_reach(sym: str) -> frozenset[str]:
-    seen = {sym}
-    todo = [sym]
-    while todo:
-        for nxt in _VAL_EDGES[todo.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return frozenset(seen)
+# The valuation worlds by (comp_height, loc_height); the corner (2, 2)
+# is missing because y is 0 once x-adically complete.
+_VAL_NAMES = (("V", "Vp", "K"),
+              ("VhatPFull", "VhatP", "VhatPInv"),
+              ("VhatM", "VhatMInv"))
 
 
 # -- constructors ---------------------------------------------------------------
@@ -373,25 +356,23 @@ def PRIME_FIELD(p: int) -> World:
     return World("zint", "fp", char=p)
 
 
-def VAL(sym: str) -> World:
-    if sym not in _VAL_MEMBER:
-        raise WorldError(f"unknown valuation world {sym}")
-    return World("valrank2", "val", sym=sym)
+def VAL(name: str) -> World:
+    for c, row in enumerate(_VAL_NAMES):
+        if name in row:
+            return World("valrank2", "val", comp_height=c, loc_height=row.index(name))
+    raise WorldError(f"unknown valuation world {name}")
 
 
 def ZERO(backend: str) -> World:
     return World(backend, "zero")
 
 
-_BY_NAME_VAL = {s: VAL(s) for s in _VAL_MEMBER}
-
-
 def world_from_name(name: str, backend: str | None = None) -> World:
     name = name.strip()
     if name == "Zero":
         return ZERO(backend or "zint")
-    if name in _BY_NAME_VAL:
-        return _BY_NAME_VAL[name]
+    if any(name in row for row in _VAL_NAMES):
+        return VAL(name)
     if name == "Int":
         return Z_INT()
     if name == "Rat":
@@ -420,16 +401,13 @@ def canonical_map_exists(src: World, dst: World) -> bool:
         return False
     if src.kind == "z":
         return src.inv.issubset(dst.inv) and src.comp in (None, dst.comp)
-    return dst.sym in _val_reach(src.sym)
-
-
-_X_COMPLETE = ("VhatM", "VhatMInv")
+    return src.comp_height <= dst.comp_height and src.loc_height <= dst.loc_height
 
 
 def _kills_y(src: World, dst: World) -> bool:
     """Whether a canonical map src -> dst sends y to 0: it does exactly
-    into the x-complete worlds from outside them."""
-    return dst.kind == "val" and dst.sym in _X_COMPLETE and src.sym not in _X_COMPLETE
+    into the x-complete worlds (c = 2) from outside them."""
+    return dst.kind == "val" and dst.comp_height == 2 and src.comp_height < 2
 
 
 def carrier_act(src: World, dst: World, el):
@@ -458,18 +436,14 @@ def carrier_block(src: World, dst: World, M):
     return M
 
 
-# Worlds in the y-adic family sit inside k(x)((y)); the slice type of a
-# member at y-weight b is 0, O (no x-pole allowed) or R.  The pair is
-# (completion level, slice types at b = -1, 0, >= 1).
-_Y_FAMILY = {
-    "V": (0, ("0", "O", "R")), "Vp": (0, ("0", "R", "R")), "K": (0, ("R", "R", "R")),
-    "VhatPFull": (1, ("0", "O", "R")), "VhatP": (1, ("0", "R", "R")),
-    "VhatPInv": (1, ("R", "R", "R")),
-}
-
-
-def _slice_of(types, b):
-    return types[0] if b < 0 else types[1] if b == 0 else types[2]
+def _slice_of(w: World, b: int) -> str:
+    """The slice type at y-weight b of a y-adic-family world: 0, O (no
+    x-pole allowed) or R (all of k(x))."""
+    if b > 0:
+        return "R"
+    if b == 0:
+        return "O" if w.loc_height == 0 else "R"
+    return "R" if w.loc_height == 2 else "0"
 
 
 def _type_prod(a, b):
@@ -496,23 +470,17 @@ def mult_map_allowed(src: World, dst: World, el) -> bool:
         return dst.contains(el)
     if is_zero_el(el):
         return True
-    if src.backend != "valrank2" or dst.backend != "valrank2":
-        return False
     if src.kind != "val" or dst.kind != "val":
         return False
-    if src.sym not in _Y_FAMILY or dst.sym not in _Y_FAMILY:
-        return False
-    lev_s, ts = _Y_FAMILY[src.sym]
-    lev_d, td = _Y_FAMILY[dst.sym]
-    if lev_s > lev_d:
+    if src.comp_height > dst.comp_height or dst.comp_height == 2:
         return False
     b0, a0 = el.val()
     e_lead = "O" if a0 >= 0 else "R"
     for b in range(-2, 3):
         for c in range(b0, b0 + 3):
             et = e_lead if c == b0 else "R"
-            got = _type_prod(_slice_of(ts, b), et)
-            if not _type_leq(got, _slice_of(td, b + c)):
+            got = _type_prod(_slice_of(src, b), et)
+            if not _type_leq(got, _slice_of(dst, b + c)):
                 return False
     return True
 
@@ -537,28 +505,18 @@ def invert_primes(w: World, primes: frozenset[int]) -> World:
     return World("zint", "z", w.comp, w.inv.union(InvSet(frozenset(primes))))
 
 
-_VAL_INV_X = {"V": "Vp", "Vp": "Vp", "K": "K", "VhatM": "VhatMInv",
-              "VhatMInv": "VhatMInv", "VhatP": "VhatP", "VhatPFull": "VhatP",
-              "VhatPInv": "VhatPInv"}
-_VAL_INV_Y = {"V": "K", "Vp": "K", "K": "K", "VhatM": None, "VhatMInv": None,
-              "VhatP": "VhatPInv", "VhatPFull": "VhatPInv", "VhatPInv": "VhatPInv"}
-
-
 def invert_val(w: World, gens: frozenset[str]) -> World:
     """valrank2 localization at a subset of {x, y}."""
     if w.is_zero_world:
         return w
-    sym = w.sym
+    l = w.loc_height
     if "x" in gens:
-        sym = _VAL_INV_X[sym]
-    if "y" in gens and sym is not None:
-        sym = _VAL_INV_Y[sym]
-    return VAL(sym) if sym else ZERO("valrank2")
-
-
-_VAL_COMP_M = {"V": "VhatM", "VhatPFull": "VhatM", "VhatM": "VhatM"}
-_VAL_COMP_P = {"V": "VhatPFull", "Vp": "VhatP", "VhatPFull": "VhatPFull",
-               "VhatP": "VhatP", "VhatM": "VhatM", "VhatMInv": "VhatMInv"}
+        l = max(l, 1)
+    if "y" in gens:
+        if w.comp_height == 2:
+            return ZERO("valrank2")
+        l = 2
+    return World("valrank2", "val", comp_height=w.comp_height, loc_height=l)
 
 
 def complete_world(w: World, at) -> World:
@@ -574,23 +532,17 @@ def complete_world(w: World, at) -> World:
         if at in w.inv:
             return ZERO("zint")
         return Z_PADIC(at)
-    table = _VAL_COMP_M if at == "m" else _VAL_COMP_P
-    return VAL(table[w.sym]) if w.sym in table else ZERO("valrank2")
+    h = 2 if at == "m" else 1
+    if w.loc_height + h > 2:
+        return ZERO("valrank2")
+    return World("valrank2", "val", comp_height=max(w.comp_height, h), loc_height=w.loc_height)
 
 
 # -- fracture pullbacks ----------------------------------------------------------------
 #
 # Registered bicartesian triples: 0 -> W -> W1 (+) W2 -> W12 -> 0 exact via the
-# canonical maps, with W the pullback.  Every entry is validated against the
-# residue-truncation oracle in the test suite.
-
-_VAL_PULLBACKS = {
-    frozenset(("VhatM", "Vp")): ("VhatMInv", "V"),
-    frozenset(("VhatM", "VhatP")): ("VhatMInv", "VhatPFull"),
-    frozenset(("VhatPFull", "K")): ("VhatPInv", "V"),
-    frozenset(("VhatP", "K")): ("VhatPInv", "Vp"),
-    frozenset(("VhatPFull", "Vp")): ("VhatP", "V"),
-}
+# canonical maps, with W the pullback.  The rule-table oracle (`ruleoracle`)
+# validates every valrank2 triple and a sample of zint ones.
 
 
 def fracture_pullback(w1: World, w2: World, w12: World) -> World | None:
@@ -600,10 +552,11 @@ def fracture_pullback(w1: World, w2: World, w12: World) -> World | None:
     if not (canonical_map_exists(w1, w12) and canonical_map_exists(w2, w12)):
         return None
     if w1.backend == "valrank2":
-        key = frozenset((w1.sym, w2.sym))
-        hit = _VAL_PULLBACKS.get(key)
-        if hit and hit[0] == w12.sym:
-            return VAL(hit[1])
+        if w1.comp_height < w2.comp_height:
+            w1, w2 = w2, w1
+        if (w1.comp_height > w2.comp_height and w1.loc_height < w2.loc_height
+                and (w12.comp_height, w12.loc_height) == (w1.comp_height, w2.loc_height)):
+            return World("valrank2", "val", comp_height=w2.comp_height, loc_height=w1.loc_height)
         return None
     if w1.kind != "z" or w2.kind != "z":
         return None

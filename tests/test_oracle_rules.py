@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from adeltors import oracle
+from adeltors import oracle, ruleoracle
 from adeltors.classes import GradedClasses, ModuleClass
 from adeltors.complexes import ChainComplex
 from adeltors.homology import homology
@@ -81,6 +81,17 @@ def test_oracle_imports_nothing_from_the_classifier():
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
     assert names and not {n for n in names if n.split(".")[-1] in ("linalg", "homology")}
+
+
+def test_oracles_describe_valuation_worlds_by_name():
+    """The oracles keep their own description of the valuation worlds
+    (`_VAL_SLICES`, `_VAL_SYMS`, keyed by name): neither reads the
+    classifier's completion and localization heights."""
+    for module in (oracle, ruleoracle):
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not read & {"comp_height", "loc_height"}, module.__name__
 
 
 def _apply(D, v, M):
@@ -308,7 +319,7 @@ def test_track_matrices_match_column_by_column(vsite, vcube, monkeypatch):
     complexes = _val_objects(vsite) + _mixed_objects(vsite, vcube)
     built = 0
     for C in complexes:
-        has_xcomplete = any(w.sym in ("VhatM", "VhatMInv") for w in C.worlds)
+        has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
         for N in (2, 4):
             for track, dims in (("x", x_track_dims), ("y", y_track_dims)):
                 if track == "y" and has_xcomplete:
