@@ -2,8 +2,10 @@
 
 Single-world complexes go through one Smith reduction (Kaczynski-Mrozek-
 Slusarek): decompose_single splits them, one SNF per degree, into free
-generators and two-term atoms [W --a--> W], and the homology is read
-off those atoms as free and cyclic pieces.
+generators and two-term atoms [W --a--> W], and atom_classes reads the
+homology off those atoms as free and cyclic pieces -- and, since a
+localization of W is flat, the homology of every localization and the
+classes of every torsion part of the complex too.
 
 Mixed ("adelically shaped") complexes reduce by a deterministic loop of
 moves on an exploded cell presentation (one cell per free generator):
@@ -62,16 +64,26 @@ def full_matrix(C: ChainComplex, n: int):
     return M
 
 
-def single_world_homology(C: ChainComplex) -> GradedClasses:
-    """Fold the atoms of decompose_single: a lone [W] in degree n gives
-    Free(W) in degree n, and [W --a--> W] with top degree t gives W/(a)
-    in degree t-1 (nothing for a unit a; every catalogue world is a
-    domain, so nothing lands in degree t)."""
-    w = C.single_world()
+def atom_classes(w: World, atoms, wloc: World | None = None) -> GradedClasses:
+    """Fold atoms of decompose_single over w into homology classes: of
+    the complex itself, or with wloc, of the fibre of W -> wloc (torsion
+    and cones commute with direct sums, so the rank-one rules are exact).
+
+    Alone, a lone [W] in degree t gives Free(W) in degree t, and
+    [W --a--> W] with top degree t gives W/(a) in degree t-1 (nothing
+    for a unit a; every catalogue world is a domain).  With wloc, a lone
+    [W] gives the cross-atom classes in degrees t and t-1, a two-term
+    atom the cone-atom classes in t-1 and t-2."""
     out: dict[int, ModuleClass] = {}
-    for (t, a) in decompose_single(C):
-        n, cls = (t, ModuleClass.free(w)) if a is None else (t - 1, ModuleClass.cyclic(w, a))
-        out[n] = out.get(n, ModuleClass()) + cls
+    for (t, a) in atoms:
+        if wloc is None:
+            pieces = [(t, ModuleClass.free(w)) if a is None else (t - 1, ModuleClass.cyclic(w, a))]
+        elif a is None:
+            pieces = zip((t, t - 1), cross_atom_classes(w, wloc, w.el_one()))
+        else:
+            pieces = zip((t - 1, t - 2), cone_atom_classes(w, wloc, a))
+        for n, cls in pieces:
+            out[n] = out[n] + cls if n in out else cls
     return GradedClasses(out)
 
 
@@ -526,8 +538,9 @@ def homology(C: ChainComplex) -> GradedClasses:
     """Classify the homology of an adelically shaped complex."""
     if C.is_empty():
         return GradedClasses()
-    if C.single_world() is not None:
-        return single_world_homology(C)
+    w = C.single_world()
+    if w is not None:
+        return atom_classes(w, decompose_single(C))
     return _Cells(C).classify()
 
 

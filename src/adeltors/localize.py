@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .classes import GradedClasses
 from .complexes import ChainComplex, ChainMap, fib
-from .homology import homology
+from .homology import atom_classes, decompose_single, homology
 from .linalg import mat_id
 from .posets import (AssemblyData, SpecClosedSet, dim_filtration, finest, min_of,
                      preimage_family, up_cone, valrank2_poset, zint_poset)
@@ -226,13 +226,15 @@ class Site:
     def gamma_at(self, p: str, X: ChainComplex) -> ChainComplex:
         return self.gamma(self.poset.down(p), X)
 
+    def _away_from(self, p: str) -> frozenset[str]:
+        """The region L_p localizes away from: the complement of p's up-cone."""
+        return frozenset(self.poset.elements) - up_cone(self.poset, p)
+
     def l_at(self, p: str, X: ChainComplex) -> ChainComplex:
         """L_p = localization onto the up-cone of p."""
         self._check_prime(p)
-        Vc = frozenset(self.poset.elements) - up_cone(self.poset, p)
-        if not Vc:
-            return X
-        return self.l_complement(Vc, X)
+        Vc = self._away_from(p)
+        return self.l_complement(Vc, X) if Vc else X
 
     def gamma_le(self, n: int, X: ChainComplex) -> ChainComplex:
         return self.gamma(dim_filtration(self.poset, n).members, X)
@@ -250,45 +252,60 @@ class Site:
         return self.l_complement(region, X)
 
     # -- atomwise classification --------------------------------------------------------
+    # A single-world X is Smith-reduced once per call and read off its atoms:
+    # W -> W[1/S] is flat, so the atoms of L_S X are those of X carried into
+    # W[1/S] (one whose a becomes a unit there is acyclic; atom_classes drops
+    # it).  Nothing is kept past the call.
     def gamma_classes(self, V, X: ChainComplex,
                       assembly: AssemblyData | None = None) -> GradedClasses:
-        """Homology classes of Gamma_V X, computed atom by atom when X is
-        a single-world complex (torsion and cones commute with direct
-        sums, so the rank-one rule table is exact)."""
-        from .homology import (cone_atom_classes, cross_atom_classes,
-                               decompose_single, homology)
+        """Homology classes of Gamma_V X: off the atoms of a single-world
+        X, through the fibre for a mixed one."""
         members = self.assembled_region(V, assembly)
-        S = self.inversion_set(members)
-        if S is None:
-            return homology(X)
+        W = X.single_world()
+        if W is not None:
+            return self._atom_gamma(members, W, lambda: decompose_single(X))
         if not members:
             return GradedClasses()
-        W = X.single_world()
-        if W is None:
-            return homology(self.gamma(members, X, assembly))
+        return homology(self.gamma(members, X))
+
+    def _atom_gamma(self, members: frozenset[str], W: World, atoms) -> GradedClasses:
+        """Gamma_V classes of a complex over W; atoms() gives its atoms and
+        is called only when the answer needs them."""
+        S = self.inversion_set(members)
+        if S is None:
+            return atom_classes(W, atoms())
+        if not members:
+            return GradedClasses()
         Wloc = self.localize_op(S)(W)
         if Wloc == W:
             return GradedClasses()
         if Wloc.is_zero_world:
-            return homology(X)
-        out = GradedClasses()
-        for (t, a) in decompose_single(X):
-            if a is None:
-                ker, coker = cross_atom_classes(W, Wloc, W.el_one())
-                out = out + GradedClasses({t: ker, t - 1: coker})
-            else:
-                mid, bot = cone_atom_classes(W, Wloc, a)
-                out = out + GradedClasses({t - 1: mid, t - 2: bot})
-        return out
+            return atom_classes(W, atoms())
+        return atom_classes(W, atoms(), Wloc)
+
+    def _read(self, X: ChainComplex):
+        """(supp(X), members -> Gamma_V classes of X) for one call, both
+        off one decomposition of a single-world X."""
+        W = X.single_world()
+        if W is None:
+            supp = frozenset(p for p in self.poset.elements
+                             if not self.gamma_classes(self.poset.down(p),
+                                                       self.l_at(p, X)).is_zero())
+            return supp, lambda members: self.gamma_classes(members, X)
+        atoms = decompose_single(X)
+        supp = set()
+        for p in self.poset.elements:
+            Vc = self._away_from(p)
+            Wp = self.localize_op(self.inversion_set(self.region(Vc)))(W) if Vc else W  # of L_p X
+            if not (Wp.is_zero_world or
+                    self._atom_gamma(self.poset.down(p), Wp, lambda: atoms).is_zero()):
+                supp.add(p)
+        return frozenset(supp), lambda members: self._atom_gamma(members, W, lambda: atoms)
 
     # -- support ------------------------------------------------------------------------
     def support(self, X: ChainComplex) -> frozenset[str]:
-        out = set()
-        for p in self.poset.elements:
-            lx = self.l_at(p, X)
-            if not self.gamma_classes(self.poset.down(p), lx).is_zero():
-                out.add(p)
-        return frozenset(out)
+        """The primes p with Gamma_p L_p X nonzero."""
+        return self._read(X)[0]
 
     # -- splittings -----------------------------------------------------------------------
     def split_gamma(self, V, X: ChainComplex, force: bool = False):
@@ -296,15 +313,15 @@ class Site:
         supp(X) & V inside max V)."""
         members = self.region(V)
         scs = SpecClosedSet(self.poset, members)
-        supp = self.support(X)
+        supp, gamma = self._read(X)
         hyp = (supp & members) <= scs.max_elements()
         if not hyp and not force:
             raise HypothesisFailed(
                 f"supp(X) meets {sorted(members)} below its maximal elements")
         lhs = GradedClasses()
         for p in self.poset.canonical_order(scs.max_elements()):
-            lhs = lhs + self.gamma_classes(self.poset.down(p), X)
-        rhs = self.gamma_classes(members, X)
+            lhs = lhs + gamma(self.poset.down(p))
+        rhs = gamma(members)
         return SplitReport("gamma-splitting", hyp, lhs, rhs)
 
     def split_l(self, V, X: ChainComplex, force: bool = False):
@@ -358,9 +375,15 @@ class Site:
         GX = self.gamma(members, X)
         LamX = self.lam(members, X)
         LamGX = self.lam(members, GX)
-        return MGMReport(homology(LamGX), homology(LamX),
-                         self.gamma_classes(members, X),
-                         self.gamma_classes(members, LamX))
+        lam_gamma = homology(LamGX)
+        W = LamX.single_world()
+        if W is None:
+            lam, gamma_lam = homology(LamX), self.gamma_classes(members, LamX)
+        else:
+            atoms = decompose_single(LamX)
+            lam = atom_classes(W, atoms)
+            gamma_lam = self._atom_gamma(members, W, lambda: atoms)
+        return MGMReport(lam_gamma, lam, self.gamma_classes(members, X), gamma_lam)
 
 
 @dataclass

@@ -19,8 +19,9 @@ table entry is validated here along an independent computational path:
     polynomials.  The y-track takes (C (x) V/y^N)[1/x] over QQ(x): it
     expands an entry as a y-adic series with k(x)-coefficients.
 
-Each track call expands every distinct non-zero entry once and ranks
-each differential matrix once.  Nothing here shares a kernel with the
+Each track build expands every distinct non-zero entry once;
+val_oracle_check builds each track once, at its largest N, and ranks
+the clipped matrices for every N.  Nothing here shares a kernel with the
 classifier or with linalg: the integer side runs its own diagonal form
 on plain ints, the x-track eliminates over QQ with Fractions, and the
 y-track eliminates over QQ(x) with RatXY arithmetic.
@@ -352,23 +353,41 @@ def _track_matrices(C: ChainComplex, N: int, basis, expand, zero):
     return bases, mats
 
 
-def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
-    """QQ-dimensions of H_*(C (x) V/x^N).  An entry e sends x^t to
-    e*x^t, whose x^(t+k) coefficient is the x^k coefficient of e, so one
-    window [1-N, N) of e serves every column t in [0, N)."""
+def _x_track(C: ChainComplex, N: int):
+    """Bases and matrices of C (x) V/x^N over QQ.  An entry e sends x^t
+    to e*x^t, whose x^(t+k) coefficient is the x^k coefficient of e, so
+    one window [1-N, N) of e serves every column t in [0, N)."""
     def expand(e):
         return {k: c for (_, k), c in laurent_window(e, 0, 0, 1 - N, N).items()}
-    bases, mats = _track_matrices(C, N, _x_track_basis, expand, Fraction(0))
-    return _dims_from(bases, mats, _mat_rank_q)
+    return _track_matrices(C, N, _x_track_basis, expand, Fraction(0))
+
+
+def _y_track(C: ChainComplex, N: int):
+    """Bases and matrices of (C (x) V/y^N)[1/x] over QQ(x): an entry's
+    y-adic expansion, with k(x)-coefficients, shifts the y-slices."""
+    return _track_matrices(C, N, _y_loc_basis,
+                           lambda e: _y_series(e, N + 1), RatXY.const(0))
+
+
+def _clip(bases, mats, N: int):
+    """A track's bases and matrices built at some N' >= N, cut down to
+    the coordinates t < N: the track at N, since every expansion is
+    exact on the coordinates both keep."""
+    keep = {n: [pos for pos, (_, _, t) in enumerate(basis) if t < N]
+            for n, basis in bases.items()}
+    clipped = {n: [[A[r][c] for c in keep[n]] for r in keep[n - 1]]
+               for n, A in mats.items()}
+    return {n: [bases[n][pos] for pos in kept] for n, kept in keep.items()}, clipped
+
+
+def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
+    """QQ-dimensions of H_*(C (x) V/x^N)."""
+    return _dims_from(*_x_track(C, N), _mat_rank_q)
 
 
 def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
-    """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x):
-    an entry's y-adic expansion, with k(x)-coefficients, shifts the
-    y-slices."""
-    bases, mats = _track_matrices(C, N, _y_loc_basis,
-                                  lambda e: _y_series(e, N + 1), RatXY.const(0))
-    return _dims_from(bases, mats, _mat_rank_ratx)
+    """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x)."""
+    return _dims_from(*_y_track(C, N), _mat_rank_ratx)
 
 
 def _from_slices(slices):
@@ -503,18 +522,18 @@ def val_oracle_check(C: ChainComplex, classes: GradedClasses,
                      Ns=(2, 4, 8)) -> bool:
     """Both residue tracks agree with the class predictions for each N
     (x-adic over QQ always; y-adic over QQ(x) when no x-complete strand
-    is present)."""
-    has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
+    is present).  Each track is built once, at the largest N, and
+    clipped for the smaller ones."""
+    top = max(Ns)
+    tracks = [("x", _x_track(C, top), _mat_rank_q)]
+    if not any(w.name in ("VhatM", "VhatMInv") for w in C.worlds):
+        tracks.append(("y", _y_track(C, top), _mat_rank_ratx))
     for N in Ns:
-        got = x_track_dims(C, N)
-        want = _predicted_dims(classes, N, "x")
-        if got != want:
-            raise OracleMismatch(f"x-residue N={N}: dims {got} != predicted {want}")
-        if not has_xcomplete:
-            got = y_track_dims(C, N)
-            want = _predicted_dims(classes, N, "y")
+        for track, (bases, mats), rank_fn in tracks:
+            got = _dims_from(*_clip(bases, mats, N), rank_fn)
+            want = _predicted_dims(classes, N, track)
             if got != want:
-                raise OracleMismatch(f"y-residue N={N}: dims {got} != predicted {want}")
+                raise OracleMismatch(f"{track}-residue N={N}: dims {got} != predicted {want}")
     return True
 
 

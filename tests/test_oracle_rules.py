@@ -332,6 +332,33 @@ def test_track_matrices_match_column_by_column(vsite, vcube, monkeypatch):
     assert built > 100
 
 
+def test_tracks_built_at_the_top_n_clip_to_every_smaller_n(vsite, vcube, monkeypatch):
+    """A track built once at N = 9 and cut to the coordinates t < N is the
+    track at N, and gives x_track_dims / y_track_dims, for N = 1 ... 9;
+    val_oracle_check builds each track it reads once."""
+    rng = random.Random(20261019)
+    complexes = [random_complex(rng, vsite.base, primes=(2, 3), atoms=rng.randint(1, 4))
+                 for _ in range(60)] + _mixed_objects(vsite, vcube)
+    tracks = [(oracle._x_track, x_track_dims, oracle._mat_rank_q),
+              (oracle._y_track, y_track_dims, oracle._mat_rank_ratx)]
+    for C in complexes:
+        has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
+        for build, dims, rank_fn in tracks[:1] if has_xcomplete else tracks:
+            top = build(C, 9)
+            for N in range(1, 10):
+                clipped = oracle._clip(*top, N)
+                assert clipped == build(C, N)
+                assert oracle._dims_from(*clipped, rank_fn) == dims(C, N)
+    builds = []
+    track_matrices = oracle._track_matrices
+    monkeypatch.setattr(oracle, "_track_matrices",
+                        lambda C, N, *rest: builds.append(N) or track_matrices(C, N, *rest))
+    for C in complexes[:20]:
+        builds.clear()
+        val_oracle_check(C, homology(C))
+        assert builds == [8, 8]
+
+
 def test_each_entry_expanded_once_per_track_call(vsite, monkeypatch):
     """One laurent_window (x-track) and one _y_series (y-track) per
     distinct non-zero entry; on these V-only objects every entry lies in
