@@ -12,7 +12,7 @@ moves on an exploded cell presentation (one cell per free generator):
 
   M1  cancel a same-world unit entry (Gaussian / discrete-Morse step);
   M0  Smith-diagonalize a same-world block to create unit entries and
-      split islands;
+      split islands; it runs only after M1 has taken every unit;
   M2  collapse a registered fracture triple: a cell of W12 receiving
       exactly +-1 entries from a W1-cell and a W2-cell contracts to a
       single cell over the registered pullback world, rewiring all
@@ -30,7 +30,7 @@ from __future__ import annotations
 from .classes import GradedClasses, ModuleClass, PRUEFER, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
 from .linalg import mat_mul, snf
-from .worlds import (World, canonical_map_exists, carrier_act, fracture_pullback,
+from .worlds import (World, canonical_map_exists, carrier_act, factorint, fracture_pullback,
                      inv_el, is_zero_el, map_act, mult_map_allowed)
 
 
@@ -142,12 +142,14 @@ def decompose_single(C: ChainComplex) -> list[tuple[int, object]]:
 
 def _zint_quot_primes(w1: World, w2: World) -> frozenset[int]:
     """Primes p with W2/W1 containing a Pruefer(p): noninvertible in W1,
-    invertible in W2.  Must come out finite or we refuse."""
-    if w1.inv.cofinite:
-        return frozenset(p for p in w1.inv.primes if p in w2.inv)
-    if not w2.inv.cofinite:
-        return frozenset(p for p in w2.inv.primes if p not in w1.inv)
-    raise UnsupportedMixedShape(f"infinite divisible quotient {w2}/{w1}")
+    invertible in W2.  Refused across a completion edge, or unless the
+    primes come out finite."""
+    if w1.comp == w2.comp:
+        if w1.inv.cofinite:
+            return frozenset(p for p in w1.inv.primes if p in w2.inv)
+        if not w2.inv.cofinite:
+            return frozenset(p for p in w2.inv.primes if p not in w1.inv)
+    raise UnsupportedMixedShape(f"no zint atom rule for {w1} -> {w2}")
 
 
 def _val_atom_pair(w1: World, w2: World) -> bool:
@@ -162,8 +164,6 @@ def _val_atom_pair(w1: World, w2: World) -> bool:
 def cross_atom_classes(w1: World, w2: World, e) -> tuple[ModuleClass, ModuleClass]:
     """(ker, coker) classes of W1 --e.wm--> W2 for a canonical wm."""
     if w1.backend == "zint":
-        if w1.comp not in (None, w2.comp) or (w1.comp is None) != (w2.comp is None):
-            raise UnsupportedMixedShape(f"cross atom {w1} -> {w2} over a completion edge")
         diff = _zint_quot_primes(w1, w2)
         ker = ModuleClass()
         coker = ModuleClass()
@@ -189,12 +189,9 @@ def cone_atom_classes(w1: World, w2: World, a) -> tuple[ModuleClass, ModuleClass
     the W1 pair one degree above the W2 pair and a nonzero.
     """
     if w1.backend == "zint":
-        if w1.comp not in (None, w2.comp) or (w1.comp is None) != (w2.comp is None):
-            raise UnsupportedMixedShape(f"cone atom over completion edge {w1} -> {w2}")
         diff = _zint_quot_primes(w1, w2)
         g = w1.canonical_generator(a)
         a_s = 1
-        from .worlds import factorint
         for p, e in factorint(g):
             if p in diff:
                 a_s *= p ** e
@@ -213,92 +210,90 @@ def cone_atom_classes(w1: World, w2: World, a) -> tuple[ModuleClass, ModuleClass
 
 
 class _Cells:
+    """A mixed complex exploded into cells, one per free generator, each
+    with its world and degree.  A nonzero entry s -> t, one degree down,
+    is stored once and read from both ends: out[s][t] is inn[t][s].
+    world, deg, out and inn hold the same cells, so a move reads and
+    rewrites only the neighbours of the cells it touches."""
+
     def __init__(self, C: ChainComplex):
         self.world: dict[int, World] = {}
         self.deg: dict[int, int] = {}
-        self.d: dict[tuple[int, int], object] = {}
-        self.backend = C.backend
-        cid = 0
-        index: dict[tuple[int, int, int], int] = {}
-        for n in C.degrees():
-            for i, (w, r) in enumerate(C.strand_list(n)):
-                for k in range(r):
-                    self.world[cid] = w
-                    self.deg[cid] = n
-                    index[(n, i, k)] = cid
-                    cid += 1
+        self.out: dict[int, dict[int, object]] = {}
+        self.inn: dict[int, dict[int, object]] = {}
+        index = {(n, i, k): self.add(w, n) for n in C.degrees()
+                 for i, (w, r) in enumerate(C.strand_list(n)) for k in range(r)}
         for (n, i, j), M in C.blocks.items():
-            for a in range(len(M)):
-                for b in range(len(M[0])):
-                    if not is_zero_el(M[a][b]):
-                        s = index[(n, i, b)]
-                        t = index[(n - 1, j, a)]
-                        self.d[(s, t)] = M[a][b]
+            for a, row in enumerate(M):
+                for b, e in enumerate(row):
+                    if not is_zero_el(e):
+                        self.put(index[(n, i, b)], index[(n - 1, j, a)], e)
 
-    # adjacency helpers -------------------------------------------------------------
-    def outs(self, c):
-        return [t for (s, t) in self.d if s == c]
+    def add(self, world: World, deg: int) -> int:
+        """A new cell, numbered past every live one."""
+        c = max(self.world, default=-1) + 1
+        self.world[c], self.deg[c], self.out[c], self.inn[c] = world, deg, {}, {}
+        return c
 
-    def ins(self, c):
-        return [s for (s, t) in self.d if t == c]
+    def put(self, s, t, val):
+        self.out[s][t] = self.inn[t][s] = val
 
     def order(self):
         return sorted(self.world, key=lambda c: (self.deg[c], self.world[c].sort_key(), c))
 
     def delete(self, c):
-        for key in [k for k in self.d if c in k]:
-            del self.d[key]
-        del self.world[c]
-        del self.deg[c]
+        for t in self.out.pop(c):
+            del self.inn[t][c]
+        for s in self.inn.pop(c):
+            del self.out[s][c]
+        del self.world[c], self.deg[c]
 
     def scale(self, c, u):
         """Rescale the basis of cell c by the unit u of its world."""
         uinv = inv_el(u)
-        for (s, t) in list(self.d):
-            if s == c:
-                self.d[(s, t)] = self.d[(s, t)] * u
-            elif t == c:
-                self.d[(s, t)] = self.d[(s, t)] * uinv
+        for t, e in list(self.out[c].items()):
+            self.put(c, t, e * u)
+        for s, e in list(self.inn[c].items()):
+            self.put(s, c, e * uinv)
 
     def set_entry(self, s, t, val):
         if is_zero_el(val):
-            self.d.pop((s, t), None)
+            self.out[s].pop(t, None)
+            self.inn[t].pop(s, None)
+        elif not mult_map_allowed(self.world[s], self.world[t], val):
+            raise UnsupportedMixedShape(
+                f"created invalid entry {val}: {self.world[s]} -> {self.world[t]}")
         else:
-            if not mult_map_allowed(self.world[s], self.world[t], val):
-                raise UnsupportedMixedShape(
-                    f"created invalid entry {val}: {self.world[s]} -> {self.world[t]}")
-            self.d[(s, t)] = val
-
-    def fresh_id(self):
-        return max(self.world, default=-1) + 1
+            self.put(s, t, val)
 
     # moves ---------------------------------------------------------------------------
     def try_m1(self) -> bool:
-        for (s, t) in sorted(self.d, key=lambda st: (self.deg[st[0]], st)):
-            if self.world[s] != self.world[t]:
-                continue
+        for s in sorted(self.world, key=lambda c: (self.deg[c], c)):
             w = self.world[s]
-            e = self.d[(s, t)]
-            if not w.is_unit(e):
-                continue
-            einv = inv_el(e)
-            ins_t = [u for u in self.ins(t) if u != s]
-            outs_s = [v for v in self.outs(s) if v != t]
-            for u in ins_t:
-                for v in outs_s:
-                    wv = self.world[v]
-                    upd = self.d.get((u, v), wv.el_zero())
-                    # u -> t, homotopy t -> s over W, then s -> v; the middle
-                    # factor passes through the canonical map W -> W_v
-                    corr = self.d[(s, v)] * map_act(w, wv, einv * self.d[(u, t)])
-                    self.set_entry(u, v, upd - corr)
-            self.delete(s)
-            self.delete(t)
-            return True
+            for t in sorted(self.out[s]):
+                e = self.out[s][t]
+                if self.world[t] != w or not w.is_unit(e):
+                    continue
+                einv = inv_el(e)
+                ins_t = [u for u in self.inn[t] if u != s]
+                outs_s = [v for v in self.out[s] if v != t]
+                for u in ins_t:
+                    for v in outs_s:
+                        wv = self.world[v]
+                        upd = self.out[u].get(v, wv.el_zero())
+                        # u -> t, homotopy t -> s over W, then s -> v; the middle
+                        # factor passes through the canonical map W -> W_v
+                        corr = self.out[s][v] * map_act(w, wv, einv * self.inn[t][u])
+                        self.set_entry(u, v, upd - corr)
+                self.delete(s)
+                self.delete(t)
+                return True
         return False
 
     def try_m0(self) -> bool:
-        """Smith-diagonalize one same-world block between degree n and n-1."""
+        """Smith-diagonalize one same-world block between degree n and n-1.
+        M1 has taken every unit entry, so a block that is already diagonal
+        has nothing left to split."""
         groups: dict[tuple[int, World], list[int]] = {}
         for c in self.order():
             groups.setdefault((self.deg[c], self.world[c]), []).append(c)
@@ -307,16 +302,10 @@ class _Cells:
             tgt = groups.get((n - 1, w))
             if not tgt:
                 continue
-            entries = [(s, t) for (s, t) in self.d if s in src and t in tgt]
-            if not entries:
+            entries = [(s, t) for s in src for t in self.out[s] if t in tgt]
+            if len({s for s, _ in entries}) == len(entries) == len({t for _, t in entries}):
                 continue
-            # already diagonal with no unit? skip if each src hits <=1 tgt & vice versa
-            if all(len([1 for (s, t) in entries if s == s0]) <= 1 for s0 in src) and \
-               all(len([1 for (s, t) in entries if t == t0]) <= 1 for t0 in tgt):
-                if not any(w.is_unit(self.d[(s, t)]) for (s, t) in entries):
-                    continue
-                return False  # unit present: let M1 take it
-            B = [[self.d.get((s, t), w.el_zero()) for s in src] for t in tgt]
+            B = [[self.out[s].get(t, w.el_zero()) for s in src] for t in tgt]
             U, D, Vt = snf(B, w)
             Uinv = _invert_elementary(U, w)
             Vtinv = _invert_elementary(Vt, w)
@@ -334,31 +323,31 @@ class _Cells:
         map into each target's world).
         """
         k = len(cells)
-        pos = {c: i for i, c in enumerate(cells)}
         incoming = {}
-        for (s, t) in list(self.d):
-            if t in pos and s not in pos:
-                incoming.setdefault(s, [w.el_zero()] * k)[pos[t]] = self.d.pop((s, t))
+        for i, c in enumerate(cells):
+            for s, e in self.inn[c].items():
+                incoming.setdefault(s, [w.el_zero()] * k)[i] = e
+                del self.out[s][c]
+            self.inn[c] = {}
         for s, col in incoming.items():
-            newcol = [sum((P[i][j] * col[j] for j in range(k)), w.el_zero())
-                      for i in range(k)]
             for i, c in enumerate(cells):
-                self.set_entry(s, c, newcol[i])
+                self.set_entry(s, c, sum((P[i][j] * col[j] for j in range(k)), w.el_zero()))
         outgoing = {}
-        for (s, t) in list(self.d):
-            if s in pos and t not in pos:
-                outgoing.setdefault(t, [self.world[t].el_zero()] * k)[pos[s]] = self.d.pop((s, t))
+        for i, c in enumerate(cells):
+            for t, e in self.out[c].items():
+                outgoing.setdefault(t, [self.world[t].el_zero()] * k)[i] = e
+                del self.inn[t][c]
+            self.out[c] = {}
         for t, row in outgoing.items():
             wt = self.world[t]
-            newrow = [sum((row[j] * map_act(w, wt, Pinv[j][i]) for j in range(k)),
-                          wt.el_zero()) for i in range(k)]
             for i, c in enumerate(cells):
-                self.set_entry(c, t, newrow[i])
+                self.set_entry(c, t, sum((row[j] * map_act(w, wt, Pinv[j][i])
+                                          for j in range(k)), wt.el_zero()))
 
     def try_m2(self) -> bool:
         for t in self.order():
-            ins_t = self.ins(t)
-            if len(ins_t) != 2 or self.outs(t):
+            ins_t = self.inn[t]
+            if len(ins_t) != 2 or self.out[t]:
                 continue
             s1, s2 = sorted(ins_t, key=lambda c: (self.world[c].sort_key(), c))
             w1, w2, wt = self.world[s1], self.world[s2], self.world[t]
@@ -369,24 +358,18 @@ class _Cells:
                 pull = fracture_pullback(w2, w1, wt)
             if pull is None:
                 continue
-            e1, e2 = self.d[(s1, t)], self.d[(s2, t)]
-            if not (wt.is_unit(e1) and wt.is_unit(e2)):
+            if not (wt.is_unit(ins_t[s1]) and wt.is_unit(ins_t[s2])):
                 continue
-            self.scale(t, e1)  # in-entries of t scale by 1/e1
-            e2 = self.d[(s2, t)]
-            v = -inv_el(e2)
+            self.scale(t, ins_t[s1])  # in-entries of t scale by 1/e1
+            v = -inv_el(ins_t[s2])
             if not w2.is_unit(v):
                 raise UnsupportedMixedShape("fracture unit twist not liftable")
             self.scale(s2, v)
             # now d[s1,t] = 1, d[s2,t] = -1; kernel is the diagonal copy of pull
-            new = self.fresh_id()
-            self.world[new] = pull
-            self.deg[new] = self.deg[s1]
-            for u in set(self.ins(s1)) | set(self.ins(s2)):
-                if self.d.get((u, t)) is not None:
-                    raise UnsupportedMixedShape("fracture collapse with direct corner entry")
-                c1 = self.d.get((u, s1), w1.el_zero())
-                c2 = self.d.get((u, s2), w2.el_zero())
+            new = self.add(pull, self.deg[s1])
+            for u in set(self.inn[s1]) | set(self.inn[s2]):
+                c1 = self.out[u].get(s1, w1.el_zero())
+                c2 = self.out[u].get(s2, w2.el_zero())
                 cand = None
                 for c in (c2, c1):
                     if not pull.contains(c):
@@ -399,11 +382,11 @@ class _Cells:
                 if not is_zero_el(cand):
                     self.set_entry(u, new, cand)
             # out-entries: sum of the two projections
-            for vcell in set(self.outs(s1)) | set(self.outs(s2)):
+            for vcell in set(self.out[s1]) | set(self.out[s2]):
                 if vcell == t:
                     continue
-                b1 = self.d.get((s1, vcell), self.world[vcell].el_zero())
-                b2 = self.d.get((s2, vcell), self.world[vcell].el_zero())
+                b1 = self.out[s1].get(vcell, self.world[vcell].el_zero())
+                b2 = self.out[s2].get(vcell, self.world[vcell].el_zero())
                 self.set_entry(new, vcell, b1 + b2)
             self.delete(s1)
             self.delete(s2)
@@ -412,10 +395,6 @@ class _Cells:
         return False
 
     def components(self):
-        adj: dict[int, list[int]] = {c: [] for c in self.world}
-        for (s, t) in self.d:
-            adj[s].append(t)
-            adj[t].append(s)
         seen = set()
         comps = []
         for c in self.order():
@@ -424,7 +403,8 @@ class _Cells:
             comp = {c}
             todo = [c]
             while todo:
-                for nxt in adj[todo.pop()]:
+                x = todo.pop()
+                for nxt in (*self.out[x], *self.inn[x]):
                     if nxt not in comp:
                         comp.add(nxt)
                         todo.append(nxt)
@@ -437,7 +417,7 @@ class _Cells:
         if len(comp) == 1:
             c = comp[0]
             return GradedClasses({self.deg[c]: ModuleClass.free(self.world[c])})
-        entries = {(s, t): v for (s, t), v in self.d.items() if s in comp}
+        entries = {(s, t): v for s in comp for t, v in self.out[s].items()}
         if len(comp) == 2:
             if len(entries) != 1:
                 return None
@@ -480,18 +460,8 @@ class _Cells:
         return None
 
     def classify(self) -> GradedClasses:
-        progress = True
-        while progress and self.world:
-            progress = False
-            if self.try_m1():
-                progress = True
-                continue
-            if self.try_m2():
-                progress = True
-                continue
-            if self.try_m0():
-                progress = True
-                continue
+        while self.world and (self.try_m1() or self.try_m2() or self.try_m0()):
+            pass
         total = GradedClasses()
         for comp in self.components():
             got = self.harvest_component(comp)
@@ -499,8 +469,6 @@ class _Cells:
                 shapes = [(self.deg[c], self.world[c].name) for c in comp]
                 raise UnsupportedMixedShape(f"unrecognized island {shapes}")
             total = total + got
-            for c in comp:
-                self.delete(c)
         return total
 
 

@@ -382,12 +382,12 @@ def _clip(bases, mats, N: int):
 
 def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
     """QQ-dimensions of H_*(C (x) V/x^N)."""
-    return _dims_from(*_x_track(C, N), _mat_rank_q)
+    return _dims_from(*_x_track(C, N), _mat_rank)
 
 
 def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
     """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x)."""
-    return _dims_from(*_y_track(C, N), _mat_rank_ratx)
+    return _dims_from(*_y_track(C, N), _mat_rank)
 
 
 def _from_slices(slices):
@@ -418,48 +418,24 @@ def _y_series(e: RatXY, terms: int) -> dict[int, RatXY]:
     return {k + vn - vd: v for k, v in q.items() if not v.is_zero()}
 
 
-def _mat_rank_q(M) -> int:
-    """Rank over QQ by forward elimination: each pivot row clears the
-    rows below it, over its own non-zero columns only."""
-    A = [[Fraction(e) for e in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        prow = A[r]
-        support = [k for k in range(c + 1, cols) if prow[k]]
-        for i in range(r + 1, rows):
-            row = A[i]
-            if row[c]:
-                f = row[c] / prow[c]
-                for k in support:
-                    row[k] -= f * prow[k]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _mat_rank_ratx(M) -> int:
-    """Rank over QQ(x) (RatXY entries), as _mat_rank_q."""
+def _mat_rank(M) -> int:
+    """Rank over QQ (Fraction entries) or QQ(x) (RatXY entries) by
+    forward elimination: each pivot row clears the rows below it, over
+    its own non-zero columns only."""
     A = [row[:] for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if not A[i][c].is_zero()), None)
+        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
         prow = A[r]
-        support = [k for k in range(c + 1, cols) if not prow[k].is_zero()]
+        support = [k for k in range(c + 1, cols) if prow[k] != 0]
         for i in range(r + 1, rows):
             row = A[i]
-            if not row[c].is_zero():
+            if row[c] != 0:
                 f = row[c] / prow[c]
                 for k in support:
                     row[k] = row[k] - f * prow[k]
@@ -525,9 +501,9 @@ def val_oracle_check(C: ChainComplex, classes: GradedClasses,
     is present).  Each track is built once, at the largest N, and
     clipped for the smaller ones."""
     top = max(Ns)
-    tracks = [("x", _x_track(C, top), _mat_rank_q)]
+    tracks = [("x", _x_track(C, top), _mat_rank)]
     if not any(w.name in ("VhatM", "VhatMInv") for w in C.worlds):
-        tracks.append(("y", _y_track(C, top), _mat_rank_ratx))
+        tracks.append(("y", _y_track(C, top), _mat_rank))
     for N in Ns:
         for track, (bases, mats), rank_fn in tracks:
             got = _dims_from(*_clip(bases, mats, N), rank_fn)

@@ -156,13 +156,15 @@ def test_decimal_entry_reads_exactly(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_verify_valrank2_names_skipped_suites():
-    doc = json.loads(run_cli("verify", "all", "--backend", "valrank2").stdout)
-    assert doc["ok"] and doc["skipped"] == ["mgm", "splittings"]
-    assert "skipped" not in json.loads(run_cli("verify", "assembly").stdout)
-    for suite in ("mgm", "splittings", "rules,splittings"):
-        proc = run_cli("verify", suite, "--backend", "valrank2", expect=2)
-        assert "input error [verify]" in proc.stderr and "Traceback" not in proc.stderr
+def test_verify_valrank2_runs_every_suite(monkeypatch, capsys):
+    from adeltors import cli
+    monkeypatch.setenv("TTG_SEED", "20260801")
+    assert cli.main(["verify", "all", "--backend", "valrank2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] and "skipped" not in doc
+    assert {"check": "mgm", "ok": True, "cases": 200, "failures": 0} in doc["results"]
+    assert {"check": "splitting-suite", "ok": True, "checked": 108, "refused": 92,
+            "failures": 0} in doc["results"]
 
 
 def test_truncation_refused_on_valrank2():

@@ -1,16 +1,24 @@
+import importlib
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from adeltors.adelic import reconstruct_limit
 from adeltors.classes import GradedClasses, ModuleClass
 from adeltors.complexes import ChainComplex, ChainMap, cone, fib
 from adeltors.homology import (UnsupportedMixedShape, decompose_single,
                                homology, is_acyclic)
-from adeltors.library import random_complex
+from adeltors.library import library, random_complex
 from adeltors.oracle import oracle_check
 from adeltors.ratfunc import x as rx, y as ry
+from adeltors.torsion import reconstruct, tors
 from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT,
-                             Z_RAT, Z_SEMILOC)
+                             Z_RAT, Z_SEMILOC, is_zero_el, mult_map_allowed)
+
+# the package re-exports the function homology under the module's name
+homology_module = importlib.import_module("adeltors.homology")
 
 
 def test_cyclic_normalization():
@@ -119,3 +127,64 @@ def test_unsupported_shapes_raise():
                          {0: [(VAL("Vp"), 1)], -1: [(VAL("VhatP"), 1)]},
                          {(0, 0, 0): [[VAL("VhatP").el_one()]]})
         homology(C)
+
+
+def _check_index(cells):
+    """The cell graph's invariant: each entry stored once and mirrored,
+    never zero, a valid module map one degree down, on known cells."""
+    assert set(cells.world) == set(cells.deg) == set(cells.out) == set(cells.inn)
+    for s, row in cells.out.items():
+        for t, e in row.items():
+            assert cells.inn[t][s] is e
+            assert not is_zero_el(e)
+            assert mult_map_allowed(cells.world[s], cells.world[t], e)
+            assert cells.deg[s] == cells.deg[t] + 1
+    for t, col in cells.inn.items():
+        for s, e in col.items():
+            assert cells.out[s][t] is e
+
+
+def _mixed_round_trip_inputs(site, cube, objs, monkeypatch):
+    """Every mixed complex the classifier is handed while tors,
+    reconstruct and reconstruct_limit read the objects."""
+    seen = []
+
+    class Recording(homology_module._Cells):
+        def __init__(self, C):
+            seen.append(C)
+            super().__init__(C)
+    monkeypatch.setattr(homology_module, "_Cells", Recording)
+    for X in objs:
+        try:
+            reconstruct(site, tors(site, X, cube), X, cube)
+            reconstruct_limit(cube.tensor(X), X)
+        except UnsupportedMixedShape:
+            pass
+    monkeypatch.undo()
+    return seen
+
+
+def test_cell_index_holds_after_every_move(zsite, zcube, vsite, vcube, monkeypatch):
+    rng = random.Random(20261019)
+    complexes = []
+    for site, cube in ((zsite, zcube), (vsite, vcube)):
+        complexes += [V for _, X in library(site) for V in cube.tensor(X).values.values()
+                      if V.single_world() is None and not V.is_empty()]
+        objs = [random_complex(rng, site.base, primes=(2, 3), atoms=rng.randint(1, 4))
+                for _ in range(12)]
+        complexes += _mixed_round_trip_inputs(site, cube, objs, monkeypatch)
+    moves = Counter()
+    for C in complexes:
+        cells = homology_module._Cells(C)
+        _check_index(cells)
+        try:
+            while cells.world:
+                move = next((m for m in (cells.try_m1, cells.try_m2, cells.try_m0) if m()), None)
+                if move is None:
+                    break
+                moves[C.backend, move.__name__] += 1
+                _check_index(cells)
+        except UnsupportedMixedShape:
+            moves[C.backend, "refused"] += 1
+    for backend in ("zint", "valrank2"):
+        assert all(moves[backend, m] for m in ("try_m1", "try_m2", "try_m0")), moves

@@ -339,8 +339,8 @@ def test_tracks_built_at_the_top_n_clip_to_every_smaller_n(vsite, vcube, monkeyp
     rng = random.Random(20261019)
     complexes = [random_complex(rng, vsite.base, primes=(2, 3), atoms=rng.randint(1, 4))
                  for _ in range(60)] + _mixed_objects(vsite, vcube)
-    tracks = [(oracle._x_track, x_track_dims, oracle._mat_rank_q),
-              (oracle._y_track, y_track_dims, oracle._mat_rank_ratx)]
+    tracks = [(oracle._x_track, x_track_dims, oracle._mat_rank),
+              (oracle._y_track, y_track_dims, oracle._mat_rank)]
     for C in complexes:
         has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
         for build, dims, rank_fn in tracks[:1] if has_xcomplete else tracks:
@@ -411,8 +411,8 @@ def test_rank_kernels_on_known_ranks():
     x = rx()
     q_values = [F(0)] * 3 + [F(1), F(-1), F(2), F(1, 3)]
     x_values = [RatXY.const(0)] * 3 + [RatXY.const(1), x, 1 - x, (1 + x).inv(), x * x + 2]
-    for rank_fn, values, trials in ((oracle._mat_rank_q, q_values, 300),
-                                    (oracle._mat_rank_ratx, x_values, 60)):
+    for rank_fn, values, trials in ((oracle._mat_rank, q_values, 300),
+                                    (oracle._mat_rank, x_values, 60)):
         for _ in range(trials):
             M, r = _known_rank(rng, lambda g: g.choice(values))
             Mt = [list(col) for col in zip(*M)]
