@@ -16,7 +16,11 @@ truncated.
 
 The unit cube's vertices are flat (degree-zero) strand lists, so the
 cube tensored with X is literally vertexwise tensor, and the limit is
-the iterated-fibre totalization from `shapes`.
+the iterated-fibre totalization from `shapes`.  The tensor at a vertex
+and ext along an arrow are both fan-outs of strands over the factors of
+a ring (`ChainComplex.fan_out`), in one strand order, so the adjoint of
+an arrow of a tensor cube pairs each strand with the strand of the same
+index.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .linalg import mat_id
 from .localize import Site, TruncationTooSmall, UnsupportedRegionError
 from .posets import AssemblyData
 from .shapes import CubeDiagram, holim_punctured, punctured_cube
-from .worlds import World, canonical_map_exists, carrier_block, factorint, invert_val
+from .worlds import World, canonical_map_exists, factorint, invert_val
 
 
 def _flat(backend: str, worlds) -> ChainComplex:
@@ -116,56 +120,33 @@ class AdelicCube:
         return _flat(self.site.backend, self.ring_worlds(label))
 
     # -- ext along edges ----------------------------------------------------------------
-    def ext_strand_worlds(self, label_a, label_b, u: World) -> tuple[World, ...]:
-        """Worlds of u (x)_{ring(A)} ring(B) for one inserted index."""
-        A = tuple(sorted(label_a))
-        B = tuple(sorted(label_b))
+    def ext_strand_worlds(self, A: tuple, B: tuple, u: World) -> tuple[World, ...]:
+        """Worlds of u (x)_{ring(A)} ring(B) for chains A, B (sorted
+        tuples) one index apart, one per class or class factor of the
+        inserted dimension, zero worlds kept: the list has one length for
+        every u, so slot k is the same factor at both ends of a block."""
         hit = self._ext_worlds.get((A, B, u))
         if hit is not None:
             return hit
         (j,) = set(B) - set(A)
         classes = self.assembly.sub_elements_of_dim(j)
-        if u.is_zero_world:
-            out = []
-        elif j > min(A):
+        if j > min(A):
             out = [self._class_inversion(x)(u) for x in classes]
         else:
             out = [_combine(u, f) for x in classes for f in self._class_factor_worlds(x)]
-        hit = self._ext_worlds[(A, B, u)] = tuple(w for w in out if not w.is_zero_world)
+        hit = self._ext_worlds[(A, B, u)] = tuple(out)
         return hit
 
-    def ext_complex(self, label_a, label_b, C: ChainComplex) -> ChainComplex:
-        """C (x)_{ring(A)} ring(B), strandwise."""
-        out = C
-        for src, dst in _ext_steps(label_a, label_b):
-            out = self._ext_one(src, dst, out)
-        return out
-
-    def _ext_one(self, A, B, C: ChainComplex) -> ChainComplex:
-        strands: dict[int, list] = {}
-        index: dict[tuple[int, int], list[int]] = {}
-        for n in C.degrees():
-            strands[n] = []
-            for i, (w, r) in enumerate(C.strand_list(n)):
-                idxs = []
-                for nw in self.ext_strand_worlds(A, B, w):
-                    idxs.append(len(strands[n]))
-                    strands[n].append((nw, r))
-                index[(n, i)] = idxs
-        blocks = {}
-        for (n, i, j), M in C.blocks.items():
-            for a, si in enumerate(index[(n, i)]):
-                for b, tj in enumerate(index[(n - 1, j)]):
-                    wsrc = strands[n][si][0]
-                    wtgt = strands[n - 1][tj][0]
-                    if not canonical_map_exists(wsrc, wtgt):
-                        continue
-                    # with equal fan-out on both sides the slots must match
-                    if len(index[(n, i)]) == len(index[(n - 1, j)]) and a != b:
-                        continue
-                    old_t = C.strand_list(n - 1)[j][0]
-                    blocks[(n, si, tj)] = carrier_block(old_t, wtgt, M)
-        return ChainComplex(C.backend, strands, blocks)
+    def ext_complex(self, label_a, label_b, C: ChainComplex):
+        """(C (x)_{ring(A)} ring(B), where): one fan-out per inserted index,
+        and where[(n, i)] the strands of the result that strand i of degree
+        n of C goes to."""
+        where = {(n, i): [i] for n in C.degrees() for i in range(len(C.strand_list(n)))}
+        for A, B in _ext_steps(label_a, label_b):
+            C, slots = C.fan_out(lambda w: self.ext_strand_worlds(A, B, w))
+            where = {(n, i): [si for s in idx for _, si in slots[(n, s)]]
+                     for (n, i), idx in where.items()}
+        return C, where
 
     # -- diagrams -------------------------------------------------------------------------
     def unit_diagram(self) -> CubeDiagram:
@@ -211,45 +192,21 @@ class AdelicCube:
         base = self._unit
         values: dict[str, ChainComplex] = {}
         layout: dict[str, dict] = {}
-        backend = self.site.backend
         for v in self.shape.vertices:
-            flat = base.value(v.name)
-            ring = flat.strand_list(0)
-            strands: dict[int, list] = {}
-            index: dict[tuple[int, int, int], int] = {}   # (ring strand, q, X strand)
-            for i, (w, _) in enumerate(ring):
-                for q in X.degrees():
-                    for a, (wa, ra) in enumerate(X.strand_list(q)):
-                        nw = _combine(wa, w)
-                        if nw.is_zero_world:
-                            continue
-                        strands.setdefault(q, [])
-                        index[(i, q, a)] = len(strands[q])
-                        strands[q].append((nw, ra))
-            blocks: dict[tuple[int, int, int], list] = {}
-            for (q, a, b), M in X.blocks.items():
-                wb = X.strand_list(q - 1)[b][0]
-                for i, (w, _) in enumerate(ring):
-                    si = index.get((i, q, a))
-                    tj = index.get((i, q - 1, b))
-                    if si is None or tj is None:
-                        continue
-                    nwt = strands[q - 1][tj][0]
-                    blocks[(q, si, tj)] = carrier_block(wb, nwt, M)
-            values[v.name] = ChainComplex(backend, strands, blocks)
-            layout[v.name] = index
+            ring = [w for (w, _) in base.value(v.name).strand_list(0)]
+            values[v.name], layout[v.name] = X.fan_out(lambda u: [_combine(u, w) for w in ring])
         maps: dict[tuple[str, str], ChainMap] = {}
         for (s, t, _) in self.shape.arrows:
             f = base.map(s, t)
             blocks = {}
-            for (_z, i, j), M in f.blocks.items():
-                for q in X.degrees():
-                    for a, (wa, ra) in enumerate(X.strand_list(q)):
-                        si = layout[s].get((i, q, a))
-                        tj = layout[t].get((j, q, a))
-                        if si is None or tj is None:
-                            continue
-                        blocks[(q, si, tj)] = mat_id(ra, M[0][0])
+            for (q, a), src in layout[s].items():
+                r = X.strand_list(q)[a][1]
+                tgt = dict(layout[t][(q, a)])
+                for i, si in src:
+                    for j, tj in tgt.items():
+                        M = f.blocks.get((0, i, j))
+                        if M is not None:
+                            blocks[(q, si, tj)] = mat_id(r, M[0][0])
             maps[(s, t)] = ChainMap(values[s], values[t], blocks)
         return CubeDiagram(self.shape, values, maps, {}, dict(base.ring_names))
 
@@ -266,9 +223,8 @@ def _canonical_flat_map(CA: ChainComplex, CB: ChainComplex) -> ChainMap:
 
 
 def _combine(u: World, f: World) -> World:
-    """u (x)_base f for a strand u and an inner adelic factor f."""
-    if u.is_zero_world or f.is_zero_world:
-        return f if u.is_zero_world else u
+    """u (x)_base f for a strand u and an inner adelic factor f (neither
+    the zero world: both are strand worlds)."""
     if u.backend == "zint":
         if u.comp is not None and f.comp is not None and u.comp != f.comp:
             raise UnsupportedRegionError("cross-completion tensor outside the catalogue")
@@ -308,18 +264,11 @@ def _adjoint_blocks(cube: AdelicCube, D: CubeDiagram, s: str, t: str):
     A = tuple(D.shape.vertex(s).label)
     B = tuple(D.shape.vertex(t).label)
     MA, MB, f = D.value(s), D.value(t), D.map(s, t)
-    E = cube.ext_complex(A, B, MA)
-    index: dict[tuple[int, int], list[int]] = {}
-    for n in MA.degrees():
-        at = 0
-        for i, (w, r) in enumerate(MA.strand_list(n)):
-            ws = _ext_strands_of(cube, A, B, w)
-            index[(n, i)] = list(range(at, at + len(ws)))
-            at += len(ws)
+    E, where = cube.ext_complex(A, B, MA)
     blocks = {}
     for (n, i, j), M in f.blocks.items():
         tgt_world = MB.strand_list(n)[j][0]
-        blocks.update({(n, si, j): M for si in index[(n, i)]
+        blocks.update({(n, si, j): M for si in where[(n, i)]
                        if canonical_map_exists(E.strand_list(n)[si][0], tgt_world)})
     return E, MB, blocks
 
@@ -349,14 +298,6 @@ def _ext_steps(A, B):
     for j in sorted(set(B) - set(A)):
         chain.append(tuple(sorted(chain[-1] + (j,))))
     return list(zip(chain, chain[1:]))
-
-
-def _ext_strands_of(cube: AdelicCube, A, B, w: World) -> list[World]:
-    """The worlds a strand over w fans out into under ext from A to B."""
-    worlds = [w]
-    for src, dst in _ext_steps(A, B):
-        worlds = [nw for u in worlds for nw in cube.ext_strand_worlds(src, dst, u)]
-    return worlds
 
 
 def reconstruct_limit(D: CubeDiagram, X: ChainComplex):

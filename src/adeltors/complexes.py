@@ -24,6 +24,13 @@ verified); each skips its output's check exactly when its inputs are
 verified and checks as before otherwise.  check=False alone never makes
 a value verified, and neither does compose.
 
+A strand fans out in one place, ChainComplex.fan_out: base change,
+completion, ext along an arrow of the adelic cube and the adelic tensor
+each take a complex to its images over the factors R_k of a product of
+rings, the sum over k of X (x) R_k in one strand order: factor first,
+then X's own strands, each block carried into every factor where both
+of its ends survive.
+
 A map's cone is built once: cone(f) keeps its value on f, and
 cone_inclusion, fib, fib_projection and induced_cone_map all reach it
 through cone(f), so they share one object.  Nothing changes a ChainMap
@@ -285,18 +292,39 @@ class ChainComplex:
         return _built(ChainComplex(self.backend, strands, blocks, check=False),
                       self.verified and other.verified)
 
+    def fan_out(self, worlds_of) -> tuple["ChainComplex", dict]:
+        """The direct sum over slots k of this complex with each strand
+        (w, r) replaced by (w_k, r), k along worlds_of(w); zero worlds drop
+        out.  The list has one length for every w, so slot k names the same
+        ring factor at both ends of a block; each block goes to every slot
+        where both of its ends survive, carried into the target world on
+        carriers.  Returns the complex and slots[(n, i)], the pairs (k, new
+        strand index) of strand i of degree n."""
+        strands: dict[int, list] = {}
+        slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for n in self.degrees():
+            fans = [worlds_of(w) for (w, _) in self.strands[n]]
+            out = strands[n] = []
+            slots.update({(n, i): [] for i in range(len(fans))})
+            for k, column in enumerate(zip(*fans)):
+                for i, nw in enumerate(column):
+                    if not nw.is_zero_world:
+                        slots[(n, i)].append((k, len(out)))
+                        out.append((nw, self.strands[n][i][1]))
+        blocks = {}
+        for (n, i, j), M in self.blocks.items():
+            old_tgt = self.strands[n - 1][j][0]
+            tgt = dict(slots[(n - 1, j)])
+            for k, si in slots[(n, i)]:
+                if k in tgt:
+                    new_tgt = strands[n - 1][tgt[k]][0]
+                    blocks[(n, si, tgt[k])] = carrier_block(old_tgt, new_tgt, M)
+        return ChainComplex(self.backend, strands, blocks), slots
+
     def base_change(self, world_op) -> "ChainComplex":
         """Apply a world operation strandwise; it must be a canonical map
         (a localization), and each block passes through it on carriers."""
-        strands = {n: [(world_op(w), r) for (w, r) in ss] for n, ss in self.strands.items()}
-        blocks = {}
-        for (n, i, j), M in self.blocks.items():
-            old_tgt = self.strand_list(n - 1)[j][0]
-            new_tgt = strands[n - 1][j][0]
-            if new_tgt.is_zero_world or strands[n][i][0].is_zero_world:
-                continue
-            blocks[(n, i, j)] = carrier_block(old_tgt, new_tgt, M)
-        return ChainComplex(self.backend, strands, blocks)
+        return self.fan_out(lambda w: (world_op(w),))[0]
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """Total tensor product; other must live over one world mapping

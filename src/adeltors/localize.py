@@ -34,8 +34,7 @@ from .linalg import mat_id
 from .posets import (AssemblyData, SpecClosedSet, dim_filtration, finest, min_of,
                      preimage_family, up_cone, valrank2_poset, zint_poset)
 from .ratfunc import x as rf_x, y as rf_y
-from .worlds import (VAL, World, Z_INT, carrier_block, complete_world,
-                     invert_primes, invert_val)
+from .worlds import VAL, World, Z_INT, complete_world, invert_primes, invert_val
 
 
 class UnsupportedRegionError(ValueError):
@@ -182,33 +181,12 @@ class Site:
 
     def completed(self, X: ChainComplex, targets) -> tuple[ChainComplex, ChainMap]:
         """(product of termwise completions at targets, the unit map)."""
-        new_strands: dict[int, list] = {}
-        index: dict[tuple[int, int, int], int] = {}   # (n, old strand, target) -> new
-        for n in X.degrees():
-            new_strands[n] = []
-            for i, (w, r) in enumerate(X.strand_list(n)):
-                for k, t in enumerate(targets):
-                    cw = complete_world(w, t)
-                    if cw.is_zero_world:
-                        continue
-                    index[(n, i, k)] = len(new_strands[n])
-                    new_strands[n].append((cw, r))
-        blocks: dict[tuple[int, int, int], list] = {}
-        for (n, i, j), M in X.blocks.items():
-            wj = X.strand_list(n - 1)[j][0]
-            for k, t in enumerate(targets):
-                si = index.get((n, i, k))
-                tj = index.get((n - 1, j, k))
-                if si is None or tj is None:
-                    continue
-                cw = new_strands[n - 1][tj][0]
-                blocks[(n, si, tj)] = carrier_block(wj, cw, M)
-        LX = ChainComplex(X.backend, new_strands, blocks)
-        ublocks: dict[tuple[int, int, int], list] = {}
-        for (n, i, k), si in index.items():
-            cw = LX.strand_list(n)[si][0]
-            r = X.strand_list(n)[i][1]
-            ublocks[(n, i, si)] = mat_id(r, cw.el_one())
+        LX, slots = X.fan_out(lambda w: [complete_world(w, t) for t in targets])
+        ublocks = {}
+        for (n, i), ks in slots.items():
+            for _, si in ks:
+                w, r = LX.strand_list(n)[si]
+                ublocks[(n, i, si)] = mat_id(r, w.el_one())
         return LX, ChainMap(X, LX, ublocks)
 
     def delta(self, V, X: ChainComplex,
@@ -372,6 +350,9 @@ class Site:
     # -- MGM -------------------------------------------------------------------------------
     def mgm_check(self, V, X: ChainComplex) -> "MGMReport":
         members = self.region(V)
+        if members == frozenset(self.poset.elements):   # Gamma_V and Lambda_V are the identity
+            H = homology(X)
+            return MGMReport(H, H, H, H)
         GX = self.gamma(members, X)
         LamX = self.lam(members, X)
         LamGX = self.lam(members, GX)

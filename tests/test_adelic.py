@@ -186,11 +186,19 @@ def test_relabel_certificate_agrees_with_the_cone():
     assert accepted["zint"] >= 81 and accepted["valrank2"] >= 390, accepted
 
 
-def test_q_plus_z8_arrow_is_a_strand_permutation(zcube, zsite, monkeypatch):
-    """On Q+Z8 the arrow (1,) -> (0,1) permutes the PadicRat(2) and
-    PadicRat(3) strands of degree 0; the certificate takes it without a
-    cone."""
+def test_swapped_strands_arrow_is_a_strand_permutation(zcube, zsite, monkeypatch):
+    """An arrow (1,) -> (0,1) whose identity blocks swap the Padic(2) and
+    Padic(3) strands of ext is certified without a cone.  ext and tensor
+    fan strands out in one order, so on a tensor cube, Q+Z8 included, the
+    relabelling is the identity."""
     D = zcube.tensor(dict(library(zsite))["Q+Z8"])
+    E, MB, blocks = _adjoint_blocks(zcube, D, "1", "10")
+    assert _relabels(E, MB, blocks) and all(i == j for (_, i, j) in blocks)
+
+    ws = [(Z_PADIC(3), 1), (Z_PADIC(2), 1)]
+    dst = ChainComplex("zint", {1: ws, 0: ws}, {(1, 0, 0): [[8]], (1, 1, 1): [[8]]})
+    D = _one_arrow(ChainComplex.two_term(Z_INT(), 8), dst,
+                   {(n, 0, j): [[1]] for n in (0, 1) for j in (0, 1)})
     E, MB, blocks = _adjoint_blocks(zcube, D, "1", "10")
     assert _relabels(E, MB, blocks)
     assert any(i != j for (_, i, j) in blocks)

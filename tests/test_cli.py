@@ -1,17 +1,24 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+from adeltors import cli
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def run_cli(*args, expect=0):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    env.setdefault("TTG_SEED", "20260801")
-    proc = subprocess.run([sys.executable, "-m", "adeltors.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=ROOT)
+    """cli.main in process, with stdout and stderr captured and TTG_SEED
+    defaulting to 20260801, as `python -m adeltors.cli` would run it."""
+    out, err = io.StringIO(), io.StringIO()
+    seed = {"TTG_SEED": os.environ.get("TTG_SEED", "20260801")}
+    with mock.patch.dict(os.environ, seed), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(args))
+    proc = subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
     assert proc.returncode == expect, (proc.returncode, proc.stderr, proc.stdout)
     return proc
 
@@ -117,7 +124,6 @@ def test_shape_bad_dimension_refused():
 
 
 def test_verify_assembly_runs_mutants(monkeypatch, capsys):
-    from adeltors import cli
     assert cli.main(["verify", "assembly"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
     monkeypatch.setattr(cli, "validate_assembly", lambda *args: None)
@@ -157,7 +163,6 @@ def test_decimal_entry_reads_exactly(tmp_path):
 
 
 def test_verify_valrank2_runs_every_suite(monkeypatch, capsys):
-    from adeltors import cli
     monkeypatch.setenv("TTG_SEED", "20260801")
     assert cli.main(["verify", "all", "--backend", "valrank2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -194,7 +199,6 @@ def test_refusals_print_one_line(tmp_path):
 def test_object_degree_window_refused(tmp_path, capsys):
     # objects with a generator in degree 8 or -8 are bad input, not a
     # refusal deep inside the cube
-    from adeltors import cli
     obj = tmp_path / "edge.json"
     for backend, world in (("zint", "Int"), ("valrank2", "V")):
         for n in ("8", "-8"):
@@ -209,7 +213,6 @@ def test_object_degree_window_refused(tmp_path, capsys):
 def test_object_loader_refuses_what_it_would_reinterpret(tmp_path, capsys):
     # a negative rank was read as the zero object, and a diff entry for a
     # degree without generators was dropped
-    from adeltors import cli
     obj = tmp_path / "bad.json"
     for doc, msg in (({"world": "Int", "degrees": {"0": -2}},
                       "degree 0 has rank -2: ranks are nonnegative"),
@@ -233,8 +236,6 @@ def test_valrank2_tors_window_ends_at_5(tmp_path):
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    from adeltors import cli
-
     def broken(*args):
         raise RuntimeError("injected")
 
@@ -242,3 +243,28 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert cli.main(["verify", "fracture"]) == 3
     out = capsys.readouterr()
     assert out.err == "internal error [verify]: RuntimeError('injected')\n" and not out.out
+
+
+def test_entry_point_exit_codes(tmp_path):
+    """The CLI as its own process: `python -m adeltors.cli` exits with the
+    code main returns (0, 1, 2), and with 3 on an internal error, injected
+    before the module runs as __main__ the way -m runs it."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TTG_SEED="20260801")
+    obj = tmp_path / "z10.json"
+    obj.write_text(json.dumps({"world": "Int", "degrees": {"1": 1, "0": 1},
+                               "diff": {"1": [["10"]]}}))
+    for args, code in ((("shape", "--d", "1"), 0), (("adelic", "--object", str(obj)), 1),
+                       (("adelic", "--T", "4"), 2)):
+        proc = subprocess.run([sys.executable, "-m", "adeltors.cli", *args],
+                              capture_output=True, text=True, env=env, cwd=ROOT)
+        assert proc.returncode == code, (args, proc.returncode, proc.stderr)
+        assert (proc.stdout if code == 0 else proc.stderr).count("\n") >= 1
+    inject = ("import runpy, sys, adeltors.adelic as a\n"
+              "def broken(*args): raise RuntimeError('injected')\n"
+              "a.reconstruct_limit = broken\n"
+              "sys.argv = ['adeltors', 'verify', 'fracture']\n"
+              "runpy.run_module('adeltors.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", inject], capture_output=True, text=True,
+                          env=env, cwd=ROOT)
+    assert proc.returncode == 3
+    assert proc.stderr == "internal error [verify]: RuntimeError('injected')\n" and not proc.stdout

@@ -141,8 +141,8 @@ def test_splittings_and_mgm_reports_unchanged(backend, T):
         V = _region(site, rng)
         assert _outcome(site.split_gamma, V, X, True) == _outcome(_ref_split_gamma, site, V, X)
         assert _outcome(site.split_l, V, X, True) == _outcome(_ref_split_l, site, V, X)
-        W = site.poset.down(rng.choice(closed))
-        assert _outcome(site.mgm_check, W, X) == _outcome(_ref_mgm, site, W, X)
+        for W in (site.poset.down(rng.choice(closed)), frozenset(site.poset.elements)):
+            assert _outcome(site.mgm_check, W, X) == _outcome(_ref_mgm, site, W, X)
 
 
 # -- one decomposition per complex and per call -----------------------------------------------
@@ -201,6 +201,16 @@ def test_mgm_check_decomposes_x_and_its_completion_once(backend, decompositions,
         assert _calls_on(decompositions, LamX) == 1
         assert _calls_on(decompositions, LamGX) <= 1
         assert len(decompositions) == len({id(C) for C in decompositions})
+
+
+@pytest.mark.parametrize("backend", ["zint", "valrank2"])
+def test_mgm_check_on_the_whole_poset_decomposes_x_once(backend, decompositions):
+    """There Gamma_V, Lambda_V and Lambda_V Gamma_V all hand back X."""
+    site = Site(backend, T=(2, 3, 5))
+    for X in _single_world_objects(site, random.Random(34)):
+        decompositions.clear()
+        site.mgm_check(frozenset(site.poset.elements), X)
+        assert len(decompositions) == 1 and decompositions[0] is X
 
 
 def test_nothing_outlives_a_call(zsite5, decompositions):
