@@ -19,7 +19,7 @@ from adeltors.worlds import VAL
 print("== Smith normal form over a rank-two valuation ring ==")
 V = VAL("V")
 A = [[y(), x()]]
-U, D, Vt = snf(A, V)
+D, _ = snf(A, V)
 print(f"snf([[y, x]]) over V has diagonal {D[0]}")
 print("  (x has smaller valuation than y: v(x) = (0,1) < v(y) = (1,0))")
 

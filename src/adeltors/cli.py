@@ -60,8 +60,11 @@ _BAD_POSET_FILE = (OSError, ValueError, TypeError, KeyError, AttributeError)
 def _emit(doc, out=None):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -321,7 +324,12 @@ def _accepted_assembly_mutants(P, A) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    seed = int(os.environ.get("TTG_SEED", "20260801"))
+    try:
+        seed = int(os.environ.get("TTG_SEED", "20260801"))
+    except ValueError:
+        raise InputError(f"TTG_SEED must be an integer, got {os.environ['TTG_SEED']!r}") from None
+    if args.count is not None and args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(seed)
     suites = args.suite.split(",") if args.suite != "all" else \
         ["combinatorics", "rules", "fracture", "tors", "vertex", "mgm",
@@ -472,8 +480,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(args.cmd, exc)
     except UnsupportedMixedShape as exc:
         print(f"refused [mixed-homology]: {exc}", file=sys.stderr)
         return 1

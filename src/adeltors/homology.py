@@ -12,7 +12,9 @@ moves on an exploded cell presentation (one cell per free generator):
 
   M1  cancel a same-world unit entry (Gaussian / discrete-Morse step);
   M0  Smith-diagonalize a same-world block to create unit entries and
-      split islands; it runs only after M1 has taken every unit;
+      split islands, replaying the elementary operations snf records as
+      basis changes of the block's cells; it runs only after M1 has
+      taken every unit;
   M2  collapse a registered fracture triple: a cell of W12 receiving
       exactly +-1 entries from a W1-cell and a W2-cell contracts to a
       single cell over the registered pullback world, rewiring all
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from .classes import GradedClasses, ModuleClass, PRUEFER, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
-from .linalg import mat_mul, snf
+from .linalg import snf
 from .worlds import (World, canonical_map_exists, carrier_act, factorint, fracture_pullback,
                      inv_el, is_zero_el, map_act, mult_map_allowed)
 
@@ -118,10 +120,17 @@ def decompose_single(C: ChainComplex) -> list[tuple[int, object]]:
             ranks[n] = 0
             n += 1
             continue
-        _, D, Vt = snf(d, w)
-        # change basis upstairs: d_{n+2} sees Vt
-        if (n + 2) in mats:
-            mats[n + 2] = mat_mul(Vt, mats[n + 2])
+        D, ops = snf(d, w)
+        # change basis upstairs: a column operation on d_{n+1} is a change
+        # of basis of C_{n+1}, so d_{n+2} takes it as the inverse row operation
+        up = mats.get(n + 2)
+        if up is not None:
+            for op in ops:
+                if op[0] == "col_add":
+                    _, i, j, c = op
+                    up[i] = [a - c * b for a, b in zip(up[i], up[j])]
+                elif op[0] == "col_swap":
+                    up[op[1]], up[op[2]] = up[op[2]], up[op[1]]
         r = 0
         for i in range(min(len(D), len(D[0]) if D else 0)):
             if not is_zero_el(D[i][i]):
@@ -249,10 +258,11 @@ class _Cells:
         del self.world[c], self.deg[c]
 
     def scale(self, c, u):
-        """Rescale the basis of cell c by the unit u of its world."""
-        uinv = inv_el(u)
+        """Rescale the basis of cell c by the unit u of its world (u reaches
+        each out-entry through the canonical map into its target's world)."""
+        w, uinv = self.world[c], inv_el(u)
         for t, e in list(self.out[c].items()):
-            self.put(c, t, e * u)
+            self.put(c, t, e * map_act(w, self.world[t], u))
         for s, e in list(self.inn[c].items()):
             self.put(s, c, e * uinv)
 
@@ -306,43 +316,34 @@ class _Cells:
             if len({s for s, _ in entries}) == len(entries) == len({t for _, t in entries}):
                 continue
             B = [[self.out[s].get(t, w.el_zero()) for s in src] for t in tgt]
-            U, D, Vt = snf(B, w)
-            Uinv = _invert_elementary(U, w)
-            Vtinv = _invert_elementary(Vt, w)
-            # rewrite: src coords x' = Vt x, tgt coords y' = Uinv y
-            self._change_basis(src, Vt, Vtinv, w)
-            self._change_basis(tgt, Uinv, U, w)
+            # replay the reduction on the cells: a column operation changes
+            # the basis of the sources, a row operation that of the targets
+            for op in snf(B, w)[1]:
+                kind, i = op[0], op[1]
+                if kind == "col_add":      # source j becomes e_j + c e_i
+                    self._add_multiple(src[i], src[op[2]], op[3])
+                elif kind == "row_add":    # y_j += c y_i: target i becomes e_i - c e_j
+                    self._add_multiple(tgt[op[2]], tgt[i], -op[3])
+                elif kind == "col_swap":
+                    src[i], src[op[2]] = src[op[2]], src[i]
+                elif kind == "row_swap":
+                    tgt[i], tgt[op[2]] = tgt[op[2]], tgt[i]
+                else:                      # y_i *= u: target i becomes e_i / u
+                    self.scale(tgt[i], inv_el(op[2]))
             return True
         return False
 
-    def _change_basis(self, cells, P, Pinv, w):
-        """New coordinates z' = P z on the listed same-world, same-degree cells.
-
-        An entry column c into the cells becomes P c; an entry row r out
-        of the cells becomes r Pinv (P-entries pass through the canonical
-        map into each target's world).
-        """
-        k = len(cells)
-        incoming = {}
-        for i, c in enumerate(cells):
-            for s, e in self.inn[c].items():
-                incoming.setdefault(s, [w.el_zero()] * k)[i] = e
-                del self.out[s][c]
-            self.inn[c] = {}
-        for s, col in incoming.items():
-            for i, c in enumerate(cells):
-                self.set_entry(s, c, sum((P[i][j] * col[j] for j in range(k)), w.el_zero()))
-        outgoing = {}
-        for i, c in enumerate(cells):
-            for t, e in self.out[c].items():
-                outgoing.setdefault(t, [self.world[t].el_zero()] * k)[i] = e
-                del self.inn[t][c]
-            self.out[c] = {}
-        for t, row in outgoing.items():
+    def _add_multiple(self, a, b, c):
+        """The basis change e_b -> e_b + c e_a on two cells of one world and
+        degree: b's out-entries gain c times a's (c passing through the
+        canonical map into each target's world), a's in-entries lose c
+        times b's."""
+        w = self.world[a]
+        for t, e in self.out[a].items():
             wt = self.world[t]
-            for i, c in enumerate(cells):
-                self.set_entry(c, t, sum((row[j] * map_act(w, wt, Pinv[j][i])
-                                          for j in range(k)), wt.el_zero()))
+            self.set_entry(b, t, self.out[b].get(t, wt.el_zero()) + e * map_act(w, wt, c))
+        for s, e in self.inn[b].items():
+            self.set_entry(s, a, self.inn[a].get(s, w.el_zero()) - c * e)
 
     def try_m2(self) -> bool:
         for t in self.order():
@@ -470,36 +471,6 @@ class _Cells:
                 raise UnsupportedMixedShape(f"unrecognized island {shapes}")
             total = total + got
         return total
-
-
-def _invert_elementary(M, w: World):
-    """Invert a world-unimodular matrix: Gauss over the fraction field,
-    then check the inverse lives over the world."""
-    n = len(M)
-    A = [list(row) + [w.el_one() if i == j else w.el_zero() for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not is_zero_el(A[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise UnsupportedMixedShape("matrix not invertible over world")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        pinv = inv_el(pv)
-        A[col] = [e * pinv for e in A[col]]
-        for r in range(n):
-            if r != col and not is_zero_el(A[r][col]):
-                f = A[r][col]
-                A[r] = [A[r][k] - f * A[col][k] for k in range(2 * n)]
-    out = [row[n:] for row in A]
-    for row in out:
-        for e in row:
-            if not w.contains(e):
-                raise UnsupportedMixedShape("matrix not invertible over world")
-    return out
 
 
 def homology(C: ChainComplex) -> GradedClasses:

@@ -8,11 +8,17 @@ which are PIDs but not local) run the classical gcd loop.
 The pivot rule is fixed (minimal valuation, then lowest row index) so
 results are deterministic.
 
-snf(A, world) returns (U, D, Vt) with A = U @ D @ Vt, U and Vt products
-of elementary world-invertible operations, D diagonal with d_i | d_{i+1}
-and diagonal entries in canonical generator form.  Integral entries stay
-ints: the working copy and every row and column operation demote
-integral Fractions, and every quotient goes through worlds.div_el.
+snf(A, world) returns (D, ops): D diagonal with d_i | d_{i+1} and
+diagonal entries in canonical generator form, and ops the elementary
+operations that take A to D, in order: ("row_add", i, j, c) and
+("col_add", i, j, c) add c times row/column i to row/column j, c in the
+world; ("row_swap", i, j) and ("col_swap", i, j) swap two; ("row_scale",
+i, u) multiplies row i by a unit u.  Each is invertible over the world,
+so no transform matrix is built: a caller replays the record, a row
+operation as a change of basis of the target and a column operation as
+one of the source.  Integral entries stay ints: the working copy and
+every operation demote integral Fractions, and every quotient goes
+through worlds.div_el.
 """
 
 from __future__ import annotations
@@ -51,43 +57,34 @@ def snf(A, world: World):
     """Smith normal form over a world; see module docstring."""
     m = len(A)
     n = len(A[0]) if m else 0
-    one = world.el_one()
     D = [[normal_el(e) for e in row] for row in A]
-    U = mat_id(m, one)
-    Vt = mat_id(n, one)
+    ops = []
 
     # a cofinite world with fewer than two non-inverted primes is a field
     # or local, where the minimal pivot divides every entry
     euclidean = world.kind == "z" and not (world.inv.cofinite and len(world.inv.primes) < 2)
 
     def row_add(i, j, c):  # row_j += c * row_i; integral results as ints
-        for t in range(n):
-            D[j][t] = normal_el(D[j][t] + c * D[i][t])
-        for t in range(m):
-            U[t][i] = normal_el(U[t][i] - c * U[t][j])
+        D[j] = [normal_el(a + c * b) for a, b in zip(D[j], D[i])]
+        ops.append(("row_add", i, j, c))
 
     def col_add(i, j, c):  # col_j += c * col_i; integral results as ints
         for t in range(m):
             D[t][j] = normal_el(D[t][j] + c * D[t][i])
-        for t in range(n):
-            Vt[i][t] = normal_el(Vt[i][t] - c * Vt[j][t])
+        ops.append(("col_add", i, j, c))
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
-        for t in range(m):
-            U[t][i], U[t][j] = U[t][j], U[t][i]
+        ops.append(("row_swap", i, j))
 
     def col_swap(i, j):
         for t in range(m):
             D[t][i], D[t][j] = D[t][j], D[t][i]
-        Vt[i], Vt[j] = Vt[j], Vt[i]
+        ops.append(("col_swap", i, j))
 
     def row_scale(i, u):  # row_i *= u, u a unit; integral results as ints
-        for t in range(n):
-            D[i][t] = normal_el(D[i][t] * u)
-        uinv = inv_el(u)
-        for t in range(m):
-            U[t][i] = normal_el(U[t][i] * uinv)
+        D[i] = [normal_el(e * u) for e in D[i]]
+        ops.append(("row_scale", i, u))
 
     if euclidean:
         # clear denominators rowwise; the scale factors are world units
@@ -122,23 +119,16 @@ def snf(A, world: World):
             # gcd loop: shrink the pivot until it divides its row and column
             while True:
                 p = D[pos][pos]
-                done = True
-                for i in range(pos + 1, m):
-                    if not is_zero_el(D[i][pos]) and D[i][pos] % p != 0:
-                        row_add(pos, i, -(D[i][pos] // p))
-                        row_swap(pos, i)
-                        done = False
-                        break
-                if not done:
+                i = next((i for i in range(pos + 1, m) if D[i][pos] % p != 0), None)
+                if i is not None:
+                    row_add(pos, i, -(D[i][pos] // p))
+                    row_swap(pos, i)
                     continue
-                for j in range(pos + 1, n):
-                    if not is_zero_el(D[pos][j]) and D[pos][j] % p != 0:
-                        col_add(pos, j, -(D[pos][j] // p))
-                        col_swap(pos, j)
-                        done = False
-                        break
-                if done:
+                j = next((j for j in range(pos + 1, n) if D[pos][j] % p != 0), None)
+                if j is None:
                     break
+                col_add(pos, j, -(D[pos][j] // p))
+                col_swap(pos, j)
 
         p = D[pos][pos]
         for i in range(pos + 1, m):
@@ -154,16 +144,10 @@ def snf(A, world: World):
 
         if euclidean:
             # make the pivot divide the remaining submatrix (invariant factors)
-            fixed = True
-            for i in range(pos + 1, m):
-                for j in range(pos + 1, n):
-                    if not is_zero_el(D[i][j]) and D[i][j] % p != 0:
-                        row_add(i, pos, 1)
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if not fixed:
+            i = next((i for i in range(pos + 1, m) for j in range(pos + 1, n)
+                      if D[i][j] % p != 0), None)
+            if i is not None:
+                row_add(i, pos, 1)
                 continue  # redo this position
         pos += 1
 
@@ -176,4 +160,4 @@ def snf(A, world: World):
             if not world.is_unit(u):
                 raise SNFError(f"normalization failed over {world}")
             row_scale(i, inv_el(u))
-    return U, D, Vt
+    return D, ops

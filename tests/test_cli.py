@@ -117,10 +117,23 @@ def test_bad_truncation_refused():
     run_cli("tors", "--backend", "zint", "--T", "6", expect=2)
 
 
-def test_shape_bad_dimension_refused():
+def test_shape_bad_dimension_refused(tmp_path):
     for d, index in (("0", "iminus"), ("-3", "iminus"), ("-3", "cube"), ("2", "igeq:x")):
         proc = run_cli("shape", "--d", d, "--index", index, expect=2)
         assert "input error [shape]" in proc.stderr and "Traceback" not in proc.stderr
+    # an --out that cannot be written is bad input, not a defect
+    proc = run_cli("shape", "--d", "1", "--out", str(tmp_path / "missing" / "x.json"), expect=2)
+    assert proc.stderr.startswith("input error [shape]: ") and proc.stderr.count("\n") == 1
+
+
+def test_verify_bad_seed_and_count_refused(monkeypatch):
+    for count in ("0", "-5"):
+        proc = run_cli("verify", "mgm", "--count", count, expect=2)
+        assert proc.stderr == f"input error [verify]: --count must be at least 1, got {count}\n"
+        assert not proc.stdout
+    monkeypatch.setenv("TTG_SEED", "abc")
+    proc = run_cli("verify", "combinatorics", expect=2)
+    assert proc.stderr.startswith("input error [verify]: TTG_SEED") and not proc.stdout
 
 
 def test_verify_assembly_runs_mutants(monkeypatch, capsys):

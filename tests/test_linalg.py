@@ -1,7 +1,8 @@
-"""SNF soundness: A = U D Vt with unimodular transforms and divisibility
-chains, pivoting on minimal valuation.  The randomized check plays the
-role of the brute-force row/column-operation oracle: the factorization
-and divisibility are verified directly rather than recomputed."""
+"""SNF soundness: the recorded elementary operations take A to D, every
+add scalar lies in the world and every scale is a unit, and D is a
+divisibility chain, pivoting on minimal valuation.  The randomized check
+plays the role of the brute-force row/column-operation oracle: the
+record and divisibility are verified directly rather than recomputed."""
 
 from fractions import Fraction as F
 
@@ -17,9 +18,33 @@ def _is_zero(e):
     return e == 0 if isinstance(e, (int, F)) else e.is_zero()
 
 
+def _replay(ops, A, world):
+    """Apply the record to a copy of A, row and column operations alike,
+    checking each scalar as it goes."""
+    M = [list(row) for row in A]
+    for op in ops:
+        kind, i, j = op[0], op[1], op[2]   # j is the unit of a row_scale
+        if kind == "row_add":
+            assert world.contains(op[3]), op
+            M[j] = [a + op[3] * b for a, b in zip(M[j], M[i])]
+        elif kind == "col_add":
+            assert world.contains(op[3]), op
+            for row in M:
+                row[j] += op[3] * row[i]
+        elif kind == "row_swap":
+            M[i], M[j] = M[j], M[i]
+        elif kind == "col_swap":
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+        else:
+            assert kind == "row_scale" and world.is_unit(j), op
+            M[i] = [e * j for e in M[i]]
+    return M
+
+
 def check_snf(A, world):
-    U, D, Vt = snf(A, world)
-    assert mat_mul(mat_mul(U, D), Vt) == A
+    D, ops = snf(A, world)
+    assert _replay(ops, A, world) == D
     ds = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     for i in range(len(ds) - 1):
         if not _is_zero(ds[i]) and not _is_zero(ds[i + 1]):
@@ -71,9 +96,9 @@ SNF_WORLDS = [Z_INT(), Z_INV(2), Z_LOC(3), Z_SEMILOC(2, 3), Z_RAT(), Z_PADIC(2)]
 
 
 def test_snf_int_and_fraction_copies_agree(rng):
-    """An int matrix and its Fraction copy give equal U, D, Vt; no entry
-    is ever a float or an integral Fraction, and over Z every entry is an
-    int."""
+    """An int matrix and its Fraction copy give equal D and records; no
+    entry or op scalar is ever a float or an integral Fraction, and over
+    Z every one is an int."""
     for trial in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
@@ -81,11 +106,16 @@ def test_snf_int_and_fraction_copies_agree(rng):
         for w in SNF_WORLDS:
             got, got_f = snf(A, w), snf(AF, w)
             assert got == got_f, (A, w)
-            for out in (got, got_f):
+            for D, ops in (got, got_f):
                 assert all(type(e) is int or (type(e) is F and e.denominator != 1)
-                           for M in out for row in M for e in row), (A, w)
+                           for e in _scalars(D, ops)), (A, w)
             check_snf(A, w)
-        assert all(type(e) is int for M in snf(AF, Z_INT()) for row in M for e in row), A
+        assert all(type(e) is int for e in _scalars(*snf(AF, Z_INT()))), A
+
+
+def _scalars(D, ops):
+    """Every entry of D and every add or scale scalar of the record."""
+    return [e for row in D for e in row] + [op[-1] for op in ops if "swap" not in op[0]]
 
 
 def test_snf_random_valuation(rng):
@@ -159,7 +189,7 @@ def test_snf_invariants_match_sympy(rng):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = [[rng.choice([0, 0, 1, -1, rng.randint(-30, 30)]) for _ in range(n)]
              for _ in range(m)]
-        _, D, _ = snf([[F(e) for e in row] for row in A], Z_INT())
+        D, _ = snf([[F(e) for e in row] for row in A], Z_INT())
         S = smith_normal_form(sympy.Matrix(A), domain=sympy.ZZ)
         want = [abs(int(S[i, i])) for i in range(min(m, n))]
         assert [D[i][i] for i in range(min(m, n))] == want, A
