@@ -34,7 +34,7 @@ from .homology import homology, is_acyclic
 from .linalg import mat_id
 from .localize import Site, TruncationTooSmall, UnsupportedRegionError
 from .posets import AssemblyData
-from .shapes import CubeDiagram, holim_punctured, punctured_cube
+from .shapes import CubeDiagram, ShapeMismatchError, holim_punctured, punctured_cube
 from .worlds import World, canonical_map_exists, factorint, invert_val
 
 
@@ -238,7 +238,6 @@ def is_adelic_object(D: CubeDiagram, cube: AdelicCube) -> bool:
     isomorphism, certified exactly on each arrow by `adjoint_iso`: an
     isomorphism of complexes, otherwise a chain map with acyclic cone."""
     if D.shape.kind != "pcube":
-        from .shapes import ShapeMismatchError
         raise ShapeMismatchError("adelic membership applies to punctured cubes")
     return all(adjoint_iso(cube, D, s, t) for (s, t, _) in D.shape.arrows)
 

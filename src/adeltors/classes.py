@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .worlds import World, factorint
+from .worlds import World, factorint, world_from_name
 
 
 PRUEFER = "pruefer"      # ("quot", "pruefer", p)
@@ -162,7 +162,6 @@ class ModuleClass:
         mod, tor = [], []
         for piece, mult in self._c.items():
             if piece[0] == "free":
-                from .worlds import world_from_name
                 w = world_from_name(piece[1])
                 if w.kind == "z" and p not in w.inv:
                     mod.extend([N] * mult)

@@ -26,7 +26,7 @@ from .homology import UnsupportedMixedShape, homology
 from .library import library, random_complex
 from .localize import HypothesisFailed, Site, TruncationTooSmall, UnsupportedRegionError
 from .oracle import OracleMismatch
-from .posets import (AssemblyError, RangeError, assembly_from_json, load_poset,
+from .posets import (AssemblyError, RangeError, assembly_from_json, down_closure, load_poset,
                      torus_poset, validate_assembly)
 from .ratfunc import parse_ratxy
 from .shapes import (build_ifull, build_igeq, build_iminus, full_cube,
@@ -397,7 +397,6 @@ def cmd_verify(args) -> int:
                 X = random_complex(rng, site.base, primes=site.T)
                 pick = rng.sample(sorted(site.poset.elements),
                                   rng.randint(1, len(site.poset.elements)))
-                from adeltors.posets import down_closure
                 V = down_closure(site.poset, pick).members
                 for op in (site.split_gamma, site.split_l):
                     try:

@@ -11,6 +11,13 @@ decided once per block, not per entry: whether the canonical map exists
 when entries are checked, and how it acts on carriers when blocks are
 composed.
 
+Block maps are composed in one kernel, _composite: it indexes the
+second map by source strand and multiplies only pairs of stored blocks,
+so d o d, the chain-map identity, compose and homotopy_defect read only
+nonzero blocks.  No block dict holds a zero matrix (both constructors
+and the kernel drop them), so two complexes or maps are equal exactly
+when their block dicts are.
+
 Trust is a bit, set the way an LCF kernel admits theorems: a complex
 or chain map is `verified` only after its exact check has passed
 (d(d(x)) = 0 and valid blocks; for a map also valid blocks and the
@@ -70,39 +77,43 @@ class IncompatibleWorldsError(ValueError):
     pass
 
 
-def _zeros(world: World, rows: int, cols: int):
-    z = world.el_zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
 def _is_zero_mat(M) -> bool:
     return all(is_zero_el(e) for row in M for e in row)
 
 
-def _compose_blocks(acc, sign, first, n1, second, n2, i, k, mids, wk):
-    """acc + sign * (second o first) from strand i to strand k, blockwise.
+def _composite(first, s1, second, mid, dst, s2, sign=1, out=None):
+    """out + sign * (second o first), blockwise, over nonzero block pairs.
 
-    The sum runs over the middle strands j, with worlds w_j from mids, of
-    second[(n2, j, k)] @ T(first[(n1, i, j)]), skipping a j where either
-    block is zero.  The transport T is decided once per block: the
-    canonical map w_j -> wk on carriers (y -> 0 only into VhatM/VhatMInv
-    from outside them) when it exists, else the identity, as a twisted
-    multiplication map acts.  sign is 1 or -1.  This is the only place
-    block maps are composed.
+    first[(n, i, j)] maps to strand j of degree n - s1 of mid, and
+    second[(m, j, k)] maps that strand to strand k of degree m - s2 of
+    dst; each product lands at key (n, i, k) of out (a new dict when
+    None).  second is indexed by its source strand, so only pairs of
+    stored blocks are visited.  The transport of a first block from w_j
+    to w_k is decided once per pair: the canonical map on carriers (y -> 0
+    only into VhatM/VhatMInv from outside them) when it exists, else the
+    identity, as a twisted multiplication map acts.  sign is 1 or -1.
+    Zero sums are dropped, so out holds no zero block.  This is the only
+    place block maps are composed.
     """
-    for j, (wj, _) in enumerate(mids):
-        M1 = first.get((n1, i, j))
-        M2 = second.get((n2, j, k))
-        if M1 is None or M2 is None:
-            continue
-        if canonical_map_exists(wj, wk):
-            M1 = carrier_block(wj, wk, M1)
-        P = mat_mul(M2, M1)
-        if sign > 0:
-            acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, P)]
-        else:
-            acc = [[a - p for a, p in zip(ra, rp)] for ra, rp in zip(acc, P)]
-    return acc
+    out = {} if out is None else out
+    after: dict[tuple[int, int], list] = {}
+    for (m, j, k), M2 in second.items():
+        after.setdefault((m, j), []).append((k, M2))
+    for (n, i, j), M1 in first.items():
+        m = n - s1
+        wj = mid.strand_list(m)[j][0]
+        for k, M2 in after.get((m, j), ()):
+            wk = dst.strand_list(m - s2)[k][0]
+            P = mat_mul(M2, carrier_block(wj, wk, M1) if canonical_map_exists(wj, wk) else M1)
+            acc = out.get((n, i, k))
+            if acc is None:
+                out[(n, i, k)] = P if sign > 0 else [[-p for p in row] for row in P]
+            else:
+                out[(n, i, k)] = [[a + p if sign > 0 else a - p for a, p in zip(ra, rp)]
+                                  for ra, rp in zip(acc, P)]
+    for key in [key for key, M in out.items() if _is_zero_mat(M)]:
+        del out[key]
+    return out
 
 
 def _check_blocks(blocks, src, dst, step):
@@ -187,14 +198,6 @@ class ChainComplex:
     def rank(self, n: int) -> int:
         return sum(r for _, r in self.strand_list(n))
 
-    def block(self, n: int, i: int, j: int):
-        hit = self.blocks.get((n, i, j))
-        if hit is not None:
-            return hit
-        tgt = self.strand_list(n - 1)[j]
-        src = self.strand_list(n)[i]
-        return _zeros(tgt[0], tgt[1], src[1])
-
     def is_empty(self) -> bool:
         return not self.strands
 
@@ -208,31 +211,14 @@ class ChainComplex:
 
     def _validate(self):
         _check_blocks(self.blocks, self, self, 1)
-        # d o d = 0, blockwise
-        for n in self.degrees():
-            if (n - 1) not in self.strands or (n - 2) not in self.strands:
-                continue
-            mids = self.strand_list(n - 1)
-            for i, (_, ri) in enumerate(self.strand_list(n)):
-                for k, (wk, rk) in enumerate(self.strand_list(n - 2)):
-                    dd = _compose_blocks(_zeros(wk, rk, ri), 1, self.blocks, n,
-                                         self.blocks, n - 1, i, k, mids, wk)
-                    if not _is_zero_mat(dd):
-                        raise ShapeError(f"d o d != 0 between degrees {n} and {n-2}")
+        dd = _composite(self.blocks, 1, self.blocks, self, self, 1)
+        if dd:
+            n = min(n for n, _, _ in dd)
+            raise ShapeError(f"d o d != 0 between degrees {n} and {n-2}")
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, ChainComplex):
-            return False
-        if self.backend != other.backend or self.strands != other.strands:
-            return False
-        keys = set(self.blocks) | set(other.blocks)
-        for key in keys:
-            n, i, j = key
-            if self.block(n, i, j) != other.block(n, i, j):
-                return False
-        return True
+        return self is other or (isinstance(other, ChainComplex) and self.backend == other.backend
+                                 and self.strands == other.strands and self.blocks == other.blocks)
 
     def __repr__(self):
         if self.is_empty():
@@ -411,52 +397,22 @@ class ChainMap:
                     raise ShapeError("unit map: strand lists out of step")
         return ChainMap(src, dst, blocks)
 
-    def block(self, n, i, j):
-        hit = self.blocks.get((n, i, j))
-        if hit is not None:
-            return hit
-        tgt = self.dst.strand_list(n)[j]
-        src = self.src.strand_list(n)[i]
-        return _zeros(tgt[0], tgt[1], src[1])
-
     def is_chain_map(self) -> bool:
+        """f o d_src - d_dst o f = 0."""
         src, dst = self.src, self.dst
-        for n in set(list(src.strands) + list(dst.strands)):
-            for i, (_, ri) in enumerate(src.strand_list(n)):
-                for k, (wk, rk) in enumerate(dst.strand_list(n - 1)):
-                    # f o d_src - d_dst o f
-                    acc = _compose_blocks(_zeros(wk, rk, ri), 1, src.blocks, n,
-                                          self.blocks, n - 1, i, k, src.strand_list(n - 1), wk)
-                    acc = _compose_blocks(acc, -1, self.blocks, n,
-                                          dst.blocks, n, i, k, dst.strand_list(n), wk)
-                    if not _is_zero_mat(acc):
-                        return False
-        return True
+        acc = _composite(src.blocks, 1, self.blocks, src, dst, 0)
+        return not _composite(self.blocks, 0, dst.blocks, dst, dst, 1, -1, acc)
 
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g o f, entries passing through the middle worlds' canonical maps."""
     if f.dst is not g.src and f.dst != g.src:
         raise ShapeError("compose: middle complexes differ")
-    blocks: dict[tuple[int, int, int], list] = {}
-    for n in f.src.degrees():
-        mids = f.dst.strand_list(n)
-        for i, (_, ri) in enumerate(f.src.strand_list(n)):
-            for k, (wk, rk) in enumerate(g.dst.strand_list(n)):
-                acc = _compose_blocks(_zeros(wk, rk, ri), 1, f.blocks, n,
-                                      g.blocks, n, i, k, mids, wk)
-                if not _is_zero_mat(acc):
-                    blocks[(n, i, k)] = acc
-    return ChainMap(f.src, g.dst, blocks, check=False)
+    return ChainMap(f.src, g.dst, _composite(f.blocks, 0, g.blocks, f.dst, g.dst, 0), check=False)
 
 
 def map_equal(f: ChainMap, g: ChainMap) -> bool:
-    if f.src != g.src or f.dst != g.dst:
-        return False
-    for key in set(f.blocks) | set(g.blocks):
-        if f.block(*key) != g.block(*key):
-            return False
-    return True
+    return f.src == g.src and f.dst == g.dst and f.blocks == g.blocks
 
 
 def cone(f: ChainMap) -> ChainComplex:
@@ -548,14 +504,5 @@ def homotopy_defect(f: ChainMap, g: ChainMap, h_blocks: dict) -> bool:
     """Check dh + hd = g o f for a degree +1 block map h: src f -> dst g."""
     C, E = f.src, g.dst
     gf = compose(g, f)
-    for n in C.degrees():
-        for i, (_, ri) in enumerate(C.strand_list(n)):
-            for k, (wk, rk) in enumerate(E.strand_list(n)):
-                # d_E o h (h lands in E_{n+1}) + h o d_C
-                acc = _compose_blocks(_zeros(wk, rk, ri), 1, h_blocks, n,
-                                      E.blocks, n + 1, i, k, E.strand_list(n + 1), wk)
-                acc = _compose_blocks(acc, 1, C.blocks, n,
-                                      h_blocks, n - 1, i, k, C.strand_list(n - 1), wk)
-                if acc != gf.block(n, i, k):
-                    return False
-    return True
+    dh = _composite(h_blocks, -1, E.blocks, E, E, 1)   # h lands in E_{n+1}
+    return _composite(C.blocks, 1, h_blocks, C, E, -1, out=dh) == gf.blocks

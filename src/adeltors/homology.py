@@ -467,7 +467,7 @@ class _Cells:
         for comp in self.components():
             got = self.harvest_component(comp)
             if got is None:
-                shapes = [(self.deg[c], self.world[c].name) for c in comp]
+                shapes = sorted((self.deg[c], self.world[c].name) for c in comp)
                 raise UnsupportedMixedShape(f"unrecognized island {shapes}")
             total = total + got
         return total

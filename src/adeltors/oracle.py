@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .classes import GradedClasses, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
-from .ratfunc import RatXY
+from .ratfunc import RatXY, _y_parts
 from .worlds import World, world_from_name
 
 
@@ -233,10 +233,6 @@ class _XWin:
         return _XWin(self.lo, self.hi, out)
 
 
-def _xwin_of_poly(p: dict, lo, hi) -> _XWin:
-    return _XWin(lo, hi, {a: c for a, c in p.items()})
-
-
 def _xwin_inverse_poly(p: dict, lo, hi) -> _XWin:
     """Window expansion of 1/p for a nonzero polynomial p of x."""
     v = min(p)
@@ -257,7 +253,6 @@ def laurent_window(f: RatXY, bmin: int, bmax: int, amin: int, amax: int):
     """Exact Laurent coefficients of f in k((x))((y)) on the window."""
     if f.is_zero():
         return {}
-    from .ratfunc import _y_parts
     num_sl = _y_parts(f.num)
     den_sl = _y_parts(f.den)
     vy_n = min(num_sl)
@@ -273,7 +268,7 @@ def laurent_window(f: RatXY, bmin: int, bmax: int, amin: int, amax: int):
     d0 = den_sl[vy_d]
     inv0 = _xwin_inverse_poly(d0, lo, hi)
     # u_b = (D_{vy_d + b} / d0) for b >= 1; series inverse g of 1 + sum u_b y^b
-    u = {b: _xwin_of_poly(den_sl.get(vy_d + b, {}), lo, hi).mul(inv0)
+    u = {b: _XWin(lo, hi, den_sl.get(vy_d + b)).mul(inv0)
          for b in range(1, terms)}
     g: list[_XWin] = [_XWin(lo, hi, {0: Fraction(1)})]
     for k in range(1, terms):
@@ -291,7 +286,7 @@ def laurent_window(f: RatXY, bmin: int, bmax: int, amin: int, amax: int):
         for j in range(0, k + 1):
             nslice = num_sl.get(vy_n + j, None)
             if nslice:
-                acc = acc.add(_xwin_of_poly(nslice, lo, hi).mul(inv0).mul(g[k - j]))
+                acc = acc.add(_XWin(lo, hi, nslice).mul(inv0).mul(g[k - j]))
         for a, c in acc.c.items():
             if amin <= a < amax and c:
                 out[(b, a)] = c
@@ -382,12 +377,12 @@ def _clip(bases, mats, N: int):
 
 def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
     """QQ-dimensions of H_*(C (x) V/x^N)."""
-    return _dims_from(*_x_track(C, N), _mat_rank)
+    return _dims_from(*_x_track(C, N))
 
 
 def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
     """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x)."""
-    return _dims_from(*_y_track(C, N), _mat_rank)
+    return _dims_from(*_y_track(C, N))
 
 
 def _from_slices(slices):
@@ -400,7 +395,6 @@ def _from_slices(slices):
 
 def _y_series(e: RatXY, terms: int) -> dict[int, RatXY]:
     """y-adic expansion of e with k(x)-rational coefficients."""
-    from .ratfunc import _y_parts
     num_sl = _y_parts(e.num)
     den_sl = _y_parts(e.den)
     vn, vd = min(num_sl), min(den_sl)
@@ -445,9 +439,9 @@ def _mat_rank(M) -> int:
     return r
 
 
-def _dims_from(bases, mats, rank_fn) -> dict[int, int]:
+def _dims_from(bases, mats) -> dict[int, int]:
     """dim H_n = dim C_n - rank d_n - rank d_(n+1), each rank taken once."""
-    ranks = {n: rank_fn(A) for n, A in mats.items()}
+    ranks = {n: _mat_rank(A) for n, A in mats.items()}
     out = {}
     for n, basis in bases.items():
         h = len(basis) - ranks.get(n, 0) - ranks.get(n + 1, 0)
@@ -501,12 +495,12 @@ def val_oracle_check(C: ChainComplex, classes: GradedClasses,
     is present).  Each track is built once, at the largest N, and
     clipped for the smaller ones."""
     top = max(Ns)
-    tracks = [("x", _x_track(C, top), _mat_rank)]
+    tracks = [("x", _x_track(C, top))]
     if not any(w.name in ("VhatM", "VhatMInv") for w in C.worlds):
-        tracks.append(("y", _y_track(C, top), _mat_rank))
+        tracks.append(("y", _y_track(C, top)))
     for N in Ns:
-        for track, (bases, mats), rank_fn in tracks:
-            got = _dims_from(*_clip(bases, mats, N), rank_fn)
+        for track, (bases, mats) in tracks:
+            got = _dims_from(*_clip(bases, mats, N))
             want = _predicted_dims(classes, N, track)
             if got != want:
                 raise OracleMismatch(f"{track}-residue N={N}: dims {got} != predicted {want}")

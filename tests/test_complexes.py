@@ -105,14 +105,16 @@ def test_compose_and_equality():
     assert map_equal(compose(idm, idm), idm)
 
 
-def test_equality_with_itself_reads_no_block(monkeypatch):
+def test_equality_with_itself_reads_no_block():
     Z = Z_INT()
     C, copy = ChainComplex.two_term(Z, F(4)), ChainComplex.two_term(Z, F(4))
     f = ChainMap.from_unit(C, C)
 
-    def no_block(*args):
-        raise RuntimeError("block read")
-    monkeypatch.setattr(ChainComplex, "block", no_block)
+    class Uncomparable(dict):
+        def __eq__(self, other):
+            raise RuntimeError("blocks compared")
+        __hash__ = None
+    C.blocks = Uncomparable(C.blocks)
     assert C == C and not (C != C)
     assert map_equal(f, f)
     with pytest.raises(RuntimeError):

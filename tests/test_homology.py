@@ -128,6 +128,20 @@ def test_unsupported_shapes_raise():
         homology(C)
 
 
+def test_refusal_names_island_independent_of_strand_order():
+    # the same island, its two source strands in either order
+    x2 = rx() ** 2
+    messages = set()
+    for order in (("VhatM", "VhatPFull"), ("VhatPFull", "VhatM")):
+        C = ChainComplex("valrank2", {0: [(VAL(w), 1) for w in order],
+                                      -1: [(VAL("VhatMInv"), 1)]},
+                         {(0, 0, 0): [[x2]], (0, 1, 0): [[x2]]})
+        with pytest.raises(UnsupportedMixedShape) as err:
+            homology(C)
+        messages.add(str(err.value))
+    assert messages == {"unrecognized island [(-1, 'VhatMInv'), (0, 'VhatM'), (0, 'VhatPFull')]"}
+
+
 def _check_index(cells):
     """The cell graph's invariant: each entry stored once and mirrored,
     never zero, a valid module map one degree down, on known cells."""

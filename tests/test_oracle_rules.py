@@ -312,9 +312,9 @@ def test_track_matrices_match_column_by_column(vsite, vcube, monkeypatch):
     seen = []
     dims_from = oracle._dims_from
 
-    def capture(bases, mats, rank_fn):
+    def capture(bases, mats):
         seen.append((bases, mats))
-        return dims_from(bases, mats, rank_fn)
+        return dims_from(bases, mats)
     monkeypatch.setattr(oracle, "_dims_from", capture)
     complexes = _val_objects(vsite) + _mixed_objects(vsite, vcube)
     built = 0
@@ -339,16 +339,15 @@ def test_tracks_built_at_the_top_n_clip_to_every_smaller_n(vsite, vcube, monkeyp
     rng = random.Random(20261019)
     complexes = [random_complex(rng, vsite.base, primes=(2, 3), atoms=rng.randint(1, 4))
                  for _ in range(60)] + _mixed_objects(vsite, vcube)
-    tracks = [(oracle._x_track, x_track_dims, oracle._mat_rank),
-              (oracle._y_track, y_track_dims, oracle._mat_rank)]
+    tracks = [(oracle._x_track, x_track_dims), (oracle._y_track, y_track_dims)]
     for C in complexes:
         has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
-        for build, dims, rank_fn in tracks[:1] if has_xcomplete else tracks:
+        for build, dims in tracks[:1] if has_xcomplete else tracks:
             top = build(C, 9)
             for N in range(1, 10):
                 clipped = oracle._clip(*top, N)
                 assert clipped == build(C, N)
-                assert oracle._dims_from(*clipped, rank_fn) == dims(C, N)
+                assert oracle._dims_from(*clipped) == dims(C, N)
     builds = []
     track_matrices = oracle._track_matrices
     monkeypatch.setattr(oracle, "_track_matrices",
