@@ -25,11 +25,16 @@ chain-map identity, and both ends verified), or when a trusted
 operation built it from verified inputs.  The trusted operations are
 shift, dsum, cone, fib, cone_inclusion, fib_projection,
 induced_cone_map once its square has been seen to commute on the nose,
-and shapes.holim_punctured once every square of its punctured cube has
-been seen to commute on the nose (its values and structure maps
-verified); each skips its output's check exactly when its inputs are
-verified and checks as before otherwise.  check=False alone never makes
-a value verified, and neither does compose.
+ChainMap.from_unit on an identity (dst is src), fan_out_unit (the unit
+maps of localization and completion) when each strand maps canonically
+to its images and no block keeps its target slot while losing its
+source slot, shapes._fibre_map (a shift of induced_cone_map) once the
+cone map is verified, and shapes.holim_punctured once every square
+of its punctured cube has been seen to commute on the nose (its values
+and structure maps verified); each skips its output's check exactly
+when its inputs are verified and checks as before otherwise.
+check=False alone never makes a value verified, and neither does
+compose.
 
 A strand fans out in one place, ChainComplex.fan_out: base change,
 completion, ext along an arrow of the adelic cube and the adelic tensor
@@ -381,7 +386,9 @@ class ChainMap:
     @staticmethod
     def from_unit(src: ChainComplex, dst: ChainComplex) -> "ChainMap":
         """The canonical strandwise map when dst = base_change(src)-shaped:
-        matching strand lists degreewise, identity matrices."""
+        matching strand lists degreewise, identity matrices.  The identity
+        (dst is src) of a verified complex is trusted; any other map takes
+        the full check."""
         blocks = {}
         for n in src.degrees():
             ss, ds = src.strand_list(n), dst.strand_list(n)
@@ -395,7 +402,8 @@ class ChainMap:
                     continue  # strand died under the world op
                 else:
                     raise ShapeError("unit map: strand lists out of step")
-        return ChainMap(src, dst, blocks)
+        trusted = dst is src and src.verified
+        return _built(ChainMap(src, dst, blocks, check=not trusted), trusted)
 
     def is_chain_map(self) -> bool:
         """f o d_src - d_dst o f = 0."""
@@ -413,6 +421,29 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
 
 def map_equal(f: ChainMap, g: ChainMap) -> bool:
     return f.src == g.src and f.dst == g.dst and f.blocks == g.blocks
+
+
+def fan_out_unit(X: ChainComplex, worlds_of) -> tuple[ChainComplex, ChainMap]:
+    """X.fan_out(worlds_of) and its unit map, identity blocks from each
+    strand to its images.  u o d carries a block of X into each slot
+    where its target survives, d o u only where its source does too, so
+    the unit is a chain map when each strand maps canonically to its
+    images and no block keeps its target slot while losing its source
+    slot (a canonical block cannot: its target world is an algebra over
+    its source world).  It is trusted when X is verified too, and
+    checked otherwise."""
+    LX, slots = X.fan_out(worlds_of)
+    blocks, canonical = {}, True
+    for (n, i), ks in slots.items():
+        w0 = X.strands[n][i][0]
+        for _, si in ks:
+            w, r = LX.strands[n][si]
+            blocks[(n, i, si)] = mat_id(r, w.el_one())
+            canonical = canonical and canonical_map_exists(w0, w)
+    kept = {key: {k for k, _ in ks} for key, ks in slots.items()}
+    trusted = X.verified and canonical and \
+        all(kept[(n - 1, j)] <= kept[(n, i)] for (n, i, j) in X.blocks)
+    return LX, _built(ChainMap(X, LX, blocks, check=not trusted), trusted)
 
 
 def cone(f: ChainMap) -> ChainComplex:

@@ -77,13 +77,14 @@ def atom_classes(w: World, atoms, wloc: World | None = None) -> GradedClasses:
     [W] gives the cross-atom classes in degrees t and t-1, a two-term
     atom the cone-atom classes in t-1 and t-2."""
     out: dict[int, ModuleClass] = {}
+    rule = None     # what the rules read of W -> wloc, resolved at the first atom
     for (t, a) in atoms:
         if wloc is None:
             pieces = [(t, ModuleClass.free(w)) if a is None else (t - 1, ModuleClass.cyclic(w, a))]
-        elif a is None:
-            pieces = zip((t, t - 1), cross_atom_classes(w, wloc, w.el_one()))
         else:
-            pieces = zip((t - 1, t - 2), cone_atom_classes(w, wloc, a))
+            rule = _atom_rule(w, wloc) if rule is None else rule
+            pieces = zip((t, t - 1), _cross_atom(w, wloc, rule, w.el_one())) if a is None else \
+                zip((t - 1, t - 2), _cone_atom(w, wloc, rule, a))
         for n, cls in pieces:
             out[n] = out[n] + cls if n in out else cls
     return GradedClasses(out)
@@ -170,18 +171,28 @@ def _val_atom_pair(w1: World, w2: World) -> bool:
             and (w1.comp_height == w2.comp_height or w2.loc_height == 2))
 
 
+def _atom_rule(w1: World, w2: World):
+    """What the atom rules read of the pair W1 -> W2, resolved once per
+    pair: on zint the primes of _zint_quot_primes (which refuses), on
+    valrank2 whether _val_atom_pair covers it."""
+    return _zint_quot_primes(w1, w2) if w1.backend == "zint" else _val_atom_pair(w1, w2)
+
+
 def cross_atom_classes(w1: World, w2: World, e) -> tuple[ModuleClass, ModuleClass]:
     """(ker, coker) classes of W1 --e.wm--> W2 for a canonical wm."""
+    return _cross_atom(w1, w2, _atom_rule(w1, w2), e)
+
+
+def _cross_atom(w1: World, w2: World, rule, e) -> tuple[ModuleClass, ModuleClass]:
     if w1.backend == "zint":
-        diff = _zint_quot_primes(w1, w2)
         ker = ModuleClass()
         coker = ModuleClass()
-        for p in sorted(diff):
+        for p in sorted(rule):
             coker = coker + ModuleClass.quot(PRUEFER, p)
         coker = coker + ModuleClass.cyclic(w2, w2.canonical_generator(e))
         return ker, coker
     b, _a = w1.canonical_generator(e).val()   # exponents of y, x; b = 0 once c = 2
-    if not _val_atom_pair(w1, w2):
+    if not rule:
         raise UnsupportedMixedShape(f"no cross-atom rule for {w1} -> {w2}")
     tag = {(0, 1): PRUEFER_X, (1, 2): PRUEFER_Y, (0, 2): QUOT_KV}[(w1.loc_height, w2.loc_height)]
     if tag == PRUEFER_X and b > 0:
@@ -197,18 +208,21 @@ def cone_atom_classes(w1: World, w2: World, a) -> tuple[ModuleClass, ModuleClass
     (cone of the canonical localization map on a two-term atom), with
     the W1 pair one degree above the W2 pair and a nonzero.
     """
+    return _cone_atom(w1, w2, _atom_rule(w1, w2), a)
+
+
+def _cone_atom(w1: World, w2: World, rule, a) -> tuple[ModuleClass, ModuleClass]:
     if w1.backend == "zint":
-        diff = _zint_quot_primes(w1, w2)
         g = w1.canonical_generator(a)
         a_s = 1
         for p, e in factorint(g):
-            if p in diff:
+            if p in rule:
                 a_s *= p ** e
         mid = ModuleClass.cyclic(w1, a_s) if a_s > 1 else ModuleClass()
         return mid, ModuleClass()
     gen = w1.canonical_generator(a)
     b, _a = gen.val()
-    if not _val_atom_pair(w1, w2):
+    if not rule:
         raise UnsupportedMixedShape(f"no cone-atom rule for {w1} -> {w2}")
     if (w1.loc_height, w2.loc_height) == (0, 1) and b != 0:
         return ModuleClass.quot(PRUEFER_X), ModuleClass.quot(PRUEFER_X)

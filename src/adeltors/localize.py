@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import GradedClasses
-from .complexes import ChainComplex, ChainMap, fib
+from .complexes import ChainComplex, ChainMap, fan_out_unit, fib
 from .homology import atom_classes, decompose_single, homology
-from .linalg import mat_id
 from .posets import (AssemblyData, SpecClosedSet, dim_filtration, finest, min_of,
                      preimage_family, up_cone, valrank2_poset, zint_poset)
 from .ratfunc import x as rf_x, y as rf_y
@@ -132,8 +131,9 @@ class Site:
 
     # -- the four functors -------------------------------------------------------------
     def localized(self, X: ChainComplex, S) -> tuple[ChainComplex, ChainMap]:
-        LX = X.base_change(self.localize_op(S))
-        return LX, ChainMap.from_unit(X, LX)
+        """(X[1/S], the unit map)."""
+        op = self.localize_op(S)
+        return fan_out_unit(X, lambda w: (op(w),))
 
     def l_complement(self, V, X: ChainComplex,
                      assembly: AssemblyData | None = None) -> ChainComplex:
@@ -181,13 +181,7 @@ class Site:
 
     def completed(self, X: ChainComplex, targets) -> tuple[ChainComplex, ChainMap]:
         """(product of termwise completions at targets, the unit map)."""
-        LX, slots = X.fan_out(lambda w: [complete_world(w, t) for t in targets])
-        ublocks = {}
-        for (n, i), ks in slots.items():
-            for _, si in ks:
-                w, r = LX.strand_list(n)[si]
-                ublocks[(n, i, si)] = mat_id(r, w.el_one())
-        return LX, ChainMap(X, LX, ublocks)
+        return fan_out_unit(X, lambda w: [complete_world(w, t) for t in targets])
 
     def delta(self, V, X: ChainComplex,
               assembly: AssemblyData | None = None) -> ChainComplex:

@@ -9,16 +9,19 @@ and the decomposition must run once per complex and per call.
 
 import random
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 from adeltors.classes import GradedClasses
 from adeltors.complexes import ChainComplex
-from adeltors.homology import (UnsupportedMixedShape, cone_atom_classes,
+from adeltors.homology import (UnsupportedMixedShape, atom_classes, cone_atom_classes,
                                cross_atom_classes, decompose_single, homology)
 from adeltors.library import library, random_complex
 from adeltors.localize import MGMReport, Site, SplitReport
 from adeltors.posets import SpecClosedSet, down_closure, min_of
+from adeltors.ratfunc import x as rx
+from adeltors.worlds import VAL, Z_INT, Z_INV, Z_PADIC
 
 
 # -- the reference: every complex built and reduced on its own ------------------------
@@ -220,3 +223,34 @@ def test_nothing_outlives_a_call(zsite5, decompositions):
     zsite5.split_gamma(V, X, force=True)
     zsite5.split_gamma(V, X, force=True)
     assert _calls_on(decompositions, X) == 2
+
+
+def test_atom_rule_is_read_once_per_fold(monkeypatch):
+    """atom_classes resolves the rule of W -> Wloc at its first atom and
+    reads it for every later one: the classes are the per-atom ones, an
+    empty fold refuses nothing, and a refusal says what the per-atom rule
+    says for the first atom."""
+    module = sys.modules["adeltors.homology"]    # the package attribute is the function
+    resolved, rule = [], module._atom_rule
+    monkeypatch.setattr(module, "_atom_rule",
+                        lambda w1, w2: resolved.append((w1, w2)) or rule(w1, w2))
+    Z, V, Vhat = Z_INT(), VAL("V"), VAL("VhatP")
+    atoms = [(0, None), (1, F(12)), (2, F(18)), (2, None)]
+    want = GradedClasses()
+    for t, a in atoms:
+        pieces = cross_atom_classes(Z, Z_INV(2), 1) if a is None else \
+            cone_atom_classes(Z, Z_INV(2), a)
+        want = want + GradedClasses(dict(zip((t, t - 1) if a is None else (t - 1, t - 2),
+                                             pieces)))
+    resolved.clear()
+    assert atom_classes(Z, atoms, Z_INV(2)) == want and len(resolved) == 1
+    for w, wloc, first in ((Z, Z_PADIC(2), (1, F(4))), (V, Vhat, (0, None)),
+                           (V, Vhat, (1, rx()))):
+        resolved.clear()
+        assert atom_classes(w, [], wloc) == GradedClasses() and resolved == []
+        t, a = first
+        with pytest.raises(UnsupportedMixedShape) as per_atom:
+            cross_atom_classes(w, wloc, w.el_one()) if a is None else cone_atom_classes(w, wloc, a)
+        with pytest.raises(UnsupportedMixedShape) as folded:
+            atom_classes(w, [first, (0, None), (2, a or w.el_one())], wloc)
+        assert str(folded.value) == str(per_atom.value)

@@ -1,34 +1,46 @@
 """The verified bit: only a passed check, or a trusted operation on
 verified inputs, marks a complex or chain map as verified.
 
-The pipeline test re-runs the full check on every value the trusted
-cone operations and the punctured-cube limit hand out as verified, on
-the library and on seeded random objects of both backends, and compares
-the verdicts with an unwrapped run."""
+The pipeline test re-runs the full check on every value a trusted
+operation hands out as verified, on the library and on seeded random
+objects of both backends, and compares the verdicts with an unwrapped
+run.  A guard keeps every function that sets the bit through _built in
+that list."""
 
+import ast
+import inspect
 import json
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from adeltors import adelic, complexes, shapes, torsion
+import adeltors
+from adeltors import adelic, complexes, localize, shapes, torsion
 from adeltors.adelic import AdelicCube, is_adelic_object, reconstruct_limit
-from adeltors.complexes import (ChainComplex, ChainMap, NotChainMapError, ShapeError,
-                                _check_blocks, compose, cone, fib, induced_cone_map)
+from adeltors.complexes import (ChainComplex, ChainMap, IncompatibleWorldsError,
+                                NotChainMapError, ShapeError, _check_blocks, compose, cone,
+                                fan_out_unit, fib, induced_cone_map)
 from adeltors.homology import UnsupportedMixedShape
 from adeltors.library import library, random_complex
-from adeltors.shapes import (CubeDiagram, big_R, fib_cof_inverse_check, full_cube,
-                             holim_punctured, punctured_cube)
+from adeltors.ratfunc import y as ry
+from adeltors.shapes import (CubeDiagram, _fibre_map, big_R, fib_cof_inverse_check,
+                             full_cube, holim_punctured, punctured_cube)
 from adeltors.torsion import reconstruct, tors, validate
-from adeltors.worlds import Z_INT, invert_primes, invert_val
+from adeltors.worlds import VAL, Z_INT, Z_INV, complete_world, invert_primes, invert_val
 
-# the trusted operations, each with the module that defines it first and
-# then the modules that import it by name
-TRUSTED = {"cone": (complexes, shapes, adelic),
+# the trusted operations by qualified name, each with the module or class
+# that defines it first and then the modules that import it by name
+TRUSTED = {"ChainComplex.shift": (complexes.ChainComplex,),
+           "ChainComplex.dsum": (complexes.ChainComplex,),
+           "ChainMap.from_unit": (complexes.ChainMap,),
+           "fan_out_unit": (complexes, localize),
+           "cone": (complexes, shapes, adelic),
            "cone_inclusion": (complexes, shapes),
            "fib_projection": (complexes, shapes),
            "induced_cone_map": (complexes, shapes),
+           "_fibre_map": (shapes,),
            "holim_punctured": (shapes, torsion, adelic)}
 
 
@@ -47,20 +59,25 @@ def _recheck(value, seen):
 
 
 def _wrap_trusted(monkeypatch):
-    seen, counts = {}, {"verified": 0, "unverified": 0}
-    for name, modules in TRUSTED.items():
-        op = getattr(modules[0], name)
+    """Route every trusted operation through the recheck; counts[name]
+    tallies the values it hands out as verified and as unverified."""
+    seen, counts = {}, {name: {"verified": 0, "unverified": 0} for name in TRUSTED}
+    for name, owners in TRUSTED.items():
+        attr = name.rsplit(".", 1)[-1]
+        op = getattr(owners[0], attr)
 
-        def wrapped(*args, _op=op):
+        def wrapped(*args, _op=op, _tally=counts[name]):
             out = _op(*args)
-            if out.verified:
-                counts["verified"] += 1
-                _recheck(out, seen)
-            else:
-                counts["unverified"] += 1
+            for value in out if isinstance(out, tuple) else (out,):
+                if value.verified:
+                    _tally["verified"] += 1
+                    _recheck(value, seen)
+                else:
+                    _tally["unverified"] += 1
             return out
-        for mod in modules:
-            monkeypatch.setattr(mod, name, wrapped)
+        for owner in owners:
+            static = isinstance(inspect.getattr_static(owner, attr), staticmethod)
+            monkeypatch.setattr(owner, attr, staticmethod(wrapped) if static else wrapped)
     return counts
 
 
@@ -75,11 +92,16 @@ def _unit_square(X, backend):
                         ("0", "10"): u, ("1", "10"): ChainMap.from_unit(Y, Y)}, {}, {})
 
 
-def _verdicts(sites, objects) -> str:
+def _verdicts(sites) -> str:
+    """The pipeline's verdicts on the library and 40 seeded random
+    objects per backend, built afresh (which runs dsum) on each call."""
+    rng = random.Random(20260806)
     out = []
     for backend, site in sites.items():
         cube = AdelicCube(site)
-        for X in objects[backend]:
+        objects = [X for _, X in library(site)] + \
+            [random_complex(rng, site.base, primes=(2, 3), atoms=1 + k % 4) for k in range(40)]
+        for X in objects:
             try:
                 TD = tors(site, X, cube)
                 rt = reconstruct(site, TD, X, cube, require_valid=False)
@@ -97,16 +119,37 @@ def _verdicts(sites, objects) -> str:
 
 def test_trusted_outputs_pass_their_checks(zsite, vsite, monkeypatch):
     sites = {"zint": zsite, "valrank2": vsite}
-    rng = random.Random(20260806)
-    objects = {b: [X for _, X in library(s)] +
-               [random_complex(rng, s.base, primes=(2, 3), atoms=1 + k % 4)
-                for k in range(40)]
-               for b, s in sites.items()}
-    plain = _verdicts(sites, objects)
+    plain = _verdicts(sites)
     counts = _wrap_trusted(monkeypatch)
-    assert _verdicts(sites, objects) == plain
-    # every cone the pipeline builds has verified inputs, so it is trusted
-    assert counts["verified"] > 1000 and counts["unverified"] == 0
+    assert _verdicts(sites) == plain
+    # every trusted operation is used, and every value the pipeline builds
+    # with one has verified inputs, so it is trusted
+    assert all(c["verified"] > 0 and c["unverified"] == 0 for c in counts.values()), counts
+    assert sum(c["verified"] for c in counts.values()) > 1000
+
+
+def test_every_caller_of_built_is_rechecked():
+    """Every function in the package that sets the verified bit through
+    _built is a trusted operation the pipeline test re-checks."""
+    package = os.path.dirname(adeltors.__file__)
+    callers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                node.func.id == "_built":
+            callers.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for fname in sorted(os.listdir(package)):
+        if fname.endswith(".py"):
+            with open(os.path.join(package, fname)) as fh:
+                visit(ast.parse(fh.read()), "adeltors." + fname[:-3], ())
+    home = {name: getattr(owners[0], "__module__", owners[0].__name__)
+            for name, owners in TRUSTED.items()}
+    assert callers == {(module, name) for name, module in home.items()}
 
 
 def test_check_false_is_not_verified():
@@ -140,6 +183,58 @@ def test_compose_is_not_trusted():
     C = ChainComplex.two_term(Z_INT(), F(6))
     idm = ChainMap.from_unit(C, C)
     assert idm.verified and not compose(idm, idm).verified
+
+
+# -- maps that are chain maps by construction -----------------------------------------
+
+
+def test_fibre_map_of_a_non_chain_map_raises():
+    C = ChainComplex.two_term(Z_INT(), F(4))
+    zero = ChainMap(C, C, {})
+    idm, bad = ChainMap.from_unit(C, C), ChainMap(C, C, {(1, 0, 0): [[F(1)]]}, check=False)
+    # the square of zero maps commutes whatever p is
+    with pytest.raises(NotChainMapError):
+        _fibre_map(zero, zero, bad, zero, fib(zero), fib(zero))
+    assert _fibre_map(zero, zero, idm, zero, fib(zero), fib(zero)).verified
+    # ends built unchecked send the map to its check, which leaves it unverified
+    U = fib(zero)
+    U = ChainComplex(U.backend, U.strands, U.blocks, check=False)
+    assert not _fibre_map(zero, zero, idm, zero, U, U).verified
+
+
+def test_identity_from_unit_is_trusted_only_on_itself():
+    Z = Z_INT()
+    C = ChainComplex.two_term(Z, F(4)).dsum(ChainComplex.two_term(Z, F(9)))
+    U = ChainComplex(C.backend, C.strands, C.blocks, check=False)
+    assert ChainMap.from_unit(C, C).verified and not ChainMap.from_unit(U, U).verified
+    # a unit map into another complex keeps its check: one block of the
+    # target's differential changed makes it raise
+    Y = C.base_change(lambda w: invert_primes(w, frozenset({3})))
+    assert ChainMap.from_unit(C, Y).verified
+    changed = ChainComplex(Y.backend, Y.strands, {**Y.blocks, (1, 0, 0): [[F(8)]]})
+    assert changed.verified
+    with pytest.raises(NotChainMapError):
+        ChainMap.from_unit(C, changed)
+
+
+def test_fan_out_unit_is_trusted_only_on_verified_natural_input():
+    X = ChainComplex.two_term(Z_INT(), F(12))
+    LX, u = fan_out_unit(X, lambda w: [complete_world(w, p) for p in (2, 3)])
+    assert u.verified and u.src is X and u.dst is LX
+    # an unverified source comes back checked but unverified
+    U = ChainComplex(X.backend, X.strands, X.blocks, check=False)
+    LU, uu = fan_out_unit(U, lambda w: [complete_world(w, p) for p in (2, 3)])
+    assert LU == LX and uu.blocks == u.blocks and not uu.verified
+    # a twisted block K --y^3--> V loses its source under completion at p
+    # but keeps its target: the unit is then no chain map, and says so
+    K, V = VAL("K"), VAL("V")
+    T = ChainComplex("valrank2", {1: [(K, 1)], 0: [(V, 1)]}, {(1, 0, 0): [[ry() ** 3]]})
+    assert T.verified
+    with pytest.raises(NotChainMapError):
+        fan_out_unit(T, lambda w: [complete_world(w, "p")])
+    # strands that map to no canonical image are checked too
+    with pytest.raises(IncompatibleWorldsError):
+        fan_out_unit(ChainComplex.unit(Z_INV(2)), lambda w: [Z_INT()])
 
 
 # -- the punctured-cube limit ------------------------------------------------------------
