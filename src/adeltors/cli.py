@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -43,11 +44,6 @@ class InputError(ValueError):
     def __init__(self, message: str, check: str | None = None):
         super().__init__(message)
         self.check = check
-
-
-def _input_error(cmd: str, exc: InputError) -> int:
-    print(f"input error [{exc.check or cmd}]: {exc}", file=sys.stderr)
-    return 2
 
 
 # What reading a malformed poset or assembly file can raise: OSError from
@@ -115,6 +111,17 @@ def load_object(path: str, site: Site) -> ChainComplex:
     return object_from_json(doc, site)
 
 
+def _by_degree(table) -> dict:
+    """The JSON object table with int keys: each written -?[0-9]+, each degree once."""
+    out = {}
+    for k, v in table.items():
+        if not re.fullmatch("-?[0-9]+", k) or int(k) in out:
+            raise InputError(f"degree key {k!r} is not an integer or repeats one",
+                             check="object")
+        out[int(k)] = v
+    return out
+
+
 def object_from_json(doc, site: Site) -> ChainComplex:
     if isinstance(doc, dict) and "parts" in doc:
         doc = doc["parts"]
@@ -127,17 +134,17 @@ def object_from_json(doc, site: Site) -> ChainComplex:
         raise InputError(f"an object is a JSON object or a list of parts, not {doc!r}")
     try:
         w = world_from_name(doc.get("world", site.base.name), site.backend)
-        ranks = {int(k): int(v) for k, v in doc.get("degrees", {}).items()}
+        ranks = _by_degree(doc.get("degrees", {}))
         for n in sorted(ranks):
-            if ranks[n] < 0:
-                raise InputError(f"degree {n} has rank {ranks[n]}: ranks are "
-                                 f"nonnegative", check="object")
+            if type(ranks[n]) is not int or ranks[n] < 0:    # a bool or a float is no rank
+                raise InputError(f"degree {n} has rank {ranks[n]!r}: ranks are "
+                                 f"nonnegative integers", check="object")
             if ranks[n] and not OBJECT_LO <= n <= OBJECT_HI:
                 raise InputError(f"generator in degree {n}: objects live in degrees "
                                  f"[{OBJECT_LO}, {OBJECT_HI}]", check="object")
         parse = (lambda s: Fraction(s)) if site.backend == "zint" else parse_ratxy
-        diffs = {int(k): [[parse(str(e)) for e in row] for row in M]
-                 for k, M in doc.get("diff", {}).items()}
+        diffs = {n: [[parse(str(e)) for e in row] for row in M]
+                 for n, M in _by_degree(doc.get("diff", {})).items()}
         for n in sorted(diffs):
             if not (ranks.get(n) and ranks.get(n - 1)):
                 raise InputError(f"diff in degree {n} needs generators in degrees "
@@ -245,11 +252,8 @@ def cmd_shape(args) -> int:
 
 
 def cmd_adelic(args) -> int:
-    try:
-        site = _site(args)
-        X = load_object(args.object, site) if args.object else site.unit()
-    except InputError as exc:
-        return _input_error("adelic", exc)
+    site = _site(args)
+    X = load_object(args.object, site) if args.object else site.unit()
     cube = AdelicCube(site)
     try:
         D = cube.tensor(X)
@@ -276,11 +280,8 @@ def cmd_tors(args) -> int:
     if args.backend == "formal":
         _emit(chromatic_report(args.height), args.out)
         return 0
-    try:
-        site = _site(args)
-        X = load_object(args.object, site) if args.object else site.unit()
-    except InputError as exc:
-        return _input_error("tors", exc)
+    site = _site(args)
+    X = load_object(args.object, site) if args.object else site.unit()
     cube = AdelicCube(site)
     try:
         TD = tors(site, X, cube)
@@ -334,10 +335,7 @@ def cmd_verify(args) -> int:
     suites = args.suite.split(",") if args.suite != "all" else \
         ["combinatorics", "rules", "fracture", "tors", "vertex", "mgm",
          "splittings", "assembly"]
-    try:
-        site = _site(args)
-    except InputError as exc:
-        return _input_error("verify", exc)
+    site = _site(args)
     cube = AdelicCube(site)
     lines = []
     ok_all = True
@@ -479,7 +477,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except InputError as exc:
-        return _input_error(args.cmd, exc)
+        print(f"input error [{exc.check or args.cmd}]: {exc}", file=sys.stderr)
+        return 2
     except UnsupportedMixedShape as exc:
         print(f"refused [mixed-homology]: {exc}", file=sys.stderr)
         return 1

@@ -121,20 +121,26 @@ def _composite(first, s1, second, mid, dst, s2, sign=1, out=None):
     return out
 
 
+def _check_shape(n, i, j, M, ss, ts):
+    """Block (n, i, j) maps strand i of the strand list ss to strand j of
+    ts: it must name both strands and have their ranks as its shape."""
+    if not (0 <= i < len(ss) and 0 <= j < len(ts)):
+        raise ShapeError(f"block ({n},{i},{j}) names no strand")
+    if len(M) != ts[j][1] or any(len(row) != ss[i][1] for row in M):
+        raise ShapeError(f"block ({n},{i},{j}) has wrong shape")
+
+
 def _check_blocks(blocks, src, dst, step):
     """Each block (n, i, j) maps strand i of src degree n to strand j of
-    dst degree n - step: it must name both strands, have their ranks as
-    its shape, and hold entries mult_map_allowed between their worlds.
-    Strand worlds are never the zero world, so along a canonical map
-    (decided once per block) that is membership in the target world;
-    only twisted blocks ask mult_map_allowed entry by entry."""
+    dst degree n - step: it must pass _check_shape and hold entries
+    mult_map_allowed between the two worlds.  Strand worlds are never the
+    zero world, so along a canonical map (decided once per block) that is
+    membership in the target world; only twisted blocks ask
+    mult_map_allowed entry by entry."""
     for (n, i, j), M in blocks.items():
         ss, ts = src.strand_list(n), dst.strand_list(n - step)
-        if not (0 <= i < len(ss) and 0 <= j < len(ts)):
-            raise ShapeError(f"block ({n},{i},{j}) names no strand")
-        (ws, rs), (wt, rt) = ss[i], ts[j]
-        if len(M) != rt or any(len(row) != rs for row in M):
-            raise ShapeError(f"block ({n},{i},{j}) has wrong shape")
+        _check_shape(n, i, j, M, ss, ts)
+        ws, wt = ss[i][0], ts[j][0]
         allowed = wt.contains if canonical_map_exists(ws, wt) else \
             (lambda e: mult_map_allowed(ws, wt, e))
         for row in M:
@@ -177,12 +183,13 @@ class ChainComplex:
         for n, ss in strands.items():
             if not (DEGREE_LO <= n <= DEGREE_HI):
                 raise DegreeWindowError(f"degree {n} outside [{DEGREE_LO},{DEGREE_HI}]")
-            kept = [(w, r) for (w, r) in ss if r > 0 and not w.is_zero_world]
             keep[n] = [i for i, (w, r) in enumerate(ss) if r > 0 and not w.is_zero_world]
-            if kept:
-                self.strands[n] = kept
+            if keep[n]:
+                self.strands[n] = [ss[i] for i in keep[n]]
         self.blocks = {}
         for (n, i, j), M in blocks.items():
+            if check:   # before the zero filter, which passes [] and [[]]
+                _check_shape(n, i, j, M, strands.get(n, ()), strands.get(n - 1, ()))
             if _is_zero_mat(M):
                 continue
             if n not in keep or i not in keep[n] or (n - 1) not in keep or j not in keep[n - 1]:

@@ -1,14 +1,8 @@
 """Homology classification of complexes over catalogue worlds.
 
-Single-world complexes go through one Smith reduction (Kaczynski-Mrozek-
-Slusarek): decompose_single splits them, one SNF per degree, into free
-generators and two-term atoms [W --a--> W], and atom_classes reads the
-homology off those atoms as free and cyclic pieces -- and, since a
-localization of W is flat, the homology of every localization and the
-classes of every torsion part of the complex too.
-
-Mixed ("adelically shaped") complexes reduce by a deterministic loop of
-moves on an exploded cell presentation (one cell per free generator):
+Every complex reduces by one deterministic loop of moves on an exploded
+cell presentation, one cell per free generator (the chain-complex
+reduction of Kaczynski-Mrozek-Slusarek):
 
   M1  cancel a same-world unit entry (Gaussian / discrete-Morse step);
   M0  Smith-diagonalize a same-world block to create unit entries and
@@ -21,6 +15,12 @@ moves on an exploded cell presentation (one cell per free generator):
       attachments -- this is exactness of 0 -> W -> W1 (+) W2 -> W12 -> 0;
   M3/M5  harvest isolated islands (free cells, two-cell cross atoms,
       four-cell cones of localization maps) through a finite rule table.
+
+A single-world complex reduces to lone cells and two-cell pairs only;
+decompose_single reads them as atoms [W] and [W --a--> W], and
+atom_classes folds atoms into classes -- and, since a localization of W
+is flat, into the classes of every localization and every torsion part
+of the complex too.
 
 Every fracture triple and island rule is validated independently by the
 residue-truncation oracle in the test suite; the classifier refuses
@@ -40,42 +40,18 @@ class UnsupportedMixedShape(ValueError):
     pass
 
 
-def full_matrix(C: ChainComplex, n: int):
-    """The full differential C_n -> C_{n-1} with strand structure flattened.
-
-    Only valid when both degrees live over a single world.
-    """
-    rows, cols = C.rank(n - 1), C.rank(n)
-    worlds = {w for w, _ in C.strand_list(n)} | {w for w, _ in C.strand_list(n - 1)}
-    if len(worlds) > 1:
-        raise UnsupportedMixedShape("full_matrix needs a single world")
-    w = next(iter(worlds)) if worlds else None
-    z = w.el_zero() if w else 0
-    M = [[z for _ in range(cols)] for _ in range(rows)]
-    coff = 0
-    for i, (_, ri) in enumerate(C.strand_list(n)):
-        roff = 0
-        for j, (_, rj) in enumerate(C.strand_list(n - 1)):
-            B = C.blocks.get((n, i, j))
-            if B is not None:
-                for a in range(rj):
-                    for b in range(ri):
-                        M[roff + a][coff + b] = B[a][b]
-            roff += rj
-        coff += ri
-    return M
-
-
 def atom_classes(w: World, atoms, wloc: World | None = None) -> GradedClasses:
-    """Fold atoms of decompose_single over w into homology classes: of
-    the complex itself, or with wloc, of the fibre of W -> wloc (torsion
-    and cones commute with direct sums, so the rank-one rules are exact).
+    """Fold atoms over w into homology classes: of the complex they sum
+    to, or with wloc, of the fibre of W -> wloc (torsion and cones
+    commute with direct sums, so the rank-one rules are exact).  An atom
+    is (t, None), a lone [W] in degree t, or (t, a), [W --a--> W] in
+    degrees (t, t-1), as decompose_single lists them.
 
-    Alone, a lone [W] in degree t gives Free(W) in degree t, and
-    [W --a--> W] with top degree t gives W/(a) in degree t-1 (nothing
-    for a unit a; every catalogue world is a domain).  With wloc, a lone
-    [W] gives the cross-atom classes in degrees t and t-1, a two-term
-    atom the cone-atom classes in t-1 and t-2."""
+    Alone, a lone [W] gives Free(W) in degree t, and a pair W/(a) in
+    degree t-1 (nothing for a unit a, which decompose_single never
+    lists; every catalogue world is a domain).  With wloc, a lone [W]
+    gives the cross-atom classes in degrees t and t-1, a pair the
+    cone-atom classes in t-1 and t-2."""
     out: dict[int, ModuleClass] = {}
     rule = None     # what the rules read of W -> wloc, resolved at the first atom
     for (t, a) in atoms:
@@ -91,60 +67,19 @@ def atom_classes(w: World, atoms, wloc: World | None = None) -> GradedClasses:
 
 
 def decompose_single(C: ChainComplex) -> list[tuple[int, object]]:
-    """Split a single-world complex into rank-one atoms.
-
-    Returns a list of (top_degree, a): a two-term atom [W --a--> W] in
-    degrees (top, top-1) for nonzero a, or a lone free generator [W] in
-    degree top when a is None.  The direct sum of the atoms is
-    isomorphic to C; over an elementary-divisor world this always works.
+    """Split a single-world complex into rank-one atoms: the components
+    _Cells.reduce leaves, a lone cell as (its degree, None) and a pair
+    s -> t as (deg s, the entry a), the atom [W --a--> W] in degrees
+    (deg s, deg s - 1).  Unit atoms are not listed (M1 cancels them; they
+    are acyclic and atom_classes drops them), so the atoms sum to C up to
+    an acyclic summand.
     """
-    w = C.single_world()
-    if C.is_empty():
-        return []
-    if w is None:
+    if len(C.worlds) > 1:
         raise UnsupportedMixedShape("decompose needs a single world")
-    degs = C.degrees()
-    lo, hi = degs[0], degs[-1]
-    mats = {n: full_matrix(C, n) for n in range(lo + 1, hi + 1)
-            if C.rank(n) and C.rank(n - 1)}
-    ranks = {n: C.rank(n) for n in degs}
-    atoms: list[tuple[int, object]] = []
-    n = lo
-    while n <= hi:
-        r_n = ranks.get(n, 0)
-        if r_n == 0:
-            n += 1
-            continue
-        d = mats.get(n + 1)
-        if d is None:
-            atoms.extend((n, None) for _ in range(r_n))
-            ranks[n] = 0
-            n += 1
-            continue
-        D, ops = snf(d, w)
-        # change basis upstairs: a column operation on d_{n+1} is a change
-        # of basis of C_{n+1}, so d_{n+2} takes it as the inverse row operation
-        up = mats.get(n + 2)
-        if up is not None:
-            for op in ops:
-                if op[0] == "col_add":
-                    _, i, j, c = op
-                    up[i] = [a - c * b for a, b in zip(up[i], up[j])]
-                elif op[0] == "col_swap":
-                    up[op[1]], up[op[2]] = up[op[2]], up[op[1]]
-        r = 0
-        for i in range(min(len(D), len(D[0]) if D else 0)):
-            if not is_zero_el(D[i][i]):
-                atoms.append((n + 1, D[i][i]))
-                r += 1
-        atoms.extend((n, None) for _ in range(ranks[n] - r))
-        ranks[n] = 0
-        ranks[n + 1] = ranks.get(n + 1, 0) - r
-        if (n + 2) in mats:
-            mats[n + 2] = mats[n + 2][r:]  # drop rows paired off
-        mats.pop(n + 1, None)
-        n += 1
-    return atoms
+    cells = _Cells(C)
+    cells.reduce()
+    return [(cells.deg[top], next(iter(cells.out[top].values()), None))
+            for top in (max(comp, key=cells.deg.__getitem__) for comp in cells.components())]
 
 
 # -- island rules ------------------------------------------------------------------
@@ -233,7 +168,7 @@ def _cone_atom(w1: World, w2: World, rule, a) -> tuple[ModuleClass, ModuleClass]
 
 
 class _Cells:
-    """A mixed complex exploded into cells, one per free generator, each
+    """A complex exploded into cells, one per free generator, each
     with its world and degree.  A nonzero entry s -> t, one degree down,
     is stored once and read from both ends: out[s][t] is inn[t][s].
     world, deg, out and inn hold the same cells, so a move reads and
@@ -321,8 +256,7 @@ class _Cells:
         groups: dict[tuple[int, World], list[int]] = {}
         for c in self.order():
             groups.setdefault((self.deg[c], self.world[c]), []).append(c)
-        for (n, w), src in sorted(groups.items(),
-                                  key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
+        for (n, w), src in groups.items():      # in order(), so by degree and world
             tgt = groups.get((n - 1, w))
             if not tgt:
                 continue
@@ -330,9 +264,10 @@ class _Cells:
             if len({s for s, _ in entries}) == len(entries) == len({t for _, t in entries}):
                 continue
             B = [[self.out[s].get(t, w.el_zero()) for s in src] for t in tgt]
-            # replay the reduction on the cells: a column operation changes
-            # the basis of the sources, a row operation that of the targets
-            for op in snf(B, w)[1]:
+            D, ops = snf(B, w)
+            for s, t in entries:    # the block becomes D; the record is replayed on the rest
+                del self.out[s][t], self.inn[t][s]
+            for op in ops:
                 kind, i = op[0], op[1]
                 if kind == "col_add":      # source j becomes e_j + c e_i
                     self._add_multiple(src[i], src[op[2]], op[3])
@@ -344,6 +279,8 @@ class _Cells:
                     tgt[i], tgt[op[2]] = tgt[op[2]], tgt[i]
                 else:                      # y_i *= u: target i becomes e_i / u
                     self.scale(tgt[i], inv_el(op[2]))
+            for i in range(min(len(src), len(tgt))):
+                self.set_entry(src[i], tgt[i], D[i][i])
             return True
         return False
 
@@ -474,9 +411,13 @@ class _Cells:
             return GradedClasses({m - 1: mid, m - 2: bot})
         return None
 
-    def classify(self) -> GradedClasses:
+    def reduce(self):
+        """Run the moves until none applies."""
         while self.world and (self.try_m1() or self.try_m2() or self.try_m0()):
             pass
+
+    def classify(self) -> GradedClasses:
+        self.reduce()
         total = GradedClasses()
         for comp in self.components():
             got = self.harvest_component(comp)
@@ -489,11 +430,6 @@ class _Cells:
 
 def homology(C: ChainComplex) -> GradedClasses:
     """Classify the homology of an adelically shaped complex."""
-    if C.is_empty():
-        return GradedClasses()
-    w = C.single_world()
-    if w is not None:
-        return atom_classes(w, decompose_single(C))
     return _Cells(C).classify()
 
 

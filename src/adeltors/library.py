@@ -51,12 +51,16 @@ def library(site: Site):
 def merge_strands(C: ChainComplex) -> ChainComplex:
     """One strand per degree (requires a single world)."""
     w = C.single_world()
-    if w is None or C.is_empty():
+    if w is None:
         return C
-    from .homology import full_matrix
     ranks = {n: C.rank(n) for n in C.degrees()}
-    diffs = {n: full_matrix(C, n) for n in C.degrees()
-             if C.rank(n) and C.rank(n - 1)}
+    diffs: dict[int, list] = {}
+    for (n, i, j), B in sorted(C.blocks.items()):
+        M = diffs.setdefault(n, [[w.el_zero()] * ranks[n] for _ in range(ranks[n - 1])])
+        col = sum(r for _, r in C.strand_list(n)[:i])
+        row = sum(r for _, r in C.strand_list(n - 1)[:j])
+        for a, entries in enumerate(B):
+            M[row + a][col:col + len(entries)] = entries
     return ChainComplex.single(w, ranks, diffs)
 
 

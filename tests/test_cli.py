@@ -6,6 +6,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
+
 from adeltors import cli
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -224,18 +226,42 @@ def test_object_degree_window_refused(tmp_path, capsys):
 
 
 def test_object_loader_refuses_what_it_would_reinterpret(tmp_path, capsys):
-    # a negative rank was read as the zero object, and a diff entry for a
-    # degree without generators was dropped
+    # a negative rank was read as the zero object, a diff entry for a
+    # degree without generators was dropped, int() read 1.7, True and
+    # "+0" as rank or degree, and a repeated degree kept its last rank
     obj = tmp_path / "bad.json"
+    key = "is not an integer or repeats one"
     for doc, msg in (({"world": "Int", "degrees": {"0": -2}},
-                      "degree 0 has rank -2: ranks are nonnegative"),
+                      "degree 0 has rank -2: ranks are nonnegative integers"),
                      ({"world": "Int", "degrees": {"0": 1}, "diff": {"5": [["3"]]}},
-                      "diff in degree 5 needs generators in degrees 5 and 4")):
+                      "diff in degree 5 needs generators in degrees 5 and 4"),
+                     ({"degrees": {"0": 1.7}},
+                      "degree 0 has rank 1.7: ranks are nonnegative integers"),
+                     ({"degrees": {"0": True}},
+                      "degree 0 has rank True: ranks are nonnegative integers"),
+                     ({"degrees": {"+0": 1}}, f"degree key '+0' {key}"),
+                     ({"degrees": {" 1": 1}}, f"degree key ' 1' {key}"),
+                     ({"degrees": {"1": 1, "01": 1}}, f"degree key '01' {key}"),
+                     ({"degrees": {"1": 1, "0": 1}, "diff": {"+1": [["2"]]}},
+                      f"degree key '+1' {key}")):
         obj.write_text(json.dumps(doc))
         for cmd in ("adelic", "tors"):
             assert cli.main([cmd, "--object", str(obj)]) == 2
             out = capsys.readouterr()
             assert out.err == f"input error [object]: {msg}\n" and not out.out
+
+
+@pytest.mark.parametrize("diff", [[], [[]], [["0", "0", "0"], ["0"]]],
+                         ids=["no-rows", "empty-row", "ragged"])
+def test_zero_block_of_wrong_shape_refused(tmp_path, capsys, diff):
+    # an all-zero block was dropped before its shape was checked, so each
+    # of these read as a zero differential
+    obj = tmp_path / "bad.json"
+    obj.write_text(json.dumps({"degrees": {"0": 2, "1": 3}, "diff": {"1": diff}}))
+    assert cli.main(["tors", "--object", str(obj)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "input error [tors]: bad object description: block (1,0,0) has " \
+        "wrong shape\n" and not out.out
 
 
 def test_valrank2_tors_window_ends_at_5(tmp_path):

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from adeltors.complexes import ChainComplex, ChainMap, cone, fib
 from adeltors.homology import (UnsupportedMixedShape, decompose_single,
                                homology, is_acyclic)
 from adeltors.library import library, random_complex
+from adeltors.linalg import snf
 from adeltors.oracle import oracle_check
 from adeltors.ratfunc import x as rx, y as ry
 from adeltors.torsion import reconstruct, tors
@@ -44,8 +46,8 @@ def test_single_world_homology_and_oracle(rng):
         C = random_complex(rng, Z_INT())
         h = homology(C)
         oracle_check(C, h, primes=(2, 3, 5))
-    # the residue oracle is independent of decompose_single, which both
-    # homology and the reassembly test below read their classes from
+    # the residue oracle is independent of the cell reduction, which both
+    # homology and decompose_single (the reassembly test below) run
     for w in (Z_LOC(2), Z_INV(2), Z_SEMILOC(2, 3), VAL("V")):
         for _ in range(30):
             C = random_complex(rng, w)
@@ -157,9 +159,9 @@ def _check_index(cells):
             assert cells.out[s][t] is e
 
 
-def _mixed_round_trip_inputs(site, cube, objs, monkeypatch):
-    """Every mixed complex the classifier is handed while tors,
-    reconstruct and reconstruct_limit read the objects."""
+def _round_trip_inputs(site, cube, objs, monkeypatch):
+    """Every complex the classifier is handed while tors, reconstruct
+    and reconstruct_limit read the objects."""
     seen = []
 
     class Recording(homology_module._Cells):
@@ -185,7 +187,7 @@ def test_cell_index_holds_after_every_move(zsite, zcube, vsite, vcube, monkeypat
                       if V.single_world() is None and not V.is_empty()]
         objs = [random_complex(rng, site.base, primes=(2, 3), atoms=rng.randint(1, 4))
                 for _ in range(12)]
-        complexes += _mixed_round_trip_inputs(site, cube, objs, monkeypatch)
+        complexes += _round_trip_inputs(site, cube, objs, monkeypatch)
     moves = Counter()
     for C in complexes:
         cells = homology_module._Cells(C)
@@ -201,3 +203,33 @@ def test_cell_index_holds_after_every_move(zsite, zcube, vsite, vcube, monkeypat
             moves[C.backend, "refused"] += 1
     for backend in ("zint", "valrank2"):
         assert all(moves[backend, m] for m in ("try_m1", "try_m2", "try_m0")), moves
+
+
+# Upper bounds on the reduction's work over one tors + reconstruct +
+# reconstruct_limit pass of the library objects on both backends: snf
+# calls, the entries of the matrices snf is handed, and _Cells built.
+# A change that lowers the work lowers these bounds with it.
+WORK_BOUNDS = {"snf.calls": 2, "snf.entries": 4, "_Cells": 97}
+
+
+def test_reduction_work_is_pinned(zsite, zcube, vsite, vcube, monkeypatch):
+    work = Counter()
+
+    def counted(A, w):
+        work["snf.calls"] += 1
+        work["snf.entries"] += len(A) * (len(A[0]) if A else 0)
+        return snf(A, w)
+
+    class Counted(homology_module._Cells):
+        def __init__(self, C):
+            work["_Cells"] += 1
+            super().__init__(C)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("adeltors.") and getattr(mod, "snf", None) is snf:
+            monkeypatch.setattr(mod, "snf", counted)
+    monkeypatch.setattr(homology_module, "_Cells", Counted)
+    for site, cube in ((zsite, zcube), (vsite, vcube)):
+        for _, X in library(site):
+            reconstruct(site, tors(site, X, cube), X, cube)
+            reconstruct_limit(cube.tensor(X), X)
+    assert work["_Cells"] and all(work[k] <= bound for k, bound in WORK_BOUNDS.items()), work

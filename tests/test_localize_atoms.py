@@ -4,7 +4,8 @@ A single-world complex is decomposed once per Site call, and every
 localization and torsion part is read off its atoms.  The reference
 below is the per-prime path that builds each L_p X and each Gamma_V X
 and reduces it afresh; the atom-based answers must match it exactly,
-and the decomposition must run once per complex and per call.
+and the reduction (one _Cells, whether built by decompose_single or by
+homology) must run once per complex and per call.
 """
 
 import random
@@ -152,16 +153,16 @@ def test_splittings_and_mgm_reports_unchanged(backend, T):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Every decompose_single call's argument, wherever the package binds it."""
+    """Every complex the package reduces: the argument of each _Cells
+    construction (decompose_single and homology both build one)."""
     seen = []
-    original = decompose_single
+    module = sys.modules["adeltors.homology"]    # the package attribute is the function
 
-    def counted(C):
-        seen.append(C)
-        return original(C)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("adeltors.") and getattr(mod, "decompose_single", None) is original:
-            monkeypatch.setattr(mod, "decompose_single", counted)
+    class Counted(module._Cells):
+        def __init__(self, C):
+            seen.append(C)
+            super().__init__(C)
+    monkeypatch.setattr(module, "_Cells", Counted)
     return seen
 
 

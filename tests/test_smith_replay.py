@@ -1,40 +1,51 @@
 """The Smith record replayed, against the dense transforms it replaced.
 
-snf used to return A = U D Vt; the mixed classifier's M0 inverted U and
-Vt (Gauss-Jordan over the fraction field) and rewrote the cells of a
-block through a dense change of basis, and decompose_single multiplied
-d_{n+2} by Vt.  The reference below keeps literal copies of that
-`_change_basis` and `_invert_elementary`, rebuilds U and Vt by replaying
-the record on identities as the old snf built them, and checks:
+snf used to return A = U D Vt; the classifier's M0 inverted U and Vt
+(Gauss-Jordan over the fraction field) and rewrote the cells of a block
+through a dense change of basis, and single-world complexes were split
+by a separate dense loop: every differential flattened by full_matrix,
+one SNF per degree, d_{n+2} multiplied by Vt.  The reference below
+keeps literal copies of that `_change_basis`, `_invert_elementary`,
+`full_matrix` and loop, rebuilds U and Vt by replaying the record on
+identities as the old snf built them, and checks:
 
 - after every M0 move, the cell graph equals the one the dense rewrite
   gives on the same cells.  A swap in the record now exchanges which
   cells play two positions instead of moving their entries, so the
   graphs are compared after renaming the cells the swaps moved;
-- every decompose_single atom list equals the one the dense Vt gives.
+- for every single-world complex, the atoms decompose_single reads off
+  the reduction give the same atom_classes as the dense loop's atoms,
+  alone and against every localization of the world (and of each of its
+  localizations) that a Site reads.  The atom lists themselves differ:
+  decompose_single no longer lists the unit atoms M1 cancels.
 
-Inputs: the library objects and seeded random_complex objects on both
-backends, among them the first 16 objects of the bench `random` stream
-(five of which the classifier refuses), read through tors, reconstruct
-and reconstruct_limit.
+Inputs: every complex the classifier is handed (homology and
+decompose_single both build one _Cells) while tors, reconstruct and
+reconstruct_limit read the library objects and seeded random_complex
+objects on both backends, among them the first 16 objects of the bench
+`random` stream (five of which the classifier refuses); and plain and
+scrambled single-world sums of 8 and 16 one-atom draws.
 """
 
 import copy
+import functools
 import importlib
+import itertools
 import random
 import re
 
 import pytest
 
 from adeltors.adelic import reconstruct_limit
-from adeltors.homology import UnsupportedMixedShape, full_matrix
-from adeltors.library import library, random_complex, randomize_basis
+from adeltors.homology import UnsupportedMixedShape, atom_classes
+from adeltors.library import library, merge_strands, random_complex, randomize_basis
 from adeltors.linalg import mat_id, mat_mul, snf
+from adeltors.localize import UnsupportedRegionError
+from adeltors.posets import down_closure
 from adeltors.torsion import reconstruct, tors
 from adeltors.worlds import World, inv_el, is_zero_el, map_act
 
 homology_module = importlib.import_module("adeltors.homology")
-localize_module = importlib.import_module("adeltors.localize")
 
 
 # -- the reference: dense transforms as they were --------------------------------------
@@ -147,6 +158,32 @@ def _dense_m0(cells):
     return None
 
 
+def full_matrix(C, n):
+    """The full differential C_n -> C_{n-1} with strand structure flattened.
+
+    Only valid when both degrees live over a single world.
+    """
+    rows, cols = C.rank(n - 1), C.rank(n)
+    worlds = {w for w, _ in C.strand_list(n)} | {w for w, _ in C.strand_list(n - 1)}
+    if len(worlds) > 1:
+        raise UnsupportedMixedShape("full_matrix needs a single world")
+    w = next(iter(worlds)) if worlds else None
+    z = w.el_zero() if w else 0
+    M = [[z for _ in range(cols)] for _ in range(rows)]
+    coff = 0
+    for i, (_, ri) in enumerate(C.strand_list(n)):
+        roff = 0
+        for j, (_, rj) in enumerate(C.strand_list(n - 1)):
+            B = C.blocks.get((n, i, j))
+            if B is not None:
+                for a in range(rj):
+                    for b in range(ri):
+                        M[roff + a][coff + b] = B[a][b]
+            roff += rj
+        coff += ri
+    return M
+
+
 def _dense_decompose(C):
     """decompose_single as it was: d_{n+2} multiplied by the dense Vt."""
     w = C.single_world()
@@ -209,23 +246,26 @@ def _swap_renaming(src, tgt, ops):
     return {**dict(zip(moved["col_swap"], src)), **dict(zip(moved["row_swap"], tgt))}
 
 
+def _sums(site, rng, n):
+    """A plain sum of n one-atom draws, strands merged, and a scramble of it."""
+    plain = functools.reduce(lambda X, Y: X.dsum(Y),
+                             (random_complex(rng, site.base, primes=(2, 3), atoms=1)
+                              for _ in range(n)))
+    return [merge_strands(plain), randomize_basis(plain, rng, steps=2 * n)]
+
+
 def _inputs(zsite, zcube, vsite, vcube, monkeypatch):
-    """(mixed complexes handed to the classifier, single-world complexes
-    handed to decompose_single) over the round trips of the inputs."""
-    mixed, single = [], []
+    """(mixed, single-world) complexes handed to the classifier over the
+    round trips of the inputs, then the sums of 8 and 16 atoms."""
+    seen = []
 
     class Recording(homology_module._Cells):
         def __init__(self, C):
-            mixed.append(C)
+            seen.append(C)
             super().__init__(C)
-
-    def recording_decompose(C, original=homology_module.decompose_single):
-        single.append(C)
-        return original(C)
     monkeypatch.setattr(homology_module, "_Cells", Recording)
-    for module in (homology_module, localize_module):
-        monkeypatch.setattr(module, "decompose_single", recording_decompose)
     rng = random.Random(20261019)
+    sums = []
     for site, cube in ((zsite, zcube), (vsite, vcube)):
         bench = random.Random(f"20260801-{site.backend}-[('atoms', 4), ('primes', (2, 3))]")
         objs = [X for _, X in library(site)]
@@ -239,14 +279,51 @@ def _inputs(zsite, zcube, vsite, vcube, monkeypatch):
                 reconstruct_limit(cube.tensor(X), X)
             except UnsupportedMixedShape:
                 pass
+        sums += _sums(site, rng, 8) + _sums(site, rng, 16)
     monkeypatch.undo()
-    return mixed, single
+    mixed = [C for C in seen if C.single_world() is None and not C.is_empty()]
+    return mixed, [C for C in seen if C.single_world() is not None] + sums
+
+
+def _inversion_sets(site):
+    """S_V for every region V the site realizes, other than the whole
+    poset (where Gamma_V is the identity)."""
+    elements = sorted(site.poset.elements)
+    found = set()
+    for k in range(len(elements) + 1):
+        for pick in itertools.combinations(elements, k):
+            try:
+                S = site.inversion_set(down_closure(site.poset, pick).members)
+            except UnsupportedRegionError:
+                continue
+            if S is not None:
+                found.add(S)
+    return found
+
+
+def _atom_outcomes(atoms, w, site, sets):
+    """atom_classes of the atoms over w and over each nonzero localization
+    w' of w, alone and against each localization of w' a Site reads."""
+    out = []
+    for wl in sorted({w} | {site.localize_op(S)(w) for S in sets}, key=lambda v: v.sort_key()):
+        if wl.is_zero_world:
+            continue
+        out.append(repr(atom_classes(wl, atoms)))
+        for S in sorted(sets, key=sorted):
+            wloc = site.localize_op(S)(wl)
+            if wloc == wl or wloc.is_zero_world:
+                continue
+            try:
+                out.append((S, repr(atom_classes(wl, atoms, wloc))))
+            except UnsupportedMixedShape as err:
+                out.append((S, "refused", str(err)))
+    return out
 
 
 def test_record_replays_as_the_dense_transforms(zsite, zcube, vsite, vcube, monkeypatch):
     mixed, single = _inputs(zsite, zcube, vsite, vcube, monkeypatch)
     moves = refused = 0
-    for C in mixed:
+    for C in mixed + single:
         cells = homology_module._Cells(C)
         try:
             while cells.world:
@@ -268,7 +345,12 @@ def test_record_replays_as_the_dense_transforms(zsite, zcube, vsite, vcube, monk
         except UnsupportedMixedShape:
             refused += 1
     assert moves > 80 and refused, (moves, refused)
+    sites = {"zint": (zsite, _inversion_sets(zsite)), "valrank2": (vsite, _inversion_sets(vsite))}
+    reads = 0
     for C in single:
-        assert ([(t, repr(a)) for t, a in homology_module.decompose_single(C)]
-                == [(t, repr(a)) for t, a in _dense_decompose(C)]), C
-    assert len(single) > 300
+        w = C.single_world()
+        site, sets = sites[C.backend]
+        got = _atom_outcomes(homology_module.decompose_single(C), w, site, sets)
+        assert got == _atom_outcomes(_dense_decompose(C), w, site, sets), C
+        reads += len(got)
+    assert len(single) > 300 and reads > 2000, (len(single), reads)
