@@ -47,10 +47,9 @@ class InputError(ValueError):
 
 
 # What reading a malformed poset or assembly file can raise: OSError from
-# the file, ValueError (JSONDecodeError, PosetError, a relation that is no
-# pair), and TypeError, KeyError or AttributeError from a document of the
-# wrong shape.
-_BAD_POSET_FILE = (OSError, ValueError, TypeError, KeyError, AttributeError)
+# the file, ValueError (JSONDecodeError, or a PosetError from a document of
+# the wrong shape or a poset that is none).
+_BAD_POSET_FILE = (OSError, ValueError)
 
 
 def _emit(doc, out=None):
@@ -123,7 +122,13 @@ def _by_degree(table) -> dict:
 
 
 def object_from_json(doc, site: Site) -> ChainComplex:
+    """An object document: {"world": ..., "degrees": ..., "diff": ...}, each
+    key optional and no other, or a list of parts, alone or as {"parts":
+    [...]}, read as their direct sum."""
     if isinstance(doc, dict) and "parts" in doc:
+        if set(doc) != {"parts"} or not isinstance(doc["parts"], list):
+            raise InputError('a sum of parts is {"parts": [...]}, with no other key',
+                             check="object")
         doc = doc["parts"]
     if isinstance(doc, list):
         out = ChainComplex.zero(site.backend)
@@ -132,6 +137,10 @@ def object_from_json(doc, site: Site) -> ChainComplex:
         return out
     if not isinstance(doc, dict):
         raise InputError(f"an object is a JSON object or a list of parts, not {doc!r}")
+    unknown = sorted(set(doc) - {"world", "degrees", "diff"})
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r}: an object has world, degrees and diff, "
+                         f"or parts alone", check="object")
     try:
         w = world_from_name(doc.get("world", site.base.name), site.backend)
         ranks = _by_degree(doc.get("degrees", {}))

@@ -28,7 +28,8 @@ induced_cone_map once its square has been seen to commute on the nose,
 ChainMap.from_unit on an identity (dst is src), fan_out_unit (the unit
 maps of localization and completion) when each strand maps canonically
 to its images and no block keeps its target slot while losing its
-source slot, shapes._fibre_map (a shift of induced_cone_map) once the
+source slot, ChainComplex.fan_out when in addition every block is
+canonical, shapes._fibre_map (a shift of induced_cone_map) once the
 cone map is verified, and shapes.holim_punctured once every square
 of its punctured cube has been seen to commute on the nose (its values
 and structure maps verified); each skips its output's check exactly
@@ -297,7 +298,10 @@ class ChainComplex:
         ring factor at both ends of a block; each block goes to every slot
         where both of its ends survive, carried into the target world on
         carriers.  Returns the complex and slots[(n, i)], the pairs (k, new
-        strand index) of strand i of degree n."""
+        strand index) of strand i of degree n.  When X fans out naturally
+        (_fans_naturally) and every block is canonical, each d o d term of
+        the output is one of X carried along ring maps, so a verified X
+        gives a trusted output."""
         strands: dict[int, list] = {}
         slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for n in self.degrees():
@@ -310,14 +314,17 @@ class ChainComplex:
                         slots[(n, i)].append((k, len(out)))
                         out.append((nw, self.strands[n][i][1]))
         blocks = {}
+        trusted = self.verified and _fans_naturally(self, strands, slots)
         for (n, i, j), M in self.blocks.items():
             old_tgt = self.strands[n - 1][j][0]
+            trusted = trusted and canonical_map_exists(self.strands[n][i][0], old_tgt)
             tgt = dict(slots[(n - 1, j)])
             for k, si in slots[(n, i)]:
                 if k in tgt:
                     new_tgt = strands[n - 1][tgt[k]][0]
                     blocks[(n, si, tgt[k])] = carrier_block(old_tgt, new_tgt, M)
-        return ChainComplex(self.backend, strands, blocks), slots
+        return _built(ChainComplex(self.backend, strands, blocks, check=not trusted),
+                      trusted), slots
 
     def base_change(self, world_op) -> "ChainComplex":
         """Apply a world operation strandwise; it must be a canonical map
@@ -378,10 +385,11 @@ class ChainMap:
 
     def __init__(self, src: ChainComplex, dst: ChainComplex,
                  blocks: dict[tuple[int, int, int], list], check: bool = True):
-        self.src, self.dst, self.blocks = src, dst, dict(blocks)
-        for k, M in list(self.blocks.items()):
-            if _is_zero_mat(M):
-                del self.blocks[k]
+        if check:   # before the zero filter, which passes [] and [[]]
+            for (n, i, j), M in blocks.items():
+                _check_shape(n, i, j, M, src.strand_list(n), dst.strand_list(n))
+        self.src, self.dst = src, dst
+        self.blocks = {k: M for k, M in blocks.items() if not _is_zero_mat(M)}
         self.verified = False
         self._cone = None
         if check:
@@ -430,26 +438,30 @@ def map_equal(f: ChainMap, g: ChainMap) -> bool:
     return f.src == g.src and f.dst == g.dst and f.blocks == g.blocks
 
 
+def _fans_naturally(X: ChainComplex, strands, slots) -> bool:
+    """Whether each strand of X maps canonically to its images (strands and
+    slots as X.fan_out builds them) and no block keeps its target slot
+    while losing its source slot, so a slot that keeps both ends of a
+    d o d term keeps its middle strand too."""
+    kept = {key: {k for k, _ in ks} for key, ks in slots.items()}
+    return all(canonical_map_exists(X.strands[n][i][0], strands[n][si][0])
+               for (n, i), ks in slots.items() for _, si in ks) and \
+        all(kept[(n - 1, j)] <= kept[(n, i)] for (n, i, j) in X.blocks)
+
+
 def fan_out_unit(X: ChainComplex, worlds_of) -> tuple[ChainComplex, ChainMap]:
     """X.fan_out(worlds_of) and its unit map, identity blocks from each
     strand to its images.  u o d carries a block of X into each slot
     where its target survives, d o u only where its source does too, so
-    the unit is a chain map when each strand maps canonically to its
-    images and no block keeps its target slot while losing its source
-    slot (a canonical block cannot: its target world is an algebra over
-    its source world).  It is trusted when X is verified too, and
-    checked otherwise."""
+    the unit is a chain map when X fans out naturally (_fans_naturally).
+    It is trusted when X is verified too, and checked otherwise."""
     LX, slots = X.fan_out(worlds_of)
-    blocks, canonical = {}, True
+    blocks = {}
     for (n, i), ks in slots.items():
-        w0 = X.strands[n][i][0]
         for _, si in ks:
             w, r = LX.strands[n][si]
             blocks[(n, i, si)] = mat_id(r, w.el_one())
-            canonical = canonical and canonical_map_exists(w0, w)
-    kept = {key: {k for k, _ in ks} for key, ks in slots.items()}
-    trusted = X.verified and canonical and \
-        all(kept[(n - 1, j)] <= kept[(n, i)] for (n, i, j) in X.blocks)
+    trusted = X.verified and _fans_naturally(X, LX.strands, slots)
     return LX, _built(ChainMap(X, LX, blocks, check=not trusted), trusted)
 
 

@@ -4,7 +4,8 @@ Every complex reduces by one deterministic loop of moves on an exploded
 cell presentation, one cell per free generator (the chain-complex
 reduction of Kaczynski-Mrozek-Slusarek):
 
-  M1  cancel a same-world unit entry (Gaussian / discrete-Morse step);
+  M1  cancel a same-world unit entry (Gaussian / discrete-Morse step),
+      taking cells in order from a worklist of those that may hold one;
   M0  Smith-diagonalize a same-world block to create unit entries and
       split islands, replaying the elementary operations snf records as
       basis changes of the block's cells; it runs only after M1 has
@@ -28,6 +29,8 @@ residue-truncation oracle in the test suite; the classifier refuses
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .classes import GradedClasses, ModuleClass, PRUEFER, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
@@ -172,15 +175,30 @@ class _Cells:
     with its world and degree.  A nonzero entry s -> t, one degree down,
     is stored once and read from both ends: out[s][t] is inn[t][s].
     world, deg, out and inn hold the same cells, so a move reads and
-    rewrites only the neighbours of the cells it touches."""
+    rewrites only the neighbours of the cells it touches.
+
+    M1's worklist is the heap _heap of (deg, cell), with _queued its
+    cells: a live cell off it holds no same-world unit out-entry, so
+    popping it in order finds the entry a scan from the lowest cell would.
+    A cell found without one leaves it; a cancellation s -> t puts back
+    the cells of inn[t] whose entries it rewrote.  M0 and M2 rewrite
+    entries anywhere and M2 adds a cell, which may reuse the number of a
+    deleted one, so each sets _heap to None and the next M1 rebuilds it
+    from every cell."""
 
     def __init__(self, C: ChainComplex):
         self.world: dict[int, World] = {}
         self.deg: dict[int, int] = {}
         self.out: dict[int, dict[int, object]] = {}
         self.inn: dict[int, dict[int, object]] = {}
-        index = {(n, i, k): self.add(w, n) for n in C.degrees()
-                 for i, (w, r) in enumerate(C.strand_list(n)) for k in range(r)}
+        self._heap: list[tuple[int, int]] | None = None
+        self._queued: set[int] = set()
+        index: dict[tuple[int, int, int], int] = {}
+        for n in C.degrees():
+            for i, (w, r) in enumerate(C.strand_list(n)):
+                for k in range(r):
+                    c = index[(n, i, k)] = len(index)
+                    self.world[c], self.deg[c], self.out[c], self.inn[c] = w, n, {}, {}
         for (n, i, j), M in C.blocks.items():
             for a, row in enumerate(M):
                 for b, e in enumerate(row):
@@ -227,26 +245,38 @@ class _Cells:
 
     # moves ---------------------------------------------------------------------------
     def try_m1(self) -> bool:
-        for s in sorted(self.world, key=lambda c: (self.deg[c], c)):
+        """Cancel a same-world unit entry s -> t, s the first cell by
+        (degree, number) to hold one and t its lowest such target."""
+        if self._heap is None:
+            self._heap = sorted((self.deg[c], c) for c in self.world)
+            self._queued = set(self.world)
+        while self._heap:
+            _, s = heapq.heappop(self._heap)
+            self._queued.discard(s)
+            if s not in self.world:
+                continue
             w = self.world[s]
-            for t in sorted(self.out[s]):
-                e = self.out[s][t]
-                if self.world[t] != w or not w.is_unit(e):
-                    continue
-                einv = inv_el(e)
-                ins_t = [u for u in self.inn[t] if u != s]
-                outs_s = [v for v in self.out[s] if v != t]
-                for u in ins_t:
-                    for v in outs_s:
-                        wv = self.world[v]
-                        upd = self.out[u].get(v, wv.el_zero())
-                        # u -> t, homotopy t -> s over W, then s -> v; the middle
-                        # factor passes through the canonical map W -> W_v
-                        corr = self.out[s][v] * map_act(w, wv, einv * self.inn[t][u])
-                        self.set_entry(u, v, upd - corr)
-                self.delete(s)
-                self.delete(t)
-                return True
+            t = next((t for t in sorted(self.out[s])
+                      if self.world[t] == w and w.is_unit(self.out[s][t])), None)
+            if t is None:
+                continue
+            einv = inv_el(self.out[s][t])
+            ins_t = [u for u in self.inn[t] if u != s]
+            outs_s = [v for v in self.out[s] if v != t]
+            for u in ins_t:
+                for v in outs_s:
+                    wv = self.world[v]
+                    upd = self.out[u].get(v, wv.el_zero())
+                    # u -> t, homotopy t -> s over W, then s -> v; the middle
+                    # factor passes through the canonical map W -> W_v
+                    corr = self.out[s][v] * map_act(w, wv, einv * self.inn[t][u])
+                    self.set_entry(u, v, upd - corr)
+                if outs_s and u not in self._queued:
+                    self._queued.add(u)
+                    heapq.heappush(self._heap, (self.deg[u], u))
+            self.delete(s)
+            self.delete(t)
+            return True
         return False
 
     def try_m0(self) -> bool:
@@ -281,6 +311,7 @@ class _Cells:
                     self.scale(tgt[i], inv_el(op[2]))
             for i in range(min(len(src), len(tgt))):
                 self.set_entry(src[i], tgt[i], D[i][i])
+            self._heap = None
             return True
         return False
 
@@ -343,6 +374,7 @@ class _Cells:
             self.delete(s1)
             self.delete(s2)
             self.delete(t)
+            self._heap = None
             return True
         return False
 

@@ -360,10 +360,21 @@ def torus_poset(rank: int, samples: int) -> tuple[BalmerPoset, AssemblyData]:
 
 # -- JSON interfaces ----------------------------------------------------------------
 
-def poset_from_json(doc: dict) -> BalmerPoset:
-    els = [e["id"] for e in doc.get("elements", [])]
-    rels = [tuple(r) for r in doc.get("relations", [])]
-    return validate_poset(rels, elements=els)
+def poset_from_json(doc) -> BalmerPoset:
+    """{"elements": [{"id": name}, ...], "relations": [[q, p], ...]}, [q, p]
+    meaning q <= p: elements required, relations optional, every name a
+    string and no other key.  A document of another shape raises a
+    PosetError."""
+    rels = doc.get("relations", []) if isinstance(doc, dict) else None
+    if not (isinstance(doc, dict) and set(doc) <= {"elements", "relations"}
+            and isinstance(doc.get("elements"), list) and isinstance(rels, list)
+            and all(isinstance(e, dict) and set(e) == {"id"} and isinstance(e["id"], str)
+                    for e in doc["elements"])
+            and all(isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r)
+                    for r in rels)):
+        raise PosetError('a poset is {"elements": [{"id": name}, ...], '
+                         '"relations": [[name, name], ...]}')
+    return validate_poset([tuple(r) for r in rels], elements=[e["id"] for e in doc["elements"]])
 
 
 def assembly_from_json(P: BalmerPoset, doc) -> AssemblyData:

@@ -45,7 +45,14 @@ def test_spectrum_and_assembly(tmp_path):
     assert doc["dimension"] == 2 and doc["dims"]["p1"] == 1
     run_cli("spectrum", str(tmp_path / "missing.json"), expect=2)
     bad_poset = tmp_path / "bad_poset.json"
-    for doc in ([], {"elements": [1]}, {"elements": [{}]}, {"relations": [["m"]]}):
+    # a poset document has a closed key set: {} and a misspelt key read as
+    # the empty poset, an element's extra key was ignored, and a relation
+    # written "mp" was read as the pair (m, p)
+    for doc in ([], {"elements": [1]}, {"elements": [{}]}, {"relations": [["m"]]}, {},
+                {"elemnts": [{"id": "m"}]}, {"elements": [{"id": "m", "dim": 1}]},
+                {"elements": [{"id": 1}]}, {"elements": {"m": 1}},
+                {"elements": [{"id": "m"}], "relations": ["mp"]},
+                {"elements": [{"id": "m"}], "relations": [["m", "p"]], "order": []}):
         bad_poset.write_text(json.dumps(doc))
         proc = run_cli("spectrum", str(bad_poset), expect=2)
         assert proc.stderr.startswith("input error [poset-validation]: ")
@@ -228,9 +235,11 @@ def test_object_degree_window_refused(tmp_path, capsys):
 def test_object_loader_refuses_what_it_would_reinterpret(tmp_path, capsys):
     # a negative rank was read as the zero object, a diff entry for a
     # degree without generators was dropped, int() read 1.7, True and
-    # "+0" as rank or degree, and a repeated degree kept its last rank
+    # "+0" as rank or degree, a repeated degree kept its last rank, and
+    # an unknown key was ignored
     obj = tmp_path / "bad.json"
     key = "is not an integer or repeats one"
+    parts = 'a sum of parts is {"parts": [...]}, with no other key'
     for doc, msg in (({"world": "Int", "degrees": {"0": -2}},
                       "degree 0 has rank -2: ranks are nonnegative integers"),
                      ({"world": "Int", "degrees": {"0": 1}, "diff": {"5": [["3"]]}},
@@ -243,12 +252,26 @@ def test_object_loader_refuses_what_it_would_reinterpret(tmp_path, capsys):
                      ({"degrees": {" 1": 1}}, f"degree key ' 1' {key}"),
                      ({"degrees": {"1": 1, "01": 1}}, f"degree key '01' {key}"),
                      ({"degrees": {"1": 1, "0": 1}, "diff": {"+1": [["2"]]}},
-                      f"degree key '+1' {key}")):
+                      f"degree key '+1' {key}"),
+                     ({"degres": {"0": 1}}, "unknown key 'degres': an object has world, "
+                      "degrees and diff, or parts alone"),
+                     ({"parts": {"a": 1}}, parts),
+                     ({"parts": [], "world": "Int"}, parts),
+                     ({"parts": [{"degrees": {"0": 1}, "dim": 0}]}, "unknown key 'dim': an "
+                      "object has world, degrees and diff, or parts alone")):
         obj.write_text(json.dumps(doc))
         for cmd in ("adelic", "tors"):
             assert cli.main([cmd, "--object", str(obj)]) == 2
             out = capsys.readouterr()
             assert out.err == f"input error [object]: {msg}\n" and not out.out
+
+
+def test_readme_object_example_reads(tmp_path):
+    # the example object of the README's section on input files
+    obj = tmp_path / "readme.json"
+    obj.write_text('{"world": "Rat", "degrees": {"0": 2, "1": 1}, "diff": {"1": [["3"], '
+                   '["1/2"]]}}')
+    assert json.loads(run_cli("tors", "--object", str(obj)).stdout)["roundtrip"]["agree"]
 
 
 @pytest.mark.parametrize("diff", [[], [[]], [["0", "0", "0"], ["0"]]],

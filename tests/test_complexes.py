@@ -204,6 +204,10 @@ def test_chain_map_blocks_checked():
     # an entry the strand worlds do not allow: 1/2 from Int to Int
     with pytest.raises(IncompatibleWorldsError):
         ChainMap(X, X, {(0, 0, 0): [[F(1, 2)]]})
+    # an all-zero block has its shape checked before it is dropped
+    for M in ([[]], [[F(0)], [F(0)]]):
+        with pytest.raises(ShapeError, match="wrong shape"):
+            ChainMap(X, X, {(0, 0, 0): M})
     # unchecked maps are taken as given
     ChainMap(X, X, {(0, 0, 0): [[F(1)], [F(5)]]}, False)
     assert ChainMap(X, X, {(0, 0, 0): [[F(5)]]}).blocks == {(0, 0, 0): [[F(5)]]}

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import random
 import sys
@@ -11,13 +12,13 @@ from adeltors.classes import GradedClasses, ModuleClass
 from adeltors.complexes import ChainComplex, ChainMap, cone, fib
 from adeltors.homology import (UnsupportedMixedShape, decompose_single,
                                homology, is_acyclic)
-from adeltors.library import library, random_complex
+from adeltors.library import library, merge_strands, random_complex, randomize_basis
 from adeltors.linalg import snf
 from adeltors.oracle import oracle_check
 from adeltors.ratfunc import x as rx, y as ry
 from adeltors.torsion import reconstruct, tors
 from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT,
-                             Z_RAT, Z_SEMILOC, is_zero_el, mult_map_allowed)
+                             Z_RAT, Z_SEMILOC, inv_el, is_zero_el, map_act, mult_map_allowed)
 
 # the package re-exports the function homology under the module's name
 homology_module = importlib.import_module("adeltors.homology")
@@ -205,11 +206,83 @@ def test_cell_index_holds_after_every_move(zsite, zcube, vsite, vcube, monkeypat
         assert all(moves[backend, m] for m in ("try_m1", "try_m2", "try_m0")), moves
 
 
+class _Rescan(homology_module._Cells):
+    """The reduction as it ran before M1 kept a worklist: a literal copy
+    of the old try_m1, which scanned from the lowest cell after every
+    cancellation, and of the reduce loop."""
+
+    def try_m1(self) -> bool:
+        for s in sorted(self.world, key=lambda c: (self.deg[c], c)):
+            w = self.world[s]
+            for t in sorted(self.out[s]):
+                e = self.out[s][t]
+                if self.world[t] != w or not w.is_unit(e):
+                    continue
+                einv = inv_el(e)
+                ins_t = [u for u in self.inn[t] if u != s]
+                outs_s = [v for v in self.out[s] if v != t]
+                for u in ins_t:
+                    for v in outs_s:
+                        wv = self.world[v]
+                        upd = self.out[u].get(v, wv.el_zero())
+                        # u -> t, homotopy t -> s over W, then s -> v; the middle
+                        # factor passes through the canonical map W -> W_v
+                        corr = self.out[s][v] * map_act(w, wv, einv * self.inn[t][u])
+                        self.set_entry(u, v, upd - corr)
+                self.delete(s)
+                self.delete(t)
+                return True
+        return False
+
+    def reduce(self):
+        """Run the moves until none applies."""
+        while self.world and (self.try_m1() or self.try_m2() or self.try_m0()):
+            pass
+
+
+def _reduced_state(cells):
+    """What reduce leaves, or the refusal it raises: each cell's world,
+    degree and out-entries."""
+    try:
+        cells.reduce()
+    except UnsupportedMixedShape as exc:
+        return "refused", str(exc)
+    return "reduced", {c: (cells.world[c], cells.deg[c], cells.out[c]) for c in cells.world}
+
+
+def test_worklist_makes_the_moves_of_the_rescan(zsite, zcube, vsite, vcube, monkeypatch):
+    rng = random.Random(20261019)
+    complexes = []
+    for site, cube in ((zsite, zcube), (vsite, vcube)):
+        objs = [X for _, X in library(site)]
+        objs += [random_complex(rng, site.base, primes=(2, 3), atoms=rng.randint(1, 4))
+                 for _ in range(24)]
+        complexes += _round_trip_inputs(site, cube, objs, monkeypatch)
+        for n in (8, 16):
+            plain = functools.reduce(lambda X, Y: X.dsum(Y), (
+                random_complex(rng, site.base, primes=(2, 3), atoms=1) for _ in range(n)))
+            complexes += [merge_strands(plain), randomize_basis(plain, rng, steps=2 * n)]
+    # a cancellation turns an entry of a cell already passed into a unit
+    # (u -> v becomes 3 - 2 = 1: over a local ring it cannot), and M2 and
+    # M0 each leave a unit behind
+    Z = Z_INT()
+    complexes += [ChainComplex.single(Z, {1: 2, 0: 2}, {1: [[F(2), F(1)], [F(3), F(1)]]}),
+                  ChainComplex("zint", {0: [(Z, 1)], -1: [(Z_INV(2), 1), (Z_PADIC(2), 1)],
+                                        -2: [(Z_PADICRAT(2), 1)]},
+                               {(0, 0, 0): [[F(1)]], (0, 0, 1): [[F(1)]],
+                                (-1, 0, 0): [[F(1)]], (-1, 1, 0): [[F(-1)]]}),
+                  ChainComplex.single(Z, {1: 2, 0: 1}, {1: [[F(2), F(3)]]})]
+    for C in complexes:
+        assert _reduced_state(homology_module._Cells(C)) == _reduced_state(_Rescan(C)), C
+    assert len(complexes) > 400
+
+
 # Upper bounds on the reduction's work over one tors + reconstruct +
 # reconstruct_limit pass of the library objects on both backends: snf
-# calls, the entries of the matrices snf is handed, and _Cells built.
-# A change that lowers the work lowers these bounds with it.
-WORK_BOUNDS = {"snf.calls": 2, "snf.entries": 4, "_Cells": 97}
+# calls, the entries of the matrices snf is handed, _Cells built, and
+# full d o d checks of a complex (ChainComplex._validate).  A change that
+# lowers the work lowers these bounds with it.
+WORK_BOUNDS = {"snf.calls": 2, "snf.entries": 4, "_Cells": 97, "ChainComplex._validate": 33}
 
 
 def test_reduction_work_is_pinned(zsite, zcube, vsite, vcube, monkeypatch):
@@ -224,10 +297,15 @@ def test_reduction_work_is_pinned(zsite, zcube, vsite, vcube, monkeypatch):
         def __init__(self, C):
             work["_Cells"] += 1
             super().__init__(C)
+
+    def validate(C, _full=ChainComplex._validate):
+        work["ChainComplex._validate"] += 1
+        _full(C)
     for name, mod in list(sys.modules.items()):
         if name.startswith("adeltors.") and getattr(mod, "snf", None) is snf:
             monkeypatch.setattr(mod, "snf", counted)
     monkeypatch.setattr(homology_module, "_Cells", Counted)
+    monkeypatch.setattr(ChainComplex, "_validate", validate)
     for site, cube in ((zsite, zcube), (vsite, vcube)):
         for _, X in library(site):
             reconstruct(site, tors(site, X, cube), X, cube)

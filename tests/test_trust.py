@@ -28,12 +28,14 @@ from adeltors.ratfunc import y as ry
 from adeltors.shapes import (CubeDiagram, _fibre_map, big_R, fib_cof_inverse_check,
                              full_cube, holim_punctured, punctured_cube)
 from adeltors.torsion import reconstruct, tors, validate
-from adeltors.worlds import VAL, Z_INT, Z_INV, complete_world, invert_primes, invert_val
+from adeltors.worlds import (VAL, ZERO, Z_INT, Z_INV, Z_RAT, complete_world, invert_primes,
+                             invert_val)
 
 # the trusted operations by qualified name, each with the module or class
 # that defines it first and then the modules that import it by name
 TRUSTED = {"ChainComplex.shift": (complexes.ChainComplex,),
            "ChainComplex.dsum": (complexes.ChainComplex,),
+           "ChainComplex.fan_out": (complexes.ChainComplex,),
            "ChainMap.from_unit": (complexes.ChainMap,),
            "fan_out_unit": (complexes, localize),
            "cone": (complexes, shapes, adelic),
@@ -69,6 +71,8 @@ def _wrap_trusted(monkeypatch):
         def wrapped(*args, _op=op, _tally=counts[name]):
             out = _op(*args)
             for value in out if isinstance(out, tuple) else (out,):
+                if not isinstance(value, (ChainComplex, ChainMap)):
+                    continue    # fan_out's slots
                 if value.verified:
                     _tally["verified"] += 1
                     _recheck(value, seen)
@@ -235,6 +239,38 @@ def test_fan_out_unit_is_trusted_only_on_verified_natural_input():
     # strands that map to no canonical image are checked too
     with pytest.raises(IncompatibleWorldsError):
         fan_out_unit(ChainComplex.unit(Z_INV(2)), lambda w: [Z_INT()])
+
+
+def test_fan_out_is_trusted_only_on_verified_natural_input(monkeypatch):
+    Z, K, V = Z_INT(), VAL("K"), VAL("V")
+    X = ChainComplex.two_term(Z, F(12))
+    U = ChainComplex(X.backend, X.strands, X.blocks, check=False)
+    # a twisted block K --y^3--> V, fanned out to the same worlds
+    T = ChainComplex("valrank2", {1: [(K, 1)], 0: [(V, 1)]}, {(1, 0, 0): [[ry() ** 3]]})
+    # a canonical block Int --2--> IntInv(2) whose source fans out to the
+    # zero world while its target survives
+    Y = ChainComplex("zint", {1: [(Z, 1)], 0: [(Z_INV(2), 1)]}, {(1, 0, 0): [[F(2)]]})
+    assert X.verified and T.verified and Y.verified and not U.verified
+
+    def completions(w):
+        return [complete_world(w, p) for p in (2, 3)]
+    calls = _count_validate(monkeypatch)
+    LX, slots = X.fan_out(completions)
+    assert LX.verified and calls == [] and len(slots[(1, 0)]) == 2
+    for C, worlds_of in ((U, completions), (T, lambda w: [w]),
+                         (Y, lambda w: [ZERO("zint") if w == Z else w])):
+        out, _ = C.fan_out(worlds_of)
+        assert out.verified and calls.pop() is out and calls == []
+    assert U.fan_out(completions)[0] == LX
+    calls.clear()
+    # a block whose d o d term loses its middle strand in a slot: the full
+    # check refuses the output instead of trusting it
+    W = ChainComplex("zint", {1: [(Z, 1)], 0: [(Z_INV(2), 1), (Z, 1)], -1: [(Z_RAT(), 1)]},
+                     {(1, 0, 0): [[F(1)]], (1, 0, 1): [[F(1)]],
+                      (0, 0, 0): [[F(1)]], (0, 1, 0): [[F(-1)]]})
+    assert W.verified
+    with pytest.raises(ShapeError, match="d o d"):
+        W.fan_out(lambda w: [ZERO("zint") if w == Z_INV(2) else w])
 
 
 # -- the punctured-cube limit ------------------------------------------------------------
