@@ -56,55 +56,46 @@ class AdelicCube:
     """The punctured cube of adelic rings for a site and assembly.
 
     A cube fixes its site and assembly, so the worlds it derives from
-    them depend on nothing else: the class factors, the class inversions,
-    the ext fan-out of a strand world and the unit diagram are each
-    computed on first use and kept for the life of the cube (at most
-    classes x labels x catalogue worlds entries)."""
+    them depend on nothing else: the class factors and class inversions
+    are built with the cube, and the ext fan-out of a strand world and
+    the unit diagram are computed on first use; all are kept for the
+    life of the cube (at most classes x labels x catalogue worlds
+    entries)."""
 
     def __init__(self, site: Site, assembly: AssemblyData | None = None):
         self.site = site
-        self.assembly = assembly if assembly is not None else site.assembly
+        A = self.assembly = assembly if assembly is not None else site.assembly
         self.d = site.poset.dimension
         self.shape = punctured_cube(self.d)
+        # the worlds of L_x Lambda_x 1 for each class x, and the world op of
+        # L^A_x for each class of dimension >= 1; a dimension-0 class is
+        # never inverted (on zint its region holds the generic point)
         self._factor_worlds: dict[str, tuple[World, ...]] = {}
         self._inversions: dict[str, Callable[[World], World]] = {}
+        for x in sorted(A.subposet):
+            lam = site.lam(frozenset(y for y in A.subposet if A.ambient.leq(y, x)),
+                           site.unit(), assembly=A)
+            self._factor_worlds[x] = tuple(_flat_worlds(site.l_class(A, x, lam)))
+            if A.ambient.dim[x] >= 1:
+                region = frozenset(p for p in site.poset.elements
+                                   if not A.ambient.leq(x, A.alpha[p]))
+                self._inversions[x] = site.localize_op(site.inversion_set(region)) \
+                    if region else (lambda w: w)
         self._ext_worlds: dict[tuple, tuple[World, ...]] = {}
         self._unit: CubeDiagram | None = None
-        self._vertex_worlds: dict[tuple, list[World]] = {}
-        for v in self.shape.vertices:
-            self._vertex_worlds[tuple(v.label)] = self._build_vertex(tuple(v.label))
+        self._vertex_worlds = {tuple(v.label): self._build_vertex(tuple(v.label))
+                               for v in self.shape.vertices}
 
     # -- rings ---------------------------------------------------------------------
-    def _class_factor_worlds(self, x: str) -> tuple[World, ...]:
-        """Worlds of L_x Lambda_x 1 for an assembly class x."""
-        hit = self._factor_worlds.get(x)
-        if hit is None:
-            site, A = self.site, self.assembly
-            region = frozenset(y for y in A.subposet if A.ambient.leq(y, x))
-            lam = site.lam(region, site.unit(), assembly=A)
-            hit = self._factor_worlds[x] = tuple(_flat_worlds(site.l_class(A, x, lam)))
-        return hit
-
-    def _class_inversion(self, x: str):
-        """The world op of L^A_x."""
-        hit = self._inversions.get(x)
-        if hit is None:
-            site, A = self.site, self.assembly
-            region = frozenset(p for p in site.poset.elements
-                               if not A.ambient.leq(x, A.alpha[p]))
-            hit = site.localize_op(site.inversion_set(region)) if region else (lambda w: w)
-            self._inversions[x] = hit
-        return hit
-
     def _build_vertex(self, label: tuple) -> list[World]:
         dims = sorted(label)
         worlds: list[World] = []
         for x in self.assembly.sub_elements_of_dim(dims[0]):
-            worlds.extend(self._class_factor_worlds(x))
+            worlds.extend(self._factor_worlds[x])
         for i in dims[1:]:
             new: list[World] = []
             for x in self.assembly.sub_elements_of_dim(i):
-                op = self._class_inversion(x)
+                op = self._inversions[x]
                 new.extend(op(w) for w in worlds)
             worlds = new
         return [w for w in worlds if not w.is_zero_world]
@@ -131,9 +122,9 @@ class AdelicCube:
         (j,) = set(B) - set(A)
         classes = self.assembly.sub_elements_of_dim(j)
         if j > min(A):
-            out = [self._class_inversion(x)(u) for x in classes]
+            out = [self._inversions[x](u) for x in classes]
         else:
-            out = [_combine(u, f) for x in classes for f in self._class_factor_worlds(x)]
+            out = [_combine(u, f) for x in classes for f in self._factor_worlds[x]]
         hit = self._ext_worlds[(A, B, u)] = tuple(out)
         return hit
 

@@ -65,6 +65,7 @@ def _emit(doc, out=None):
 
 
 MAX_PRIME = 10 ** 9
+MAX_D = 10   # shape --d: each step up doubles the time and memory of a shape
 
 
 def _is_prime(n: int) -> bool:
@@ -232,6 +233,8 @@ def cmd_assembly(args) -> int:
 def cmd_shape(args) -> int:
     d = args.d
     try:
+        if d > MAX_D:
+            raise InputError(f"--d {d} is above {MAX_D}")
         if args.index == "iminus":
             shape = build_iminus(d)
         elif args.index == "ifull":
@@ -287,6 +290,8 @@ def cmd_adelic(args) -> int:
 
 def cmd_tors(args) -> int:
     if args.backend == "formal":
+        if args.height < 0:
+            raise InputError(f"--height {args.height} is negative")
         _emit(chromatic_report(args.height), args.out)
         return 0
     site = _site(args)

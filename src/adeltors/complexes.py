@@ -47,7 +47,10 @@ of its ends survive.
 A map's cone is built once: cone(f) keeps its value on f, and
 cone_inclusion, fib, fib_projection and induced_cone_map all reach it
 through cone(f), so they share one object.  Nothing changes a ChainMap
-after __init__, so the kept cone never goes stale.
+after __init__, so the kept cone never goes stale.  Its strand layout,
+C's strands first, is known only to _d_at (where D's strands start) and
+_identity (identity blocks at an offset): every cone and fibre map, here
+and in shapes, places its blocks through these two.
 
 The fixed sign conventions: shift negates the differential once per
 step, and the mapping cone of f: C -> D is C[1] (+) D with
@@ -465,6 +468,18 @@ def fan_out_unit(X: ChainComplex, worlds_of) -> tuple[ChainComplex, ChainMap]:
     return LX, _built(ChainMap(X, LX, blocks, check=not trusted), trusted)
 
 
+def _d_at(f: ChainMap, n: int) -> int:
+    """Where D's strands start in cone(f)_n = C_{n-1} (+) D_n, C's strands
+    first; in fib(f) this is degree n - 1."""
+    return len(f.src.strand_list(n - 1))
+
+
+def _identity(C: ChainComplex, at) -> dict:
+    """Identity blocks from strand i of C_n to strand at(n) + i."""
+    return {(n, i, at(n) + i): mat_id(r, w.el_one())
+            for n in C.degrees() for i, (w, r) in enumerate(C.strand_list(n))}
+
+
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: cone(f)_n = C_{n-1} (+) D_n, d(c,d) = (-dc, f(c)+dd).
     Built on the first call and kept on f; later calls return it."""
@@ -472,22 +487,16 @@ def cone(f: ChainMap) -> ChainComplex:
         return f._cone
     C, D = f.src, f.dst
     strands: dict[int, list] = {}
-    c_at: dict[int, int] = {}
     for n in {m + 1 for m in C.strands} | set(D.strands):
-        sC = C.strand_list(n - 1)
-        sD = D.strand_list(n)
-        if sC or sD:
-            if not (DEGREE_LO <= n <= DEGREE_HI):
-                raise DegreeWindowError("cone leaves the degree window")
-            strands[n] = list(sC) + list(sD)
-            c_at[n] = len(sC)
-    blocks: dict[tuple[int, int, int], list] = {}
-    for (n, i, j), M in C.blocks.items():
-        blocks[(n + 1, i, j)] = [[-normal_el(e) for e in row] for row in M]
+        if not (DEGREE_LO <= n <= DEGREE_HI):
+            raise DegreeWindowError("cone leaves the degree window")
+        strands[n] = C.strand_list(n - 1) + D.strand_list(n)
+    blocks = {(n + 1, i, j): [[-normal_el(e) for e in row] for row in M]
+              for (n, i, j), M in C.blocks.items()}
     for (n, i, j), M in D.blocks.items():
-        blocks[(n, i + c_at.get(n, 0), j + c_at.get(n - 1, 0))] = M
+        blocks[(n, i + _d_at(f, n), j + _d_at(f, n - 1))] = M
     for (n, i, j), M in f.blocks.items():
-        blocks[(n + 1, i, j + c_at.get(n, 0))] = M
+        blocks[(n + 1, i, j + _d_at(f, n))] = M
     f._cone = _built(ChainComplex(C.backend, strands, blocks, check=not f.verified), f.verified)
     return f._cone
 
@@ -499,38 +508,21 @@ def fib(f: ChainMap) -> ChainComplex:
 
 def cone_inclusion(f: ChainMap) -> ChainMap:
     """The structure map D -> cone(f)."""
-    C, D = f.src, f.dst
-    cf = cone(f)
-    blocks = {}
-    for n in D.degrees():
-        off = len(C.strand_list(n - 1))
-        for j, (w, r) in enumerate(D.strand_list(n)):
-            blocks[(n, j, off + j)] = mat_id(r, w.el_one())
-    return _built(ChainMap(D, cf, blocks, check=not f.verified), f.verified)
+    blocks = _identity(f.dst, lambda n: _d_at(f, n))
+    return _built(ChainMap(f.dst, cone(f), blocks, check=not f.verified), f.verified)
 
 
 def cone_null_homotopy(f: ChainMap) -> dict:
     """The canonical null homotopy h of (D -> cone(f)) o f: blocks of a
-    degree +1 map C -> cone(f) with dh + hd = incl o f."""
-    C = f.src
-    blocks = {}
-    for n in C.degrees():
-        for i, (w, r) in enumerate(C.strand_list(n)):
-            # C_n sits inside cone(f)_{n+1} as the i-th C-strand
-            blocks[(n, i, i)] = mat_id(r, w.el_one())
-    return blocks
+    degree +1 map C -> cone(f) with dh + hd = incl o f, each C_n onto the
+    C-strands of cone(f)_{n+1}."""
+    return _identity(f.src, lambda n: 0)
 
 
 def fib_projection(f: ChainMap) -> ChainMap:
-    """The structure map fib(f) -> C."""
-    C = f.src
-    fc = fib(f)
-    blocks = {}
-    for n in C.degrees():
-        for i, (w, r) in enumerate(C.strand_list(n)):
-            blocks[(n, i, i)] = mat_id(r, w.el_one())
-    # fib(f)_n = C_n (+) D_{n+1}: the C-strands come first in each degree
-    return _built(ChainMap(fc, C, blocks, check=not f.verified), f.verified)
+    """The structure map fib(f) -> C, off the C-strands of each fib(f)_n."""
+    blocks = _identity(f.src, lambda n: 0)
+    return _built(ChainMap(fib(f), f.src, blocks, check=not f.verified), f.verified)
 
 
 def induced_cone_map(f: ChainMap, f2: ChainMap, p: ChainMap, q: ChainMap) -> ChainMap:
@@ -538,16 +530,11 @@ def induced_cone_map(f: ChainMap, f2: ChainMap, p: ChainMap, q: ChainMap) -> Cha
     (p: src f -> src f2, q: dst f -> dst f2 with q f = f2 p)."""
     if not map_equal(compose(q, f), compose(f2, p)):
         raise NotChainMapError("square does not commute on the nose")
-    c1, c2 = cone(f), cone(f2)
-    off1 = {n: len(f.src.strand_list(n - 1)) for n in c1.strands}
-    off2 = {n: len(f2.src.strand_list(n - 1)) for n in c2.strands}
-    blocks = {}
-    for (n, i, j), M in p.blocks.items():
-        blocks[(n + 1, i, j)] = M
+    blocks = {(n + 1, i, j): M for (n, i, j), M in p.blocks.items()}
     for (n, i, j), M in q.blocks.items():
-        blocks[(n, i + off1.get(n, 0), j + off2.get(n, 0))] = M
+        blocks[(n, i + _d_at(f, n), j + _d_at(f2, n))] = M
     trusted = f.verified and f2.verified and p.verified and q.verified
-    return _built(ChainMap(c1, c2, blocks, check=not trusted), trusted)
+    return _built(ChainMap(cone(f), cone(f2), blocks, check=not trusted), trusted)
 
 
 def homotopy_defect(f: ChainMap, g: ChainMap, h_blocks: dict) -> bool:

@@ -23,10 +23,6 @@ class CycleError(PosetError):
     pass
 
 
-class DimMismatchError(PosetError):
-    pass
-
-
 class UnknownElementError(PosetError):
     pass
 
@@ -98,11 +94,10 @@ class BalmerPoset:
         return f"BalmerPoset({len(self.elements)} elements, dim {self.dimension})"
 
 
-def validate_poset(relations, elements=None, dims=None) -> BalmerPoset:
+def validate_poset(relations, elements=None) -> BalmerPoset:
     """Build a poset from raw relations [(q, p) meaning q <= p].
 
-    Fails with CycleError if antisymmetry would be violated, and with
-    DimMismatchError if supplied dims disagree with derived ones.
+    Fails with CycleError if antisymmetry would be violated.
     """
     els = set(elements or [])
     for q, p in relations:
@@ -142,10 +137,6 @@ def validate_poset(relations, elements=None, dims=None) -> BalmerPoset:
             else:
                 nxt.append(i)
         pending = nxt
-    if dims is not None:
-        for e, d in dims.items():
-            if dim.get(e) != d:
-                raise DimMismatchError(f"supplied dim({e}) = {d}, derived {dim.get(e)}")
     return BalmerPoset(els, order, dim)
 
 
@@ -378,13 +369,14 @@ def poset_from_json(doc) -> BalmerPoset:
 
 
 def assembly_from_json(P: BalmerPoset, doc) -> AssemblyData:
-    """{"subposet": [name, ...], "alpha": {name: name, ...}}.  A document of
-    another shape, or whose subposet or alpha keys name an element outside
-    P, raises a PosetError that is no AssemblyError; an assembly that
-    fails the retraction, order or dimension conditions raises
-    AssemblyError."""
-    if not (isinstance(doc, dict) and isinstance(doc.get("subposet"), list)
-            and isinstance(doc.get("alpha"), dict)
+    """{"subposet": [name, ...], "alpha": {name: name, ...}}, both keys
+    required and no other.  A document of another shape, or whose subposet
+    or alpha keys name an element outside P, raises a PosetError that is
+    no AssemblyError; an assembly that fails the retraction, order or
+    dimension conditions raises AssemblyError."""
+    if not (isinstance(doc, dict) and set(doc) == {"subposet", "alpha"}
+            and isinstance(doc["subposet"], list)
+            and isinstance(doc["alpha"], dict)
             and all(isinstance(x, str) for x in doc["subposet"])
             and all(isinstance(x, str) for x in doc["alpha"].values())):
         raise PosetError('an assembly is {"subposet": [names], "alpha": {name: name}}')

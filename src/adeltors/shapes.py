@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (ChainComplex, ChainMap, NotChainMapError, ShapeError, _built,
-                        compose, cone, cone_inclusion, cone_null_homotopy,
+                        _d_at, _identity, compose, cone, cone_inclusion, cone_null_homotopy,
                         fib_projection, homotopy_defect, induced_cone_map, map_equal)
 from .homology import is_acyclic
-from .linalg import mat_id
 from .posets import RangeError
 
 
@@ -465,22 +464,12 @@ def is_cofibre_layer(D: CubeDiagram, k: int) -> bool:
 
 
 def _comparison_map(f: ChainMap, r: ChainMap, h_blocks: dict) -> ChainMap:
-    """cone(f) -> target of r: (p, q) -> h(p) + r(q)."""
-    cf = cone(f)
-    tgt = r.dst
-    blocks: dict[tuple[int, int, int], list] = {}
-    for (n, i, j), M in h_blocks.items():
-        blocks[(n + 1, i, j)] = M
-    off = {n: len(f.src.strand_list(n - 1)) for n in cf.strands}
-    for (n, i, j), M in r.blocks.items():
-        key = (n, i + off.get(n, 0), j)
-        if key in blocks:
-            M0 = blocks[key]
-            blocks[key] = [[M0[a][b] + M[a][b] for b in range(len(M[0]))]
-                           for a in range(len(M))]
-        else:
-            blocks[key] = M
-    return ChainMap(cf, tgt, blocks)
+    """cone(f) -> target of r: (p, q) -> h(p) + r(q).  h's blocks leave
+    the C-strands of cone(f)_{n+1} and r's the D-strands of cone(f)_n,
+    placed by complexes._d_at, so no two share a key."""
+    blocks = {(n + 1, i, j): M for (n, i, j), M in h_blocks.items()}
+    blocks.update(((n, i + _d_at(f, n), j), M) for (n, i, j), M in r.blocks.items())
+    return ChainMap(cone(f), r.dst, blocks)
 
 
 def big_R(TD: CubeDiagram) -> CubeDiagram:
@@ -574,28 +563,17 @@ def fib_cof_inverse_check(D: CubeDiagram, i: int) -> bool:
             continue
         up = Vertex(_with(v.label, i)).name
         f = D.map(v.name, up)
-        Q = D.value(up)
-        phi_blocks: dict[tuple[int, int, int], list] = {}
-        for n in C.degrees():
-            off = len(Q.strand_list(n))
-            for j, (w, r) in enumerate(C.strand_list(n)):
-                phi_blocks[(n, j, off + j)] = mat_id(r, w.el_one())
-            for (m, a, b), M in f.blocks.items():
-                if m == n:
-                    phi_blocks[(n, a, b)] = [[-e for e in row] for row in M]
+        # got = fib(incl), incl: D(up) -> cone(f), and C_n leads cone(f)_{n+1}
+        ident = _identity(C, lambda n: _d_at(E.map(up, v.name), n + 1))
+        phi_blocks = {**ident, **{key: [[-e for e in row] for row in M]
+                                  for key, M in f.blocks.items()}}
         try:
             phi = ChainMap(C, got, phi_blocks)
         except NotChainMapError:
             return False
         # exact retraction: project to the middle C-strands
-        r_blocks = {}
-        for n in C.degrees():
-            off = len(Q.strand_list(n))
-            for j, (w, r) in enumerate(C.strand_list(n)):
-                r_blocks[(n, off + j, j)] = mat_id(r, w.el_one())
-        retr = ChainMap(got, C, r_blocks, check=False)
-        if compose(retr, phi).blocks != {(n, j, j): mat_id(r, w.el_one()) for n in C.degrees()
-                                         for j, (w, r) in enumerate(C.strand_list(n))}:
+        retr = ChainMap(got, C, {(n, b, a): M for (n, a, b), M in ident.items()}, check=False)
+        if compose(retr, phi).blocks != _identity(C, lambda n: 0):
             return False
         if not is_acyclic(cone(phi)):
             return False

@@ -69,7 +69,10 @@ def test_spectrum_and_assembly(tmp_path):
     proc = run_cli("assembly", str(poset), str(bad), expect=1)
     assert "DimensionNotPreserved" in proc.stdout
     # a malformed assembly document is bad input, not a failed validation
-    for doc in ([1], {"subposet": ["m", "p1", "g"], "alpha": ["ab", "c"]}):
+    # the key set is closed: a misspelt "alpha" is bad input, not noise
+    for doc in ([1], {"subposet": ["m", "p1", "g"], "alpha": ["ab", "c"]},
+                {"subposet": ["m", "p1", "g"], "alpha": {"m": "m", "p1": "p1", "g": "g"},
+                 "alhpa": {}}, {"subposet": ["m", "p1", "g"]}):
         bad.write_text(json.dumps(doc))
         proc = run_cli("assembly", str(poset), str(bad), expect=2)
         assert proc.stderr.startswith("input error [assembly-validation]: ")
@@ -117,6 +120,9 @@ def test_formal_backend():
     doc = json.loads(out.stdout)
     assert doc["check"] == "chromatic-chain-labels"
     assert set(doc["slots"]) == {"0", "1", "2"}
+    # a negative height names no chain, so it is bad input, not an empty report
+    proc = run_cli("tors", "--backend", "formal", "--height", "-3", expect=2)
+    assert proc.stderr.startswith("input error [tors]: ") and proc.stderr.count("\n") == 1
 
 
 def test_bad_truncation_refused():
@@ -127,7 +133,10 @@ def test_bad_truncation_refused():
 
 
 def test_shape_bad_dimension_refused(tmp_path):
-    for d, index in (("0", "iminus"), ("-3", "iminus"), ("-3", "cube"), ("2", "igeq:x")):
+    # each step up in d doubles time and memory, so d above cli.MAX_D is refused
+    too_big = str(cli.MAX_D + 1)
+    for d, index in (("0", "iminus"), ("-3", "iminus"), ("-3", "cube"), ("2", "igeq:x"),
+                     (too_big, "ifull"), (too_big, "cube")):
         proc = run_cli("shape", "--d", d, "--index", index, expect=2)
         assert "input error [shape]" in proc.stderr and "Traceback" not in proc.stderr
     # an --out that cannot be written is bad input, not a defect

@@ -11,6 +11,7 @@ inputs include random_complex draws, the structure maps, cones and
 torsion diagrams of library objects, a twisted valrank2 block (no
 canonical map) and blocks into VhatM where y goes to 0, so a kernel
 that skips the transport, or applies it to a twisted block, disagrees.
+The same maps check the cone layout that complexes._d_at owns.
 """
 
 import ast
@@ -21,9 +22,9 @@ import pytest
 
 import adeltors
 from adeltors import shapes
-from adeltors.complexes import (ChainComplex, ChainMap, ShapeError, _check_blocks, compose,
-                                cone, cone_inclusion, cone_null_homotopy, fib_projection,
-                                homotopy_defect)
+from adeltors.complexes import (DEGREE_HI, DEGREE_LO, ChainComplex, ChainMap, ShapeError,
+                                _check_blocks, _d_at, compose, cone, cone_inclusion,
+                                cone_null_homotopy, fib, fib_projection, homotopy_defect)
 from adeltors.library import library, random_complex
 from adeltors.linalg import mat_mul
 from adeltors.ratfunc import x as rx, y as ry
@@ -261,6 +262,18 @@ def test_homotopy_defect_as_before(inputs):
             assert homotopy_defect(f, g, blocks) == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_cone_layout_is_read_off_d_at(inputs):
+    """cone(f)_n is C_{n-1} followed by D_n from strand _d_at(f, n) on,
+    and fib(f) is that one degree down."""
+    for f in inputs[1]:
+        c = cone(f)
+        for n in range(DEGREE_LO, DEGREE_HI + 1):
+            at = _d_at(f, n)
+            assert c.strand_list(n)[:at] == f.src.strand_list(n - 1)
+            assert c.strand_list(n)[at:] == f.dst.strand_list(n)
+            assert fib(f).strand_list(n - 1) == c.strand_list(n)
 
 
 def test_transport_decides_the_hand_cases():

@@ -78,9 +78,9 @@ def _old_ext_strand_worlds(self, label_a, label_b, u):
     if u.is_zero_world:
         out = []
     elif j > min(A):
-        out = [self._class_inversion(x)(u) for x in classes]
+        out = [self._inversions[x](u) for x in classes]
     else:
-        out = [_combine(u, f) for x in classes for f in self._class_factor_worlds(x)]
+        out = [_combine(u, f) for x in classes for f in self._factor_worlds[x]]
     return tuple(w for w in out if not w.is_zero_world)
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from adeltors.posets import (AssemblyError, CycleError, DimMismatchError,
+from adeltors.posets import (AssemblyError, CycleError,
                              DimensionNotPreservedError, NotSpecClosedError,
                              RangeError, UnknownElementError, chain_poset,
                              coarsest, dim_filtration, down_closure, finest,
@@ -50,11 +50,9 @@ def test_single_element():
     assert P.dimension == 0
 
 
-def test_cycle_and_dim_mismatch():
+def test_cycle_refused():
     with pytest.raises(CycleError):
         validate_poset([("a", "b"), ("b", "a")])
-    with pytest.raises(DimMismatchError):
-        validate_poset([("a", "b")], dims={"a": 1, "b": 0})
 
 
 def test_closures():
