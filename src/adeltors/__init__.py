@@ -19,7 +19,7 @@ from .localize import (HypothesisFailed, Site,
 from .adelic import AdelicCube, is_adelic_object, reconstruct_limit
 from .posets import (AssemblyData, BalmerPoset, SpecClosedSet, chain_poset,
                      coarsest, dim_filtration, down_closure, finest,
-                     preimage_family, torus_poset, up_cone, validate_assembly,
+                     preimage_family, torus_poset, validate_assembly,
                      validate_poset, valrank2_poset, zint_poset)
 from .ratfunc import RatXY, parse_ratxy
 from .shapes import (CubeDiagram, IndexCategory, Vertex, big_L, big_R,

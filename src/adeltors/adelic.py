@@ -5,8 +5,8 @@ alternating product of localized completions
 
     prod_{x_n} L_{x_n} ... prod_{x_1} L_{x_1} prod_{x_0} L_{x_0} Lambda_{x_0} 1
 
-with the products over the assembly classes of each dimension, realized
-here through the functor tables of the Site.  Over the integer backend
+with the products over the primes of each dimension, realized here
+through the functors of the Site.  Over the integer backend
 the dimension-zero products are restricted to the truncation set T;
 this is exact (not approximate) for objects supported in T and the
 generic point -- the torsion of such an object meets only finitely many
@@ -25,7 +25,6 @@ index.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .classes import GradedClasses
@@ -33,7 +32,6 @@ from .complexes import ChainComplex, ChainMap, NotChainMapError, cone
 from .homology import homology, is_acyclic
 from .linalg import mat_id
 from .localize import Site, TruncationTooSmall, UnsupportedRegionError
-from .posets import AssemblyData
 from .shapes import CubeDiagram, ShapeMismatchError, holim_punctured, punctured_cube
 from .worlds import World, canonical_map_exists, factorint, invert_val
 
@@ -53,34 +51,25 @@ def _flat_worlds(C: ChainComplex):
 
 
 class AdelicCube:
-    """The punctured cube of adelic rings for a site and assembly.
+    """The punctured cube of adelic rings for a site.
 
-    A cube fixes its site and assembly, so the worlds it derives from
-    them depend on nothing else: the class factors and class inversions
-    are built with the cube, and the ext fan-out of a strand world and
-    the unit diagram are computed on first use; all are kept for the
-    life of the cube (at most classes x labels x catalogue worlds
-    entries)."""
+    A cube fixes its site, so the worlds it derives from it depend on
+    nothing else: the prime factors and prime inversions are built with
+    the cube, and the ext fan-out of a strand world and the unit diagram
+    are computed on first use; all are kept for the life of the cube (at
+    most primes x labels x catalogue worlds entries)."""
 
-    def __init__(self, site: Site, assembly: AssemblyData | None = None):
+    def __init__(self, site: Site):
         self.site = site
-        A = self.assembly = assembly if assembly is not None else site.assembly
-        self.d = site.poset.dimension
+        P = site.poset
+        self.d = P.dimension
         self.shape = punctured_cube(self.d)
-        # the worlds of L_x Lambda_x 1 for each class x, and the world op of
-        # L^A_x for each class of dimension >= 1; a dimension-0 class is
-        # never inverted (on zint its region holds the generic point)
-        self._factor_worlds: dict[str, tuple[World, ...]] = {}
-        self._inversions: dict[str, Callable[[World], World]] = {}
-        for x in sorted(A.subposet):
-            lam = site.lam(frozenset(y for y in A.subposet if A.ambient.leq(y, x)),
-                           site.unit(), assembly=A)
-            self._factor_worlds[x] = tuple(_flat_worlds(site.l_class(A, x, lam)))
-            if A.ambient.dim[x] >= 1:
-                region = frozenset(p for p in site.poset.elements
-                                   if not A.ambient.leq(x, A.alpha[p]))
-                self._inversions[x] = site.localize_op(site.inversion_set(region)) \
-                    if region else (lambda w: w)
+        # the worlds of L_p Lambda_p 1 for each prime p, and the world op of
+        # L_p for each p of dimension >= 1 (never None: the closed points lie
+        # outside p's up-cone); a dimension-0 prime is never inverted
+        self._factor_worlds = {p: tuple(_flat_worlds(site.l_at(p, site.lam(p, site.unit()))))
+                               for p in P.elements}
+        self._inversions = {p: site.l_op(p) for p in P.elements if P.dim[p] >= 1}
         self._ext_worlds: dict[tuple, tuple[World, ...]] = {}
         self._unit: CubeDiagram | None = None
         self._vertex_worlds = {tuple(v.label): self._build_vertex(tuple(v.label))
@@ -90,13 +79,12 @@ class AdelicCube:
     def _build_vertex(self, label: tuple) -> list[World]:
         dims = sorted(label)
         worlds: list[World] = []
-        for x in self.assembly.sub_elements_of_dim(dims[0]):
-            worlds.extend(self._factor_worlds[x])
+        for p in self.site.poset.of_dim(dims[0]):
+            worlds.extend(self._factor_worlds[p])
         for i in dims[1:]:
             new: list[World] = []
-            for x in self.assembly.sub_elements_of_dim(i):
-                op = self._inversions[x]
-                new.extend(op(w) for w in worlds)
+            for p in self.site.poset.of_dim(i):
+                new.extend(map(self._inversions[p], worlds))
             worlds = new
         return [w for w in worlds if not w.is_zero_world]
 
@@ -113,18 +101,18 @@ class AdelicCube:
     # -- ext along edges ----------------------------------------------------------------
     def ext_strand_worlds(self, A: tuple, B: tuple, u: World) -> tuple[World, ...]:
         """Worlds of u (x)_{ring(A)} ring(B) for chains A, B (sorted
-        tuples) one index apart, one per class or class factor of the
+        tuples) one index apart, one per prime or prime factor of the
         inserted dimension, zero worlds kept: the list has one length for
         every u, so slot k is the same factor at both ends of a block."""
         hit = self._ext_worlds.get((A, B, u))
         if hit is not None:
             return hit
         (j,) = set(B) - set(A)
-        classes = self.assembly.sub_elements_of_dim(j)
+        primes = self.site.poset.of_dim(j)
         if j > min(A):
-            out = [self._inversions[x](u) for x in classes]
+            out = [self._inversions[p](u) for p in primes]
         else:
-            out = [_combine(u, f) for x in classes for f in self._factor_worlds[x]]
+            out = [_combine(u, f) for p in primes for f in self._factor_worlds[p]]
         hit = self._ext_worlds[(A, B, u)] = tuple(out)
         return hit
 

@@ -32,8 +32,7 @@ from .posets import (AssemblyError, RangeError, assembly_from_json, down_closure
 from .ratfunc import parse_ratxy
 from .shapes import (build_ifull, build_igeq, build_iminus, full_cube,
                      iminus_count, punctured_cube, to_dot)
-from .torsion import (chromatic_report, cousin_report, one_tors_vertex,
-                      reconstruct, tors, validate)
+from .torsion import chromatic_report, cousin_report, one_tors_vertex, reconstruct, tors
 from .worlds import world_from_name
 
 
@@ -66,6 +65,7 @@ def _emit(doc, out=None):
 
 MAX_PRIME = 10 ** 9
 MAX_D = 10   # shape --d: each step up doubles the time and memory of a shape
+MAX_HEIGHT = 100   # tors --backend formal --height: one report line per height
 
 
 def _is_prime(n: int) -> bool:
@@ -142,8 +142,18 @@ def object_from_json(doc, site: Site) -> ChainComplex:
     if unknown:
         raise InputError(f"unknown key {unknown[0]!r}: an object has world, degrees and diff, "
                          f"or parts alone", check="object")
+    for key, kind in (("world", str), ("degrees", dict), ("diff", dict)):
+        if not isinstance(doc.get(key, kind()), kind):
+            raise InputError(f"{key!r} must be a {'string' if kind is str else 'JSON object'}",
+                             check="object")
+    if not all(isinstance(M, list) and all(isinstance(row, list) for row in M)
+               for M in doc.get("diff", {}).values()):
+        raise InputError("each 'diff' value must be a list of rows, each a list", check="object")
     try:
         w = world_from_name(doc.get("world", site.base.name), site.backend)
+        if w.backend != site.backend:
+            raise InputError(f"'world' must name a {site.backend} world, not {w.name}",
+                             check="object")
         ranks = _by_degree(doc.get("degrees", {}))
         for n in sorted(ranks):
             if type(ranks[n]) is not int or ranks[n] < 0:    # a bool or a float is no rank
@@ -162,11 +172,9 @@ def object_from_json(doc, site: Site) -> ChainComplex:
         return ChainComplex.single(w, ranks, diffs)
     except InputError:
         raise
-    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
-        # ValueError covers bad numbers, rational functions, world names and
-        # exponents and the complex's own shape, world and degree checks;
-        # the rest come from a document of the wrong shape or a zero
-        # denominator
+    except (ValueError, ZeroDivisionError) as exc:
+        # bad numbers, rational functions, world names and exponents, the
+        # complex's own shape, world and degree checks, a zero denominator
         raise InputError(f"bad object description: {exc}")
 
 
@@ -290,8 +298,8 @@ def cmd_adelic(args) -> int:
 
 def cmd_tors(args) -> int:
     if args.backend == "formal":
-        if args.height < 0:
-            raise InputError(f"--height {args.height} is negative")
+        if not 0 <= args.height <= MAX_HEIGHT:
+            raise InputError(f"--height {args.height} is outside [0, {MAX_HEIGHT}]")
         _emit(chromatic_report(args.height), args.out)
         return 0
     site = _site(args)
@@ -302,7 +310,6 @@ def cmd_tors(args) -> int:
     except (TruncationTooSmall, UnsupportedRegionError) as exc:
         print(f"certificate failure [truncation-support]: {exc}", file=sys.stderr)
         return 1
-    val = validate(site, TD, cube)
     rt = reconstruct(site, TD, X, cube, require_valid=False)
     doc = {"check": "torsion-model", "backend": site.backend,
            "truncation": list(site.T),
@@ -310,12 +317,12 @@ def cmd_tors(args) -> int:
                                  "homology": homology(TD.value(v.name)).to_json()}
                         for v in TD.shape.plain_vertices()},
            "arrows": [f"{s}->{t} ({k})" for (s, t, k) in TD.shape.arrows],
-           "membership": val.to_json(), "roundtrip": rt.to_json(),
+           "membership": rt.validation.to_json(), "roundtrip": rt.to_json(),
            "cousin": cousin_report(site, X)}
     if args.dot:
         doc["dot"] = TD.dot(annotate=dict(TD.ring_names))
     _emit(doc, args.out)
-    return 0 if val.ok and rt.agree else 1
+    return 0 if rt.validation.ok and rt.agree else 1
 
 
 # Criterion-9 mutants of the torus assembly: each must raise AssemblyError.
@@ -383,10 +390,8 @@ def cmd_verify(args) -> int:
                     record("fracture-limit", False, object=name, detail=str(exc))
         elif suite == "tors":
             for name, X in library(site):
-                TD = tors(site, X, cube)
-                val = validate(site, TD, cube)
-                rt = reconstruct(site, TD, X, cube, require_valid=False)
-                record("torsion-roundtrip", val.ok and rt.agree, object=name)
+                rt = reconstruct(site, tors(site, X, cube), X, cube, require_valid=False)
+                record("torsion-roundtrip", rt.validation.ok and rt.agree, object=name)
         elif suite == "vertex":
             TD = tors(site, site.unit(), cube)
             for v in TD.shape.plain_vertices():

@@ -336,7 +336,8 @@ class ChainComplex:
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """Total tensor product; other must live over one world mapping
-        canonically into every strand world of self."""
+        canonically into every strand world of self, and is read with its
+        strands merged to one per degree."""
         wo = other.single_world()
         if other.is_empty():
             return ChainComplex.zero(self.backend)
@@ -344,6 +345,8 @@ class ChainComplex:
             return ChainComplex.zero(self.backend)
         if wo is None:
             raise IncompatibleWorldsError("tensor: right factor must be single-world")
+        if any(len(ss) > 1 for ss in other.strands.values()):
+            other = merge_strands(other)
         index = {}   # (p, i, q) -> new strand index per degree
         strands: dict[int, list] = {}
         for p in self.degrees():
@@ -376,6 +379,22 @@ class ChainComplex:
                 eye = mat_id(r, w.el_one())
                 blocks[(p + q, si, index[(p, i, q - 1)])] = _kron(eye, DXw, w.el_zero())
         return ChainComplex(self.backend, strands, blocks)
+
+
+def merge_strands(C: ChainComplex) -> ChainComplex:
+    """One strand per degree (requires a single world)."""
+    w = C.single_world()
+    if w is None:
+        return C
+    ranks = {n: C.rank(n) for n in C.degrees()}
+    diffs: dict[int, list] = {}
+    for (n, i, j), B in sorted(C.blocks.items()):
+        M = diffs.setdefault(n, [[w.el_zero()] * ranks[n] for _ in range(ranks[n - 1])])
+        col = sum(r for _, r in C.strand_list(n)[:i])
+        row = sum(r for _, r in C.strand_list(n - 1)[:j])
+        for a, entries in enumerate(B):
+            M[row + a][col:col + len(entries)] = entries
+    return ChainComplex.single(w, ranks, diffs)
 
 
 class ChainMap:

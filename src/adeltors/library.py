@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .complexes import ChainComplex
+from .complexes import ChainComplex, merge_strands
 from .localize import Site
 from .ratfunc import RatXY, x as rf_x, y as rf_y
 from .worlds import VAL, Z_INV, Z_LOC, Z_RAT, World
@@ -46,22 +46,6 @@ def valrank2_library(site: Site):
 
 def library(site: Site):
     return zint_library(site) if site.backend == "zint" else valrank2_library(site)
-
-
-def merge_strands(C: ChainComplex) -> ChainComplex:
-    """One strand per degree (requires a single world)."""
-    w = C.single_world()
-    if w is None:
-        return C
-    ranks = {n: C.rank(n) for n in C.degrees()}
-    diffs: dict[int, list] = {}
-    for (n, i, j), B in sorted(C.blocks.items()):
-        M = diffs.setdefault(n, [[w.el_zero()] * ranks[n] for _ in range(ranks[n - 1])])
-        col = sum(r for _, r in C.strand_list(n)[:i])
-        row = sum(r for _, r in C.strand_list(n - 1)[:j])
-        for a, entries in enumerate(B):
-            M[row + a][col:col + len(entries)] = entries
-    return ChainComplex.single(w, ranks, diffs)
 
 
 def randomize_basis(C: ChainComplex, rng: random.Random, steps: int = 6) -> ChainComplex:

@@ -1,7 +1,7 @@
 """Torsion, localization, and completion functors on the exact backends.
 
 A Site fixes a backend (the integer fan or the rank-two valuation
-chain), a finite poset truncation, and assembly data.  It realizes:
+chain) and a finite poset truncation.  It realizes:
 
   * Gamma_V X = fib(X -> X[1/S_V])   with S_V the inversion set of V:
     the primes of V over the integers, x for {m} and y for {m,p} over
@@ -30,8 +30,7 @@ from fractions import Fraction
 from .classes import GradedClasses
 from .complexes import ChainComplex, ChainMap, fan_out_unit, fib
 from .homology import atom_classes, decompose_single, homology
-from .posets import (AssemblyData, SpecClosedSet, dim_filtration, finest, min_of,
-                     preimage_family, up_cone, valrank2_poset, zint_poset)
+from .posets import SpecClosedSet, dim_filtration, min_of, valrank2_poset, zint_poset
 from .ratfunc import x as rf_x, y as rf_y
 from .worlds import VAL, World, Z_INT, complete_world, invert_primes, invert_val
 
@@ -53,9 +52,9 @@ class TruncationTooSmall(ValueError):
 
 
 class Site:
-    """A backend with its truncated spectrum and assembly data."""
+    """A backend with its truncated spectrum."""
 
-    def __init__(self, backend: str, T=(2, 3), assembly: AssemblyData | None = None):
+    def __init__(self, backend: str, T=(2, 3)):
         if backend == "zint":
             self.T = tuple(sorted(set(T)))
             if not self.T:
@@ -69,9 +68,6 @@ class Site:
         else:
             raise UnsupportedRegionError(f"unknown backend {backend!r}")
         self.backend = backend
-        self.assembly = assembly if assembly is not None else finest(self.poset)
-        if self.assembly.ambient.elements != self.poset.elements:
-            raise UnsupportedRegionError("assembly data lives on a different poset")
 
     # -- region plumbing ---------------------------------------------------------
     def region(self, V) -> frozenset[str]:
@@ -83,11 +79,6 @@ class Site:
         if isinstance(V, str):
             return self.poset.down(V)
         return SpecClosedSet(self.poset, frozenset(V)).members
-
-    def assembled_region(self, V, assembly: AssemblyData | None) -> frozenset[str]:
-        if assembly is None:
-            return self.region(V)
-        return preimage_family(assembly, V).members
 
     def _check_prime(self, p: str):
         if p not in self.poset.elements:
@@ -135,18 +126,16 @@ class Site:
         op = self.localize_op(S)
         return fan_out_unit(X, lambda w: (op(w),))
 
-    def l_complement(self, V, X: ChainComplex,
-                     assembly: AssemblyData | None = None) -> ChainComplex:
+    def l_complement(self, V, X: ChainComplex) -> ChainComplex:
         """L_{V^c} X, the smashing localization away from V."""
-        members = self.assembled_region(V, assembly)
+        members = self.region(V)
         S = self.inversion_set(members)
         if S is None:
             return ChainComplex.zero(self.backend)
         return X.base_change(self.localize_op(S))
 
-    def gamma(self, V, X: ChainComplex,
-              assembly: AssemblyData | None = None) -> ChainComplex:
-        members = self.assembled_region(V, assembly)
+    def gamma(self, V, X: ChainComplex) -> ChainComplex:
+        members = self.region(V)
         S = self.inversion_set(members)
         if S is None:
             return X
@@ -164,10 +153,9 @@ class Site:
             return ("p",)
         raise UnsupportedRegionError(f"no completion rule for {sorted(members)}")
 
-    def lam(self, V, X: ChainComplex,
-            assembly: AssemblyData | None = None) -> ChainComplex:
+    def lam(self, V, X: ChainComplex) -> ChainComplex:
         """Lambda_V X by termwise world completion (adelically shaped)."""
-        members = self.assembled_region(V, assembly)
+        members = self.region(V)
         all_els = frozenset(self.poset.elements)
         if members == all_els:
             return X
@@ -183,10 +171,9 @@ class Site:
         """(product of termwise completions at targets, the unit map)."""
         return fan_out_unit(X, lambda w: [complete_world(w, t) for t in targets])
 
-    def delta(self, V, X: ChainComplex,
-              assembly: AssemblyData | None = None) -> ChainComplex:
+    def delta(self, V, X: ChainComplex) -> ChainComplex:
         """Delta_{V^c} X = fib(X -> Lambda_V X)."""
-        members = self.assembled_region(V, assembly)
+        members = self.region(V)
         all_els = frozenset(self.poset.elements)
         if members == all_els:
             return ChainComplex.zero(self.backend)
@@ -198,15 +185,18 @@ class Site:
     def gamma_at(self, p: str, X: ChainComplex) -> ChainComplex:
         return self.gamma(self.poset.down(p), X)
 
-    def _away_from(self, p: str) -> frozenset[str]:
-        """The region L_p localizes away from: the complement of p's up-cone."""
-        return frozenset(self.poset.elements) - up_cone(self.poset, p)
+    def l_op(self, p: str):
+        """The world op of L_p, the localization onto the up-cone of p
+        (away from its complement, always specialization closed), or None
+        when that cone is the whole poset and L_p is the identity."""
+        self._check_prime(p)
+        away = frozenset(self.poset.elements) - self.poset.up(p)
+        return self.localize_op(self.inversion_set(away)) if away else None
 
     def l_at(self, p: str, X: ChainComplex) -> ChainComplex:
         """L_p = localization onto the up-cone of p."""
-        self._check_prime(p)
-        Vc = self._away_from(p)
-        return self.l_complement(Vc, X) if Vc else X
+        op = self.l_op(p)
+        return X if op is None else X.base_change(op)
 
     def gamma_le(self, n: int, X: ChainComplex) -> ChainComplex:
         return self.gamma(dim_filtration(self.poset, n).members, X)
@@ -214,25 +204,15 @@ class Site:
     def l_ge(self, n: int, X: ChainComplex) -> ChainComplex:
         return self.l_complement(dim_filtration(self.poset, n - 1).members, X)
 
-    # assembled class localization L^A_x
-    def l_class(self, A: AssemblyData, x: str, X: ChainComplex) -> ChainComplex:
-        """L^A_x = localization away from alpha^{-1}(up-cone of x)^c."""
-        region = frozenset(p for p in self.poset.elements
-                           if not A.ambient.leq(x, A.alpha[p]))
-        if not region:
-            return X
-        return self.l_complement(region, X)
-
     # -- atomwise classification --------------------------------------------------------
     # A single-world X is Smith-reduced once per call and read off its atoms:
     # W -> W[1/S] is flat, so the atoms of L_S X are those of X carried into
     # W[1/S] (one whose a becomes a unit there is acyclic; atom_classes drops
     # it).  Nothing is kept past the call.
-    def gamma_classes(self, V, X: ChainComplex,
-                      assembly: AssemblyData | None = None) -> GradedClasses:
+    def gamma_classes(self, V, X: ChainComplex) -> GradedClasses:
         """Homology classes of Gamma_V X: off the atoms of a single-world
         X, through the fibre for a mixed one."""
-        members = self.assembled_region(V, assembly)
+        members = self.region(V)
         W = X.single_world()
         if W is not None:
             return self._atom_gamma(members, W, lambda: decompose_single(X))
@@ -267,8 +247,8 @@ class Site:
         atoms = decompose_single(X)
         supp = set()
         for p in self.poset.elements:
-            Vc = self._away_from(p)
-            Wp = self.localize_op(self.inversion_set(self.region(Vc)))(W) if Vc else W  # of L_p X
+            op = self.l_op(p)
+            Wp = W if op is None else op(W)   # the world of L_p X
             if not (Wp.is_zero_world or
                     self._atom_gamma(self.poset.down(p), Wp, lambda: atoms).is_zero()):
                 supp.add(p)
@@ -330,13 +310,11 @@ class Site:
         """Gamma_{<=i} L_{>=i} of the unit."""
         return self.gamma_le(i, self.l_ge(i, self.unit()))
 
-    def epointy_check(self, i: int, X: ChainComplex,
-                      assembly: AssemblyData | None = None) -> "SplitReport":
-        """Gamma_{<=i} prod_{x_i} L^A_{x_i} X against e(i) (x) X."""
-        A = assembly or self.assembly
+    def epointy_check(self, i: int, X: ChainComplex) -> "SplitReport":
+        """Gamma_{<=i} prod_{x_i} L_{x_i} X against e(i) (x) X."""
         prod = ChainComplex.zero(self.backend)
-        for x in A.sub_elements_of_dim(i):
-            prod = prod.dsum(self.l_class(A, x, X))
+        for x in self.poset.of_dim(i):
+            prod = prod.dsum(self.l_at(x, X))
         lhs = self.gamma_le(i, prod)
         rhs = tensor_with_mixed(self.e_object(i), X, self.base)
         return SplitReport("mono-dimensional-split", True, homology(lhs), homology(rhs))

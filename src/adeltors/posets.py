@@ -172,10 +172,6 @@ def down_closure(P: BalmerPoset, S) -> SpecClosedSet:
     return SpecClosedSet(P, frozenset(out))
 
 
-def up_cone(P: BalmerPoset, p: str) -> frozenset[str]:
-    return P.up(p)
-
-
 def min_of(P: BalmerPoset, subset) -> frozenset[str]:
     return frozenset(p for p in subset
                      if not any(q != p and P.leq(q, p) for q in subset))
@@ -195,9 +191,6 @@ class AssemblyData:
 
     def classes(self, x: str) -> frozenset[str]:
         return frozenset(p for p in self.ambient.elements if self.alpha[p] == x)
-
-    def sub_elements_of_dim(self, i: int):
-        return tuple(x for x in sorted(self.subposet) if self.ambient.dim[x] == i)
 
     def __repr__(self):
         return f"AssemblyData({len(self.subposet)} classes over {self.ambient!r})"

@@ -123,6 +123,12 @@ def test_formal_backend():
     # a negative height names no chain, so it is bad input, not an empty report
     proc = run_cli("tors", "--backend", "formal", "--height", "-3", expect=2)
     assert proc.stderr.startswith("input error [tors]: ") and proc.stderr.count("\n") == 1
+    # the report holds one line per height, so an unbounded height ran out of memory
+    assert len(json.loads(run_cli("tors", "--backend", "formal", "--height",
+                                  str(cli.MAX_HEIGHT)).stdout)["slots"]) == cli.MAX_HEIGHT + 1
+    proc = run_cli("tors", "--backend", "formal", "--height", str(cli.MAX_HEIGHT + 1), expect=2)
+    assert proc.stderr == f"input error [tors]: --height {cli.MAX_HEIGHT + 1} is outside " \
+        f"[0, {cli.MAX_HEIGHT}]\n"
 
 
 def test_bad_truncation_refused():
@@ -273,6 +279,27 @@ def test_object_loader_refuses_what_it_would_reinterpret(tmp_path, capsys):
             assert cli.main([cmd, "--object", str(obj)]) == 2
             out = capsys.readouterr()
             assert out.err == f"input error [object]: {msg}\n" and not out.out
+
+
+@pytest.mark.parametrize("backend, doc, key", [
+    ("zint", {"world": 5}, "world"), ("zint", {"world": ["Int"]}, "world"),
+    ("zint", {"degrees": [1]}, "degrees"), ("zint", {"diff": []}, "diff"),
+    ("zint", {"diff": {"1": 5}}, "diff"), ("zint", {"diff": {"1": [5]}}, "diff"),
+    ("zint", {"degrees": {"1": 2, "0": 1}, "diff": {"1": ["12"]}}, "diff"),
+    ("zint", {"degrees": {"1": 1, "0": 1}, "diff": {"1": {"3": 0}}}, "diff"),
+    ("zint", {"world": "V", "degrees": {"0": 1}}, "world"),
+    ("valrank2", {"world": "Int", "degrees": {"0": 1}}, "world")])
+def test_object_document_of_the_wrong_type_refused(tmp_path, capsys, backend, doc, key):
+    # the first six exited 2 with Python's own text ("'int' object has no
+    # attribute 'strip'"), a string or object row was read entry by entry
+    # as characters or keys, and a world of the other backend ended in an
+    # internal error
+    obj = tmp_path / "bad.json"
+    obj.write_text(json.dumps(doc))
+    assert cli.main(["tors", "--backend", backend, "--object", str(obj)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("input error [object]: ") and f"'{key}'" in out.err
+    assert out.err.count("\n") == 1 and not out.out
 
 
 def test_readme_object_example_reads(tmp_path):

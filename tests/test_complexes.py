@@ -5,7 +5,8 @@ import pytest
 from adeltors.complexes import (ChainComplex, ChainMap, DegreeWindowError,
                                 IncompatibleWorldsError, NotChainMapError,
                                 ShapeError, _check_blocks, _kron, cone, cone_inclusion,
-                                cone_null_homotopy, compose, homotopy_defect, map_equal)
+                                cone_null_homotopy, compose, homotopy_defect, map_equal,
+                                merge_strands)
 from adeltors.homology import homology
 from adeltors.ratfunc import RatXY, x as rx, y as ry
 from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT, Z_RAT,
@@ -28,6 +29,18 @@ def test_tensor_tor_example():
     from adeltors.classes import GradedClasses, ModuleClass
     assert h == GradedClasses({0: ModuleClass.cyclic(Z, F(g)),
                                1: ModuleClass.cyclic(Z, F(g))})
+
+
+def test_tensor_merges_the_strands_of_its_right_factor():
+    # the right factor's differential was read from its first strand per
+    # degree alone, which raised ShapeError here
+    Z = Z_INT()
+    A, B = ChainComplex.two_term(Z, F(4)), ChainComplex.two_term(Z, F(6))
+    T = A.tensor(B.dsum(B))
+    assert T == A.tensor(merge_strands(B.dsum(B)))
+    from adeltors.classes import GradedClasses, ModuleClass
+    two = ModuleClass.cyclic(Z, F(2))
+    assert homology(T) == GradedClasses({0: two + two, 1: two + two})
 
 
 def test_kron_matches_dense(rng):

@@ -74,7 +74,7 @@ def _old_ext_strand_worlds(self, label_a, label_b, u):
     A = tuple(sorted(label_a))
     B = tuple(sorted(label_b))
     (j,) = set(B) - set(A)
-    classes = self.assembly.sub_elements_of_dim(j)
+    classes = self.site.poset.of_dim(j)
     if u.is_zero_world:
         out = []
     elif j > min(A):

@@ -4,8 +4,8 @@ import pytest
 
 from adeltors.classes import GradedClasses, ModuleClass
 from adeltors.complexes import ChainComplex, ChainMap, cone
-from adeltors.homology import homology, is_acyclic
-from adeltors.library import random_complex
+from adeltors.homology import UnsupportedMixedShape, homology, is_acyclic
+from adeltors.library import library, random_complex
 from adeltors.localize import HypothesisFailed
 from adeltors.oracle import oracle_check
 from adeltors.ratfunc import x as rx, y as ry
@@ -147,6 +147,24 @@ def test_e_objects(zsite):
     assert homology(e1).degrees() == [0]
     rep = zsite.epointy_check(0, ChainComplex.two_term(zsite.base, F(4)))
     assert rep.agree
+
+
+def test_epointy_check_on_objects_with_two_strands_in_a_degree(zsite, vsite, rng):
+    # e(i) (x) X read only the first strand of X's differential in each
+    # degree, and raised ShapeError on these objects; a classifier refusal
+    # (the mixed-shape gap of the random objects) is no wrong answer
+    kp = dict(library(vsite))["koszul-pair"]
+    assert all(vsite.epointy_check(i, kp).agree for i in range(3))
+    decided = 0
+    for _ in range(10):
+        X = random_complex(rng, zsite.base, primes=zsite.T)
+        for i in range(2):
+            try:
+                assert zsite.epointy_check(i, X.dsum(X)).agree
+                decided += 1
+            except UnsupportedMixedShape:
+                pass
+    assert decided >= 15
 
 
 def test_mgm_examples(zsite):

@@ -190,8 +190,8 @@ def test_mgm_check_decomposes_x_and_its_completion_once(backend, decompositions,
     built = []
     lam = Site.lam
 
-    def recorded(self, V, X, assembly=None):
-        built.append(lam(self, V, X, assembly))
+    def recorded(self, V, X):
+        built.append(lam(self, V, X))
         return built[-1]
     monkeypatch.setattr(Site, "lam", recorded)
     rng = random.Random(32)

@@ -7,7 +7,7 @@ from adeltors.posets import (AssemblyError, CycleError,
                              RangeError, UnknownElementError, chain_poset,
                              coarsest, dim_filtration, down_closure, finest,
                              poset_from_json, preimage_family,
-                             torus_poset, up_cone, validate_assembly,
+                             torus_poset, validate_assembly,
                              validate_poset, valrank2_poset, zint_poset)
 
 
@@ -60,10 +60,10 @@ def test_closures():
     assert down_closure(P, {"1"}).members == {"0", "1"}
     F = fan()
     assert down_closure(F, {"p2"}).members == {"p2", "m"}
-    assert up_cone(F, "m") == frozenset(F.elements)
-    assert up_cone(F, "g") == {"g"}
+    assert F.up("m") == frozenset(F.elements)
+    assert F.up("g") == {"g"}
     with pytest.raises(UnknownElementError):
-        up_cone(F, "zz")
+        F.up("zz")
     # minimality of singleton closures
     for p in F.elements:
         d = down_closure(F, {p}).members
