@@ -6,20 +6,23 @@ alternating product of localized completions
     prod_{x_n} L_{x_n} ... prod_{x_1} L_{x_1} prod_{x_0} L_{x_0} Lambda_{x_0} 1
 
 with the products over the primes of each dimension, realized here
-through the functors of the Site.  Over the integer backend
-the dimension-zero products are restricted to the truncation set T;
-this is exact (not approximate) for objects supported in T and the
-generic point -- the torsion of such an object meets only finitely many
-completions, and the support precondition is checked before every run.
-Over the valuation backend the spectrum is finite and nothing is
+through the functors of the Site, and built as the formula reads: ext
+along the cube's arrows, one inserted index at a time, starting from
+the base (`ext_strand_worlds` is the one rule).  Over the integer
+backend the dimension-zero products are restricted to the truncation
+set T; this is exact (not approximate) for objects supported in T and
+the generic point -- the torsion of such an object meets only finitely
+many completions, and the support precondition is checked before every
+run.  Over the valuation backend the spectrum is finite and nothing is
 truncated.
 
-The unit cube's vertices are flat (degree-zero) strand lists, so the
-cube tensored with X is literally vertexwise tensor, and the limit is
-the iterated-fibre totalization from `shapes`.  The tensor at a vertex
-and ext along an arrow are both fan-outs of strands over the factors of
-a ring (`ChainComplex.fan_out`), in one strand order, so the adjoint of
-an arrow of a tensor cube pairs each strand with the strand of the same
+The rings are flat (degree-zero) strand lists, so the cube tensored
+with X is literally vertexwise tensor, the unit cube is `tensor` of the
+unit object, and the limit is the iterated-fibre totalization from
+`shapes`.  The tensor at a vertex and ext along an arrow are both
+fan-outs of strands over the factors of a ring
+(`ChainComplex.fan_out`), in one strand order, so the adjoint of an
+arrow of a tensor cube pairs each strand with the strand of the same
 index.
 """
 
@@ -54,10 +57,11 @@ class AdelicCube:
     """The punctured cube of adelic rings for a site.
 
     A cube fixes its site, so the worlds it derives from it depend on
-    nothing else: the prime factors and prime inversions are built with
-    the cube, and the ext fan-out of a strand world and the unit diagram
-    are computed on first use; all are kept for the life of the cube (at
-    most primes x labels x catalogue worlds entries)."""
+    nothing else: the prime factors and prime inversions, and from them
+    the ring worlds and names at every vertex, are built with the cube,
+    and the ext fan-out of a strand world is computed on first use; all
+    are kept for the life of the cube (at most primes x labels x
+    catalogue worlds entries)."""
 
     def __init__(self, site: Site):
         self.site = site
@@ -71,22 +75,20 @@ class AdelicCube:
                                for p in P.elements}
         self._inversions = {p: site.l_op(p) for p in P.elements if P.dim[p] >= 1}
         self._ext_worlds: dict[tuple, tuple[World, ...]] = {}
-        self._unit: CubeDiagram | None = None
         self._vertex_worlds = {tuple(v.label): self._build_vertex(tuple(v.label))
                                for v in self.shape.vertices}
+        self._ring_names = {v.name: self.ring_name(v.label) for v in self.shape.vertices}
 
     # -- rings ---------------------------------------------------------------------
     def _build_vertex(self, label: tuple) -> list[World]:
-        dims = sorted(label)
-        worlds: list[World] = []
-        for p in self.site.poset.of_dim(dims[0]):
-            worlds.extend(self._factor_worlds[p])
-        for i in dims[1:]:
-            new: list[World] = []
-            for p in self.site.poset.of_dim(i):
-                new.extend(map(self._inversions[p], worlds))
-            worlds = new
-        return [w for w in worlds if not w.is_zero_world]
+        """The ring at label: ext along each inserted index in turn,
+        starting from the base, its strands flattened slot-major as in
+        fan_out."""
+        worlds = [self.site.base]
+        for A, B in _ext_steps((), label):
+            fans = [self.ext_strand_worlds(A, B, u) for u in worlds]
+            worlds = [w for column in zip(*fans) for w in column if not w.is_zero_world]
+        return worlds
 
     def ring_worlds(self, label) -> list[World]:
         return list(self._vertex_worlds[tuple(sorted(label))])
@@ -109,7 +111,7 @@ class AdelicCube:
             return hit
         (j,) = set(B) - set(A)
         primes = self.site.poset.of_dim(j)
-        if j > min(A):
+        if A and j > min(A):
             out = [self._inversions[p](u) for p in primes]
         else:
             out = [_combine(u, f) for p in primes for f in self._factor_worlds[p]]
@@ -129,14 +131,8 @@ class AdelicCube:
 
     # -- diagrams -------------------------------------------------------------------------
     def unit_diagram(self) -> CubeDiagram:
-        """A fresh unit diagram; `tensor` shares one built per cube."""
-        values = {v.name: self.ring_complex(v.label) for v in self.shape.vertices}
-        maps = {}
-        for (s, t, _) in self.shape.arrows:
-            values_s, values_t = values[s], values[t]
-            maps[(s, t)] = _canonical_flat_map(values_s, values_t)
-        rings = {v.name: self.ring_name(v.label) for v in self.shape.vertices}
-        return CubeDiagram(self.shape, values, maps, {}, rings)
+        """The unit cube 1_ad (x) 1."""
+        return self.tensor(self.site.unit())
 
     def check_truncation(self, X: ChainComplex):
         """Torsion of X must live at truncation primes.
@@ -166,39 +162,26 @@ class AdelicCube:
         (each X strand world is flat over the base, so the tensor is the
         honest localization-completion pushout of worlds)."""
         self.check_truncation(X)
-        if self._unit is None:
-            self._unit = self.unit_diagram()
-        base = self._unit
+        ring = {v.name: self._vertex_worlds[tuple(v.label)] for v in self.shape.vertices}
         values: dict[str, ChainComplex] = {}
         layout: dict[str, dict] = {}
         for v in self.shape.vertices:
-            ring = [w for (w, _) in base.value(v.name).strand_list(0)]
-            values[v.name], layout[v.name] = X.fan_out(lambda u: [_combine(u, w) for w in ring])
+            values[v.name], layout[v.name] = X.fan_out(
+                lambda u: [_combine(u, w) for w in ring[v.name]])
         maps: dict[tuple[str, str], ChainMap] = {}
         for (s, t, _) in self.shape.arrows:
-            f = base.map(s, t)
+            ones = {(i, j): w.el_one() for i, u in enumerate(ring[s])
+                    for j, w in enumerate(ring[t]) if canonical_map_exists(u, w)}
             blocks = {}
             for (q, a), src in layout[s].items():
                 r = X.strand_list(q)[a][1]
                 tgt = dict(layout[t][(q, a)])
                 for i, si in src:
                     for j, tj in tgt.items():
-                        M = f.blocks.get((0, i, j))
-                        if M is not None:
-                            blocks[(q, si, tj)] = mat_id(r, M[0][0])
+                        if (i, j) in ones:
+                            blocks[(q, si, tj)] = mat_id(r, ones[(i, j)])
             maps[(s, t)] = ChainMap(values[s], values[t], blocks)
-        return CubeDiagram(self.shape, values, maps, {}, dict(base.ring_names))
-
-
-def _canonical_flat_map(CA: ChainComplex, CB: ChainComplex) -> ChainMap:
-    """All-ones blocks wherever a canonical world map exists (the unit
-    maps of the adelic cube on flat vertices)."""
-    blocks = {}
-    for i, (u, _) in enumerate(CA.strand_list(0)):
-        for j, (v, _) in enumerate(CB.strand_list(0)):
-            if canonical_map_exists(u, v):
-                blocks[(0, i, j)] = [[v.el_one()]]
-    return ChainMap(CA, CB, blocks)
+        return CubeDiagram(self.shape, values, maps, {}, dict(self._ring_names))
 
 
 def _combine(u: World, f: World) -> World:

@@ -66,6 +66,7 @@ def _emit(doc, out=None):
 MAX_PRIME = 10 ** 9
 MAX_D = 10   # shape --d: each step up doubles the time and memory of a shape
 MAX_HEIGHT = 100   # tors --backend formal --height: one report line per height
+MAX_RANK = 256   # object generators in all: the cube holds dense identity blocks of each rank
 
 
 def _is_prime(n: int) -> bool:
@@ -122,6 +123,11 @@ def _by_degree(table) -> dict:
     return out
 
 
+def _check_rank(total: int):
+    if total > MAX_RANK:
+        raise InputError(f"{total} generators: an object has at most {MAX_RANK}", check="object")
+
+
 def object_from_json(doc, site: Site) -> ChainComplex:
     """An object document: {"world": ..., "degrees": ..., "diff": ...}, each
     key optional and no other, or a list of parts, alone or as {"parts":
@@ -135,6 +141,7 @@ def object_from_json(doc, site: Site) -> ChainComplex:
         out = ChainComplex.zero(site.backend)
         for part in doc:
             out = out.dsum(object_from_json(part, site))
+            _check_rank(sum(map(out.rank, out.degrees())))
         return out
     if not isinstance(doc, dict):
         raise InputError(f"an object is a JSON object or a list of parts, not {doc!r}")
@@ -162,6 +169,7 @@ def object_from_json(doc, site: Site) -> ChainComplex:
             if ranks[n] and not OBJECT_LO <= n <= OBJECT_HI:
                 raise InputError(f"generator in degree {n}: objects live in degrees "
                                  f"[{OBJECT_LO}, {OBJECT_HI}]", check="object")
+        _check_rank(sum(ranks.values()))
         parse = (lambda s: Fraction(s)) if site.backend == "zint" else parse_ratxy
         diffs = {n: [[parse(str(e)) for e in row] for row in M]
                  for n, M in _by_degree(doc.get("diff", {})).items()}
@@ -298,10 +306,17 @@ def cmd_adelic(args) -> int:
 
 def cmd_tors(args) -> int:
     if args.backend == "formal":
-        if not 0 <= args.height <= MAX_HEIGHT:
-            raise InputError(f"--height {args.height} is outside [0, {MAX_HEIGHT}]")
-        _emit(chromatic_report(args.height), args.out)
+        for flag, given in (("--object", args.object is not None), ("--T", args.T is not None),
+                            ("--dot", args.dot)):
+            if given:
+                raise InputError(f"{flag} does not apply to --backend formal")
+        height = 2 if args.height is None else args.height
+        if not 0 <= height <= MAX_HEIGHT:
+            raise InputError(f"--height {height} is outside [0, {MAX_HEIGHT}]")
+        _emit(chromatic_report(height), args.out)
         return 0
+    if args.height is not None:
+        raise InputError("--height applies to --backend formal only")
     site = _site(args)
     X = load_object(args.object, site) if args.object else site.unit()
     cube = AdelicCube(site)
@@ -345,6 +360,10 @@ def _accepted_assembly_mutants(P, A) -> list[str]:
     return accepted
 
 
+SUITES = ("combinatorics", "rules", "fracture", "tors", "vertex", "mgm", "splittings",
+          "assembly")
+
+
 def cmd_verify(args) -> int:
     try:
         seed = int(os.environ.get("TTG_SEED", "20260801"))
@@ -352,10 +371,15 @@ def cmd_verify(args) -> int:
         raise InputError(f"TTG_SEED must be an integer, got {os.environ['TTG_SEED']!r}") from None
     if args.count is not None and args.count < 1:
         raise InputError(f"--count must be at least 1, got {args.count}")
+    suites = list(SUITES) if args.suite == "all" else args.suite.split(",")
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown:
+        raise InputError(f"unknown suite {unknown[0]!r}")
+    if args.force and "splittings" not in suites:
+        raise InputError("--force applies to the splittings suite only")
+    if args.count is not None and not {"mgm", "splittings"} & set(suites):
+        raise InputError("--count applies to the mgm and splittings suites only")
     rng = random.Random(seed)
-    suites = args.suite.split(",") if args.suite != "all" else \
-        ["combinatorics", "rules", "fracture", "tors", "vertex", "mgm",
-         "splittings", "assembly"]
     site = _site(args)
     cube = AdelicCube(site)
     lines = []
@@ -435,9 +459,6 @@ def cmd_verify(args) -> int:
             accepted = _accepted_assembly_mutants(P, A)
             extra = {"detail": f"mutants accepted: {accepted}"} if accepted else {}
             record("assembly-validation", not accepted, poset=len(P.elements), **extra)
-        else:
-            print(f"input error [verify]: unknown suite {suite!r}", file=sys.stderr)
-            return 2
     doc = {"check": "verify", "backend": site.backend, "truncation": list(site.T),
            "seed": seed, "ok": ok_all, "results": lines}
     _emit(doc, args.out)
@@ -480,8 +501,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("tors")
     p.add_argument("--object", default=None)
-    p.add_argument("--height", type=int, default=2,
-                   help="chain height for the formal backend")
+    p.add_argument("--height", type=int, default=None,
+                   help="chain height for the formal backend (default 2)")
     common(p)
     p.set_defaults(fn=cmd_tors)
 

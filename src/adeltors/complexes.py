@@ -44,13 +44,18 @@ rings, the sum over k of X (x) R_k in one strand order: factor first,
 then X's own strands, each block carried into every factor where both
 of its ends survive.
 
+A total complex is laid out in one place, _total: dsum, cone and
+shapes.holim_punctured each list their parts (a complex, a shift and a
+sign) and the maps linking them, and _total places every part's strands
+after those of the parts before it, degree by degree.
+
 A map's cone is built once: cone(f) keeps its value on f, and
 cone_inclusion, fib, fib_projection and induced_cone_map all reach it
 through cone(f), so they share one object.  Nothing changes a ChainMap
-after __init__, so the kept cone never goes stale.  Its strand layout,
-C's strands first, is known only to _d_at (where D's strands start) and
-_identity (identity blocks at an offset): every cone and fibre map, here
-and in shapes, places its blocks through these two.
+after __init__, so the kept cone never goes stale.  In _total's layout
+C's strands come first; _d_at (where D's strands start) and _identity
+(identity blocks at an offset) read that layout off, and every cone and
+fibre map, here and in shapes, places its blocks through these two.
 
 The fixed sign conventions: shift negates the differential once per
 step, and the mapping cone of f: C -> D is C[1] (+) D with
@@ -283,15 +288,7 @@ class ChainComplex:
     def dsum(self, other: "ChainComplex") -> "ChainComplex":
         if self.backend != other.backend:
             raise IncompatibleWorldsError("direct sum across backends")
-        strands: dict[int, list] = {}
-        offs: dict[int, int] = {}
-        for n in set(self.strands) | set(other.strands):
-            strands[n] = list(self.strand_list(n)) + list(other.strand_list(n))
-            offs[n] = len(self.strand_list(n))
-        blocks = dict(self.blocks)
-        for (n, i, j), M in other.blocks.items():
-            blocks[(n, i + offs.get(n, 0), j + offs.get(n - 1, 0))] = M
-        return _built(ChainComplex(self.backend, strands, blocks, check=False),
+        return _built(_total([(self, 0, 1), (other, 0, 1)], [], False),
                       self.verified and other.verified)
 
     def fan_out(self, worlds_of) -> tuple["ChainComplex", dict]:
@@ -487,6 +484,30 @@ def fan_out_unit(X: ChainComplex, worlds_of) -> tuple[ChainComplex, ChainMap]:
     return LX, _built(ChainMap(X, LX, blocks, check=not trusted), trusted)
 
 
+def _total(parts, links, check: bool) -> ChainComplex:
+    """The total complex of parts (C, shift, sign): degree n of C sits in
+    degree n + shift, after the parts listed before it, with its
+    differential times sign.  A link (a, b, blocks, sign) adds sign times
+    blocks, a degree-preserving map from part a to part b whose shift is
+    one less, to the differential.  A negated block has its integral
+    Fractions demoted.  Every total complex is laid out here."""
+    strands: dict[int, list] = {}
+    at: list[dict[int, int]] = []   # at[k][m]: where part k starts in degree m
+    for C, s, _ in parts:
+        at.append({})
+        for n, ss in C.strands.items():
+            out = strands.setdefault(n + s, [])
+            at[-1][n + s] = len(out)
+            out.extend(ss)
+    blocks = {}
+    for a, b, bl, sign in [(k, k, C.blocks, sg) for k, (C, _, sg) in enumerate(parts)] + links:
+        s = parts[a][1]
+        for (n, i, j), M in bl.items():
+            blocks[(n + s, i + at[a][n + s], j + at[b][n + s - 1])] = \
+                M if sign > 0 else [[-normal_el(e) for e in row] for row in M]
+    return ChainComplex(parts[0][0].backend, strands, blocks, check=check)
+
+
 def _d_at(f: ChainMap, n: int) -> int:
     """Where D's strands start in cone(f)_n = C_{n-1} (+) D_n, C's strands
     first; in fib(f) this is degree n - 1."""
@@ -504,19 +525,10 @@ def cone(f: ChainMap) -> ChainComplex:
     Built on the first call and kept on f; later calls return it."""
     if f._cone is not None:
         return f._cone
-    C, D = f.src, f.dst
-    strands: dict[int, list] = {}
-    for n in {m + 1 for m in C.strands} | set(D.strands):
-        if not (DEGREE_LO <= n <= DEGREE_HI):
-            raise DegreeWindowError("cone leaves the degree window")
-        strands[n] = C.strand_list(n - 1) + D.strand_list(n)
-    blocks = {(n + 1, i, j): [[-normal_el(e) for e in row] for row in M]
-              for (n, i, j), M in C.blocks.items()}
-    for (n, i, j), M in D.blocks.items():
-        blocks[(n, i + _d_at(f, n), j + _d_at(f, n - 1))] = M
-    for (n, i, j), M in f.blocks.items():
-        blocks[(n + 1, i, j + _d_at(f, n))] = M
-    f._cone = _built(ChainComplex(C.backend, strands, blocks, check=not f.verified), f.verified)
+    if any(n + 1 > DEGREE_HI for n in f.src.strands):
+        raise DegreeWindowError("cone leaves the degree window")
+    f._cone = _built(_total([(f.src, 1, -1), (f.dst, 0, 1)], [(0, 1, f.blocks, 1)],
+                            not f.verified), f.verified)
     return f._cone
 
 

@@ -32,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (ChainComplex, ChainMap, NotChainMapError, ShapeError, _built,
-                        _d_at, _identity, compose, cone, cone_inclusion, cone_null_homotopy,
-                        fib_projection, homotopy_defect, induced_cone_map, map_equal)
+                        _d_at, _identity, _total, compose, cone, cone_inclusion,
+                        cone_null_homotopy, fib_projection, homotopy_defect, induced_cone_map,
+                        map_equal)
 from .homology import is_acyclic
 from .posets import RangeError
 
@@ -486,8 +487,9 @@ def big_R(TD: CubeDiagram) -> CubeDiagram:
 
 def holim_punctured(D: CubeDiagram) -> ChainComplex:
     """The limit of a punctured-cube diagram as one explicit total
-    complex (the iterated-fibre totalization): the vertex at A sits in
-    homological shift 1 - |A|, structure maps carry Cech signs.
+    complex (the iterated-fibre totalization, laid out by _total): the
+    vertex at A sits in homological shift 1 - |A|, structure maps carry
+    Cech signs.
 
     A trusted operation: when every value and every structure map of D
     is verified, and each map runs between the values at its arrow,
@@ -502,48 +504,24 @@ def holim_punctured(D: CubeDiagram) -> ChainComplex:
     shape = D.shape
     if shape.kind != "pcube":
         raise ShapeMismatchError("holim_punctured consumes a punctured cube diagram")
-    strands: dict[int, list] = {}
-    index: dict[tuple[str, int, int], int] = {}
-    backend = D_backend(D)
-    by_name = {v.name: v for v in shape.vertices}
-    for name, v in by_name.items():
-        C = D.value(name)
-        sh = 1 - len(v.label)
-        for n in C.degrees():
-            m = n + sh
-            strands.setdefault(m, [])
-            for i, (w, r) in enumerate(C.strand_list(n)):
-                index[(name, n, i)] = len(strands[m])
-                strands[m].append((w, r))
-    blocks: dict[tuple[int, int, int], list] = {}
-    for name, v in by_name.items():
-        C = D.value(name)
-        sh = 1 - len(v.label)
-        sgn = 1 if sh % 2 == 0 else -1
-        for (n, i, j), M in C.blocks.items():
-            si = index[(name, n, i)]
-            tj = index[(name, n - 1, j)]
-            blocks[(n + sh, si, tj)] = [[e * sgn for e in row] for row in M]
-    maps: dict[tuple[str, str], ChainMap] = {}
-    for (s, t, kind) in shape.arrows:
-        A = tuple(by_name[s].label)
-        i_new = next(iter(set(by_name[t].label) - set(A)))
-        cech = (-1) ** sum(1 for j in A if j < i_new)
+    pos = {v.name: k for k, v in enumerate(shape.vertices)}
+    parts = [(D.value(v.name), 1 - len(v.label), (-1) ** (len(v.label) - 1))
+             for v in shape.vertices]
+    links, maps = [], {}
+    for (s, t, _) in shape.arrows:
+        A = shape.vertices[pos[s]].label
+        (i_new,) = set(shape.vertices[pos[t]].label) - set(A)
         f = D.maps.get((s, t))
         if f is None:
             raise MissingArrowError(f"holim needs the structure map {s} -> {t}")
         maps[(s, t)] = f
-        shA = 1 - len(A)
-        for (n, i, j), M in f.blocks.items():
-            si = index[(s, n, i)]
-            tj = index[(t, n, j)]
-            blocks[(n + shA, si, tj)] = [[e * cech for e in row] for row in M]
-    trusted = all(D.value(name).verified for name in by_name) and \
+        links.append((pos[s], pos[t], f.blocks, (-1) ** sum(1 for j in A if j < i_new)))
+    trusted = all(C.verified for C, _, _ in parts) and \
         all(f.verified and f.src == D.value(s) and f.dst == D.value(t)
             for (s, t), f in maps.items())
     if trusted and not CubeDiagram(shape, D.values, maps).check_commutes():
         raise ShapeError("holim: a square of the punctured cube does not commute")
-    return _built(ChainComplex(backend, strands, blocks, check=not trusted), trusted)
+    return _built(_total(parts, links, not trusted), trusted)
 
 
 def fib_cof_inverse_check(D: CubeDiagram, i: int) -> bool:

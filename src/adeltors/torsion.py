@@ -28,9 +28,8 @@ class ValidateFailed(ValueError):
     pass
 
 
-def tors(site: Site, X: ChainComplex, cube: AdelicCube | None = None) -> CubeDiagram:
+def tors(site: Site, X: ChainComplex, cube: AdelicCube) -> CubeDiagram:
     """The torsion diagram of X: iterated cofibres of the adelic tensor."""
-    cube = cube or AdelicCube(site)
     return big_L(cube.tensor(X))
 
 
@@ -54,10 +53,9 @@ class ValidationReport:
                 "layers": {str(k): v for k, v in sorted(self.layers.items())}}
 
 
-def validate(site: Site, TD: CubeDiagram, cube: AdelicCube | None = None) -> ValidationReport:
+def validate(site: Site, TD: CubeDiagram, cube: AdelicCube) -> ValidationReport:
     """Certify the two membership conditions plus the cofibre layers; each
     oplax adjoint is an isomorphism of complexes or has an acyclic cone."""
-    cube = cube or AdelicCube(site)
     rep = ValidationReport()
     rep.commutes = TD.check_commutes()
     d = TD.shape.d
@@ -94,14 +92,10 @@ class VertexReport:
                 "want": self.want.to_json()}
 
 
-def one_tors_vertex(site: Site, A, i: int, cube: AdelicCube | None = None,
-                    TD: CubeDiagram | None = None) -> VertexReport:
-    """The unit's torsion diagram at A^i against the identification
+def one_tors_vertex(site: Site, A, i: int, cube: AdelicCube, TD: CubeDiagram) -> VertexReport:
+    """The unit's torsion diagram TD at A^i against the identification
     with the (d-i)-fold suspension of the filtration-i torsion of the
     adelic ring at A."""
-    cube = cube or AdelicCube(site)
-    if TD is None:
-        TD = tors(site, site.unit(), cube)
     d = site.poset.dimension
     name = Vertex(tuple(sorted(A)), i).name
     got = homology(TD.value(name))
@@ -126,12 +120,10 @@ class RoundTripReport:
                 "got": self.got.to_json(), "want": self.want.to_json()}
 
 
-def reconstruct(site: Site, TD: CubeDiagram, X: ChainComplex,
-                cube: AdelicCube | None = None,
+def reconstruct(site: Site, TD: CubeDiagram, X: ChainComplex, cube: AdelicCube,
                 require_valid: bool = True) -> RoundTripReport:
     """Fibres then limit, compared against X; the fibre pass is built
     independently of the cofibre pass so the round trip is a real check."""
-    cube = cube or AdelicCube(site)
     val = validate(site, TD, cube)
     if require_valid and not val.ok:
         raise ValidateFailed("diagram fails the membership certificates")

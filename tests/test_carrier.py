@@ -109,7 +109,7 @@ def test_round_trip_hands_out_ints_and_proper_fractions(monkeypatch):
 def test_real_denominators_survive_as_fractions():
     doc = {"world": "IntInv(2)", "degrees": {"1": 1, "0": 1}, "diff": {"1": [["3/2"]]}}
     site = Site("zint", T=(2, 3))
-    TD = tors(site, object_from_json(doc, site))
+    TD = tors(site, object_from_json(doc, site), AdelicCube(site))
     entries = [e for X in TD.values.values() for M in X.blocks.values()
                for row in M for e in row]
     assert F(3, 2) in entries

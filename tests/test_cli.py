@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 
 from adeltors import cli
+from adeltors.localize import Site
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -129,6 +130,58 @@ def test_formal_backend():
     proc = run_cli("tors", "--backend", "formal", "--height", str(cli.MAX_HEIGHT + 1), expect=2)
     assert proc.stderr == f"input error [tors]: --height {cli.MAX_HEIGHT + 1} is outside " \
         f"[0, {cli.MAX_HEIGHT}]\n"
+
+
+def test_tors_refuses_options_that_do_not_apply():
+    # each exited 0 with the option silently dropped
+    formal = "does not apply to --backend formal"
+    for args, msg in ((("--backend", "formal", "--object", "/nonexistent"), f"--object {formal}"),
+                      (("--backend", "formal", "--T", "5"), f"--T {formal}"),
+                      (("--backend", "formal", "--dot"), f"--dot {formal}"),
+                      (("--backend", "zint", "--height", "7"),
+                       "--height applies to --backend formal only"),
+                      (("--backend", "valrank2", "--height", "2"),
+                       "--height applies to --backend formal only")):
+        proc = run_cli("tors", *args, expect=2)
+        assert proc.stderr == f"input error [tors]: {msg}\n" and not proc.stdout
+    # without --height the formal backend reads height 2
+    assert run_cli("tors", "--backend", "formal").stdout == \
+        run_cli("tors", "--backend", "formal", "--height", "2").stdout
+
+
+def test_object_reader_caps_the_generators():
+    # {"degrees": {"0": 20000}} ran adelic out of memory
+    site = Site("zint", T=(2, 3))
+    for doc in ({"degrees": {"0": cli.MAX_RANK}}, {"degrees": {"0": 200, "1": 56}},
+                {"parts": [{"degrees": {"0": 200}}, {"world": "Rat", "degrees": {"1": 56}}]}):
+        C = cli.object_from_json(doc, site)
+        assert sum(C.rank(n) for n in C.degrees()) == cli.MAX_RANK
+    for doc in ({"degrees": {"0": cli.MAX_RANK + 1}}, {"degrees": {"0": 200, "1": 57}},
+                {"parts": [{"degrees": {"0": 200}}, {"world": "Rat", "degrees": {"1": 57}}]},
+                [{"degrees": {"0": 200}}, [{"degrees": {"1": 50}}, {"degrees": {"2": 7}}]]):
+        with pytest.raises(cli.InputError) as exc:
+            cli.object_from_json(doc, site)
+        assert exc.value.check == "object"
+        assert str(exc.value) == f"257 generators: an object has at most {cli.MAX_RANK}"
+
+
+def test_verify_reads_its_command_line_before_running(monkeypatch):
+    # verify tors,bogus ran the tors suite before refusing bogus, and
+    # --force and --count were dropped on suites that do not read them
+    assert json.loads(run_cli("verify", "mgm,splittings", "--count", "2",
+                              "--force").stdout)["ok"]
+
+    def ran(*args):
+        raise RuntimeError("a suite ran")
+    monkeypatch.setattr(cli, "tors", ran)
+    monkeypatch.setattr(cli, "build_iminus", ran)
+    splittings = "--force applies to the splittings suite only"
+    counted = "--count applies to the mgm and splittings suites only"
+    for args, msg in ((("tors,bogus",), "unknown suite 'bogus'"),
+                      (("combinatorics", "--force"), splittings),
+                      (("combinatorics,tors", "--count", "5"), counted)):
+        proc = run_cli("verify", *args, expect=2)
+        assert proc.stderr == f"input error [verify]: {msg}\n" and not proc.stdout
 
 
 def test_bad_truncation_refused():

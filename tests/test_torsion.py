@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -198,3 +199,11 @@ def test_chromatic_formal():
     assert set(rep["slots"]) == {"0", "1", "2"}
     assert "M_2" in rep["slots"]["0"]
     assert "no homotopy groups" in rep["note"]
+
+
+def test_cube_and_unit_diagram_are_required():
+    # a default cube rebuilt every world table on each call
+    for fn, names in ((tors, ["cube"]), (validate, ["cube"]), (reconstruct, ["cube"]),
+                      (one_tors_vertex, ["cube", "TD"])):
+        params = inspect.signature(fn).parameters
+        assert all(params[n].default is inspect.Parameter.empty for n in names), fn
