@@ -57,8 +57,10 @@ class AdelicCube:
     """The punctured cube of adelic rings for a site.
 
     A cube fixes its site, so the worlds it derives from it depend on
-    nothing else: the prime factors and prime inversions, and from them
-    the ring worlds and names at every vertex, are built with the cube,
+    nothing else: the prime factors and prime inversions, from them the
+    ring worlds and names at every vertex, and for every arrow the table
+    of unit entries from ring factor i at its source to ring factor j at
+    its target (the pairs with a canonical map), are built with the cube,
     and the ext fan-out of a strand world is computed on first use; all
     are kept for the life of the cube (at most primes x labels x
     catalogue worlds entries)."""
@@ -78,6 +80,12 @@ class AdelicCube:
         self._vertex_worlds = {tuple(v.label): self._build_vertex(tuple(v.label))
                                for v in self.shape.vertices}
         self._ring_names = {v.name: self.ring_name(v.label) for v in self.shape.vertices}
+        self._ones = {}
+        for (s, t, _) in self.shape.arrows:
+            ring_s = self._vertex_worlds[self.shape.vertex(s).label]
+            ring_t = self._vertex_worlds[self.shape.vertex(t).label]
+            self._ones[(s, t)] = {(i, j): w.el_one() for i, u in enumerate(ring_s)
+                                  for j, w in enumerate(ring_t) if canonical_map_exists(u, w)}
 
     # -- rings ---------------------------------------------------------------------
     def _build_vertex(self, label: tuple) -> list[World]:
@@ -162,16 +170,15 @@ class AdelicCube:
         (each X strand world is flat over the base, so the tensor is the
         honest localization-completion pushout of worlds)."""
         self.check_truncation(X)
-        ring = {v.name: self._vertex_worlds[tuple(v.label)] for v in self.shape.vertices}
         values: dict[str, ChainComplex] = {}
         layout: dict[str, dict] = {}
         for v in self.shape.vertices:
+            ring = self._vertex_worlds[v.label]
             values[v.name], layout[v.name] = X.fan_out(
-                lambda u: [_combine(u, w) for w in ring[v.name]])
+                lambda u: [_combine(u, w) for w in ring])
         maps: dict[tuple[str, str], ChainMap] = {}
         for (s, t, _) in self.shape.arrows:
-            ones = {(i, j): w.el_one() for i, u in enumerate(ring[s])
-                    for j, w in enumerate(ring[t]) if canonical_map_exists(u, w)}
+            ones = self._ones[(s, t)]
             blocks = {}
             for (q, a), src in layout[s].items():
                 r = X.strand_list(q)[a][1]

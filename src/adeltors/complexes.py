@@ -279,9 +279,9 @@ class ChainComplex:
     # -- operations ---------------------------------------------------------------
     def shift(self, s: int) -> "ChainComplex":
         """Suspension: degrees go up by s, differential picks up (-1)^s."""
-        sign = 1 if s % 2 == 0 else -1
         strands = {n + s: list(ss) for n, ss in self.strands.items()}
-        blocks = {(n + s, i, j): [[normal_el(e) * sign for e in row] for row in M]
+        el = normal_el if s % 2 == 0 else (lambda e: -normal_el(e))
+        blocks = {(n + s, i, j): [[el(e) for e in row] for row in M]
                   for (n, i, j), M in self.blocks.items()}
         return _built(ChainComplex(self.backend, strands, blocks, check=False), self.verified)
 

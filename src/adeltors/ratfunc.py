@@ -336,7 +336,9 @@ class RatXY:
         return out
 
     def inv(self) -> "RatXY":
-        return _ONE / self
+        """1 / self.  A canonical fraction is coprime, so swapping it needs
+        only the monic normalisation; zero raises ZeroDivisionError."""
+        return RatXY(self.den, self.num, reduce=False)
 
     def is_zero(self) -> bool:
         return not self.num

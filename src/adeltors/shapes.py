@@ -14,6 +14,11 @@ Arrows are stored in module-map direction:
                                   (the categorical arrow points up)
   dummy_in   A^{k+1} -> A^(k),  dummy_out  A^(k) -> A^k
 
+Index categories depend only on the dimension (and the filtration cut
+of I_{>=i}), so each builder makes its shape once per argument and
+hands the same frozen object to every caller; a vertex caches its name
+and a shape its name-to-vertex table.
+
 The big rewrite L takes a punctured-cube diagram to an I(d) diagram by
 iterated cofibres (new layer vertices are mapping cones of the top
 structure maps, with canonical null-homotopy witnesses); R forgets the
@@ -30,6 +35,7 @@ inclusion and the very end of every induced map at it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .complexes import (ChainComplex, ChainMap, NotChainMapError, ShapeError, _built,
                         _d_at, _identity, _total, compose, cone, cone_inclusion,
@@ -47,18 +53,25 @@ class MissingArrowError(ValueError):
     pass
 
 
+def _vname(label, k=None, dummy=False) -> str:
+    """The name of the vertex label^k (label^(k) when dummy), its indices
+    written in descending order; plain-cube vertices (k None) carry no
+    degree and the empty label is e."""
+    body = "".join(str(i) for i in sorted(label, reverse=True)) or "e"
+    if k is None:
+        return body
+    return f"{body}^({k})" if dummy else f"{body}^{k}"
+
+
 @dataclass(frozen=True)
 class Vertex:
     label: tuple[int, ...]         # sorted ascending subset
     k: int | None = None           # filtration degree; None on plain cubes
     dummy: bool = False
 
-    @property
+    @cached_property
     def name(self) -> str:
-        body = "".join(str(i) for i in sorted(self.label, reverse=True)) or "e"
-        if self.k is None:
-            return body
-        return f"{body}^({self.k})" if self.dummy else f"{body}^{self.k}"
+        return _vname(self.label, self.k, self.dummy)
 
     def __repr__(self):
         return self.name
@@ -72,10 +85,14 @@ class IndexCategory:
     arrows: tuple[tuple[str, str, str], ...]   # (src name, dst name, arrow kind)
 
     def vertex(self, name: str) -> Vertex:
-        for v in self.vertices:
-            if v.name == name:
-                return v
-        raise ShapeMismatchError(f"no vertex {name!r}")
+        try:
+            return self._vertex_by_name[name]
+        except KeyError:
+            raise ShapeMismatchError(f"no vertex {name!r}") from None
+
+    @cached_property
+    def _vertex_by_name(self) -> dict[str, Vertex]:
+        return {v.name: v for v in self.vertices}
 
     def names(self):
         return [v.name for v in self.vertices]
@@ -105,12 +122,14 @@ def _restrict(shape: IndexCategory, keep, kind: str) -> IndexCategory:
     return IndexCategory(shape.d, kind, tuple(keep), arrows)
 
 
+@lru_cache(maxsize=None)
 def punctured_cube(d: int) -> IndexCategory:
     """P([d]) without the empty set: 2^{d+1} - 1 vertices."""
     cube = full_cube(d)
     return _restrict(cube, [v for v in cube.vertices if v.label], "pcube")
 
 
+@lru_cache(maxsize=None)
 def full_cube(d: int) -> IndexCategory:
     if d < 0:
         raise RangeError("d must be nonnegative")
@@ -120,8 +139,7 @@ def full_cube(d: int) -> IndexCategory:
     for v in verts:
         for i in range(d + 1):
             if i not in v.label:
-                tgt = _with(v.label, i)
-                arrows.append((v.name, Vertex(tgt).name, "oplax"))
+                arrows.append((v.name, _vname(v.label + (i,)), "oplax"))
     return IndexCategory(d, "cube", tuple(verts), tuple(sorted(arrows)))
 
 
@@ -159,17 +177,18 @@ def _layer_arrows(verts):
         # oplax: add i <= k not in A (for k = d the target keeps d automatically)
         for i in range(k + 1):
             if i not in A:
-                tgt = Vertex(_with(A, i), k)
-                if tgt.name in names:
-                    arrows.append((v.name, tgt.name, "oplax"))
+                tgt = _vname(A + (i,), k)
+                if tgt in names:
+                    arrows.append((v.name, tgt, "oplax"))
         # lax: k in A and A != {k}: module map res M(A^k) -> M((A\k)^{k-1})
         if k in A and len(A) > 1:
-            tgt = Vertex(tuple(sorted(i for i in A if i != k)), k - 1)
-            if tgt.name in names:
-                arrows.append((v.name, tgt.name, "lax"))
+            tgt = _vname([i for i in A if i != k], k - 1)
+            if tgt in names:
+                arrows.append((v.name, tgt, "lax"))
     return arrows
 
 
+@lru_cache(maxsize=None)
 def build_iminus(d: int) -> IndexCategory:
     if d < 1:
         raise RangeError("layer categories need d >= 1")
@@ -177,6 +196,7 @@ def build_iminus(d: int) -> IndexCategory:
     return IndexCategory(d, "iminus", tuple(verts), tuple(sorted(_layer_arrows(verts))))
 
 
+@lru_cache(maxsize=None)
 def build_ifull(d: int) -> IndexCategory:
     if d < 1:
         raise RangeError("layer categories need d >= 1")
@@ -190,15 +210,16 @@ def build_ifull(d: int) -> IndexCategory:
     for v in verts:
         if not v.dummy:
             continue
-        up = Vertex(v.label, v.k + 1)
-        down = Vertex(v.label, v.k)
-        if up.name in names:
-            arrows.append((up.name, v.name, "dummy_in"))
-        if down.name in names:
-            arrows.append((v.name, down.name, "dummy_out"))
+        up = _vname(v.label, v.k + 1)
+        down = _vname(v.label, v.k)
+        if up in names:
+            arrows.append((up, v.name, "dummy_in"))
+        if down in names:
+            arrows.append((v.name, down, "dummy_out"))
     return IndexCategory(d, "ifull", tuple(verts), tuple(sorted(arrows)))
 
 
+@lru_cache(maxsize=None)
 def build_igeq(d: int, i: int) -> IndexCategory:
     if not (0 <= i <= d):
         raise RangeError(f"filtration cut {i} outside 0..{d}")
@@ -288,10 +309,6 @@ def iminus_count(d: int) -> int:
 
 
 # -- the one cofibre step and the one fibre step, on label-keyed dicts ------------------
-
-
-def _vname(label, k=None, dummy=False):
-    return Vertex(tuple(sorted(label)), k, dummy).name
 
 
 def _by_label(D: CubeDiagram, verts):
@@ -539,7 +556,7 @@ def fib_cof_inverse_check(D: CubeDiagram, i: int) -> bool:
             if got != C:
                 return False
             continue
-        up = Vertex(_with(v.label, i)).name
+        up = _vname(v.label + (i,))
         f = D.map(v.name, up)
         # got = fib(incl), incl: D(up) -> cone(f), and C_n leads cone(f)_{n+1}
         ident = _identity(C, lambda n: _d_at(E.map(up, v.name), n + 1))

@@ -6,9 +6,9 @@ from adeltors.complexes import ChainComplex, ChainMap
 from adeltors.homology import homology
 from adeltors.library import random_complex
 from adeltors.posets import RangeError
-from adeltors.shapes import (CubeDiagram, Vertex, big_L, build_igeq,
-                             build_iminus, cof_direction, face,
-                             fib_cof_inverse_check, full_cube,
+from adeltors.shapes import (CubeDiagram, ShapeMismatchError, Vertex, big_L,
+                             build_ifull, build_igeq, build_iminus, cof_direction,
+                             face, fib_cof_inverse_check, full_cube,
                              holim_punctured, iminus_count, is_cofibre_layer,
                              punctured_cube, to_dot)
 from adeltors.worlds import Z_INT, invert_primes
@@ -89,6 +89,26 @@ def test_dot_goldens():
     d3 = to_dot(punctured_cube(2))
     assert d3.count("[label=") == 7
     assert to_dot(build_iminus(1)) == to_dot(build_iminus(1))  # deterministic
+
+
+def test_shapes_are_built_once_per_argument():
+    """Each builder hands out one shared shape per argument, equal to a
+    fresh build and drawn byte for byte alike; vertex() finds every name
+    and refuses an unknown one."""
+    for d in (1, 2, 3):
+        calls = [(full_cube, (d,)), (punctured_cube, (d,)), (build_iminus, (d,)),
+                 (build_ifull, (d,))] + [(build_igeq, (d, i)) for i in range(d + 1)]
+        for build, args in calls:
+            shape = build(*args)
+            assert build(*args) is shape
+            fresh = build.__wrapped__(*args)
+            assert fresh is not shape and fresh == shape
+            for dummies in (False, True):
+                assert to_dot(shape, include_dummies=dummies) == \
+                    to_dot(fresh, include_dummies=dummies)
+            assert all(shape.vertex(v.name) is v for v in shape.vertices)
+            with pytest.raises(ShapeMismatchError, match="no vertex"):
+                shape.vertex("9^9")
 
 
 def constant_cube(X, d=1):
