@@ -20,20 +20,31 @@ float), so integral entries stay ints through sums and products.  As
 Fraction(n) == n and hash(Fraction(n)) == hash(n), keys compare and hash
 alike whichever type a coefficient has.
 
-Fractions are reduced on construction: integer content, common
-monomial factors, and a primitive-PRS gcd in (QQ[x])[y], so equality
-and hashing are structural.  The gcd is skipped when, after
-the common monomial factor is removed, the numerator or the denominator
-is a single monomial: the gcd is then a constant.
+Fractions are reduced on construction (`_cancel`): common monomial
+factors, then a primitive-PRS gcd in (QQ[x])[y], skipped when one side
+is then a single monomial (the gcd is a constant); then the denominator
+is made monic (`_monic`).  RatXY(num, den, reduce=False) promises that
+the pair is already canonical (trimmed, coprime, monic denominator, 1
+over a zero numerator) and stores it as it is.
 
-Elements are canonical (reduced, monic denominator) and never written
-to after construction, so arithmetic may return an operand or a shared
+Arithmetic builds each result canonical from canonical operands rather
+than reducing a raw fraction (Henrici 1956; Knuth, TAOCP vol. 2,
+4.5.1).  Products cross-cancel: only gcd(n1, d2) and gcd(n2, d1) are
+taken, none with a polynomial operand.  Sums go over d1 d2 / g for g =
+gcd(d1, d2) and run a gcd of their own only when g is not a constant.
+Negation and inversion re-normalise nothing.
+
+Elements are canonical, so equality compares the num and den dicts;
+the hash is taken of `_key`, their sorted items, except that a
+constant hashes as its coefficient, the int or Fraction it equals.
+The valuation is cached on first use, the only write after
+construction, so arithmetic may return an operand or a shared
 constant instead of building a new element.  The fast paths do so for
 a + 0, 0 + a, -0, a * 0, a * 1 and 1 * a, with 0 and 1 given as RatXY,
 int or Fraction; their results equal what the full reduction builds.
 A product or quotient of two Laurent monomials c*x^A*y^B is built in
-closed form: the numerator c*x^max(A,0)*y^max(B,0) over the monic
-denominator x^max(-A,0)*y^max(-B,0), which is what the reduction gives.
+closed form, already canonical: the numerator c*x^max(A,0)*y^max(B,0)
+over the monic denominator x^max(-A,0)*y^max(-B,0).
 """
 
 from __future__ import annotations
@@ -75,10 +86,8 @@ def poly_mul(p: PolyDict, q: PolyDict) -> PolyDict:
     return _trim(out)
 
 
-def poly_val(p: PolyDict) -> Mono | None:
-    """Lex-minimal (b, a) over monomials x^a y^b; None for the zero polynomial."""
-    if not p:
-        return None
+def poly_val(p: PolyDict) -> Mono:
+    """Lex-minimal (b, a) over the monomials x^a y^b of a non-zero polynomial."""
     return min((b, a) for (a, b) in p)
 
 
@@ -207,39 +216,62 @@ def poly_gcd(p: PolyDict, q: PolyDict) -> PolyDict:
     return poly_mul(g, _from_y_slices({0: cont}))
 
 
-class RatXY:
-    """An element of QQ(x, y), kept fully reduced with monic denominator."""
+def _cancel(p: PolyDict, q: PolyDict) -> tuple[PolyDict, PolyDict]:
+    """p/g and q/g for g the gcd of two non-zero polynomials: first their
+    common monomial factor, then, when both sides still have two or more
+    terms, their poly_gcd (with one term left on a side, the rest of the
+    gcd is a constant).  Returns p and q themselves when g is a constant."""
+    sa = min(min(a for a, _ in p), min(a for a, _ in q))
+    sb = min(min(b for _, b in p), min(b for _, b in q))
+    if sa or sb:
+        p = {(a - sa, b - sb): c for (a, b), c in p.items()}
+        q = {(a - sa, b - sb): c for (a, b), c in q.items()}
+    if len(p) > 1 and len(q) > 1:
+        g = poly_gcd(p, q)
+        if len(g) > 1 or (0, 0) not in g:
+            p, q = _poly_divexact(p, g), _poly_divexact(q, g)
+    return p, q
 
-    __slots__ = ("num", "den", "_key")
+
+def _monic(num: PolyDict, den: PolyDict) -> tuple[PolyDict, PolyDict]:
+    """num/den rescaled so that the leading (lex-max (y, x) exponent)
+    coefficient of den is 1."""
+    lc = den[max(den, key=lambda m: (m[1], m[0]))]
+    if lc == 1:
+        return num, den
+    return {m: _div(c, lc) for m, c in num.items()}, {m: _div(c, lc) for m, c in den.items()}
+
+
+def _product(n1: PolyDict, d1: PolyDict, n2: PolyDict, d2: PolyDict) -> RatXY:
+    """(n1/d1)(n2/d2) for coprime pairs, cross-cancelled: with g1 =
+    gcd(n1, d2) and g2 = gcd(n2, d1), (n1/g1)(n2/g2) over (d1/g2)(d2/g1)
+    is coprime, so only the monic rescale is left."""
+    n1, d2 = _cancel(n1, d2)
+    n2, d1 = _cancel(n2, d1)
+    return RatXY(*_monic(poly_mul(n1, n2), poly_mul(d1, d2)), reduce=False)
+
+
+class RatXY:
+    """An element of QQ(x, y), kept fully reduced with monic denominator
+    (see the module docstring)."""
+
+    __slots__ = ("num", "den", "_val")
 
     def __init__(self, num: PolyDict, den: PolyDict, reduce: bool = True):
-        num, den = _trim(num), _trim(den)
+        if reduce:
+            num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in QQ(x,y)")
-        if not num:
-            den = {(0, 0): 1}
-        elif reduce:
-            # monomial + content fast path
-            va, vb = min(a for (a, b) in num), min(b for (_, b) in num)
-            wa, wb = min(a for (a, b) in den), min(b for (_, b) in den)
-            sa, sb = min(va, wa), min(vb, wb)
-            if sa or sb:
-                num = {(a - sa, b - sb): c for (a, b), c in num.items()}
-                den = {(a - sa, b - sb): c for (a, b), c in den.items()}
-            if len(num) > 1 and len(den) > 1:
-                g = poly_gcd(num, den)
-                if poly_val(g) is not None and g != {(0, 0): 1}:
-                    num = _poly_divexact(num, g)
-                    den = _poly_divexact(den, g)
-        # normalize: denominator gets leading (lex-max monomial) coefficient 1
-        lead = max(den, key=lambda m: (m[1], m[0]))
-        lc = den[lead]
-        if lc != 1:
-            num = {m: _div(c, lc) for m, c in num.items()}
-            den = {m: _div(c, lc) for m, c in den.items()}
+        if reduce:
+            num, den = _monic(*_cancel(num, den)) if num else (num, {(0, 0): 1})
         self.num = num
         self.den = den
-        self._key = (tuple(sorted(num.items())), tuple(sorted(den.items())))
+        self._val = None
+
+    @property
+    def _key(self):
+        """num and den as sorted item tuples: what the hash is taken of."""
+        return (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -273,16 +305,34 @@ class RatXY:
         (e, f), = self.den
         return c, a - e, b - f
 
-    def __add__(self, other) -> "RatXY":
+    def _sum(self, other, sign) -> "RatXY":
+        """self + sign * other, over the lcm of the denominators:
+        n1 (d2/g) + sign n2 (d1/g) over d1 d2/g for g = gcd(d1, d2).  A
+        factor the sum shares with that denominator divides g, so it is
+        cancelled only when g is not a constant."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not other.num:
             return self
         if not self.num:
-            return other
-        return RatXY(poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-                     poly_mul(self.den, other.den))
+            return other if sign == 1 else -other
+        n1, d1, d2 = self.num, self.den, other.den
+        n2 = other.num if sign == 1 else poly_neg(other.num)
+        if d1 == d2:    # g = d1
+            num, den, g_const = poly_add(n1, n2), d1, d1 == _ONE.den
+        else:           # e1, e2 = d1/g, d2/g; e1 is d1 when g is a constant
+            e1, e2 = _cancel(d1, d2)
+            num, den = poly_add(poly_mul(n1, e2), poly_mul(n2, e1)), poly_mul(d1, e2)
+            g_const = e1 is d1
+        if not num:
+            return _ZERO
+        if not g_const:
+            num, den = _cancel(num, den)
+        return RatXY(*_monic(num, den), reduce=False)
+
+    def __add__(self, other) -> "RatXY":
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -292,10 +342,7 @@ class RatXY:
         return RatXY(poly_neg(self.num), self.den, reduce=False)
 
     def __sub__(self, other) -> "RatXY":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> "RatXY":
         return (-self) + other
@@ -306,14 +353,14 @@ class RatXY:
             return NotImplemented
         if not self.num or not other.num:
             return _ZERO
-        if other._key == _ONE._key:
+        if other.num == _ONE.num and other.den == _ONE.den:
             return self
-        if self._key == _ONE._key:
+        if self.num == _ONE.num and self.den == _ONE.den:
             return other
         s, o = self._laurent(), other._laurent()
         if s and o:
             return _laurent_element(s[0] * o[0], s[1] + o[1], s[2] + o[2])
-        return RatXY(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -323,10 +370,12 @@ class RatXY:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in QQ(x,y)")
+        if not self.num:
+            return self
         s, o = self._laurent(), other._laurent()
         if s and o:
             return _laurent_element(_div(s[0], o[0]), s[1] - o[1], s[2] - o[2])
-        return RatXY(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
+        return _product(self.num, self.den, other.den, other.num)
 
     def __pow__(self, n: int) -> "RatXY":
         out = _ONE
@@ -337,8 +386,10 @@ class RatXY:
 
     def inv(self) -> "RatXY":
         """1 / self.  A canonical fraction is coprime, so swapping it needs
-        only the monic normalisation; zero raises ZeroDivisionError."""
-        return RatXY(self.den, self.num, reduce=False)
+        only the monic rescale; zero raises ZeroDivisionError."""
+        if not self.num:
+            raise ZeroDivisionError("zero denominator in QQ(x,y)")
+        return RatXY(*_monic(self.den, self.num), reduce=False)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -346,19 +397,21 @@ class RatXY:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
-        return isinstance(other, RatXY) and self._key == other._key
+        return isinstance(other, RatXY) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.num.keys() <= {(0, 0)} and self.den.keys() == {(0, 0)}:
+            return hash(self.num.get((0, 0), 0))
         return hash(self._key)
 
     # -- valuations ----------------------------------------------------------
     def val(self) -> Mono | None:
         """Rank-two valuation (y-order, x-order), lex; None for 0."""
-        if self.is_zero():
-            return None
-        vb, va = poly_val(self.num)
-        wb, wa = poly_val(self.den)
-        return (vb - wb, va - wa)
+        v = self._val
+        if v is None and self.num:
+            (vb, va), (wb, wa) = poly_val(self.num), poly_val(self.den)
+            v = self._val = (vb - wb, va - wa)
+        return v
 
     def vy(self) -> int | None:
         v = self.val()

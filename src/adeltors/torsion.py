@@ -20,7 +20,7 @@ from .classes import GradedClasses
 from .complexes import ChainComplex
 from .homology import homology, is_acyclic
 from .localize import Site
-from .shapes import (CubeDiagram, Vertex, big_L, big_R, holim_punctured,
+from .shapes import (CubeDiagram, _vname, big_L, big_R, holim_punctured,
                      is_cofibre_layer)
 
 
@@ -63,7 +63,7 @@ def validate(site: Site, TD: CubeDiagram, cube: AdelicCube) -> ValidationReport:
         if kind == "oplax":
             rep.adjoint[(s, t)] = adjoint_iso(cube, TD, s, t)
     for i in range(d + 1):
-        name = Vertex((i,), i).name
+        name = _vname((i,), i)
         if name not in TD.values:
             continue
         M = TD.value(name)
@@ -97,7 +97,7 @@ def one_tors_vertex(site: Site, A, i: int, cube: AdelicCube, TD: CubeDiagram) ->
     with the (d-i)-fold suspension of the filtration-i torsion of the
     adelic ring at A."""
     d = site.poset.dimension
-    name = Vertex(tuple(sorted(A)), i).name
+    name = _vname(A, i)
     got = homology(TD.value(name))
     ring = cube.ring_complex(tuple(sorted(A)))
     want = homology(site.gamma_le(i, ring)).shift(d - i)

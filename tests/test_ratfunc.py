@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adeltors.ratfunc import (RatXY, _poly_divexact, _trim, parse_ratxy, poly_add,
-                              poly_gcd, poly_mul, poly_neg, x, y)
+                              poly_gcd, poly_mul, poly_neg, poly_val, x, y)
 
 
 def test_monomial_valuations():
@@ -83,11 +84,25 @@ def _poly(rng, terms, ymax=2):
             for _ in range(terms)}
 
 
+# x + y, 1 + x and x - 2y: fractions over them share factors, which
+# reaches the sum's final gcd and non-trivial cross-cancellations
+_FACTORS = ({(1, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}, {(1, 0): 1, (0, 1): -2})
+
+
+def _pooled(rng):
+    """c m F / (G H) for a monomial m, G from the pool and F, H from the
+    pool or 1."""
+    maybe = _FACTORS + ({(0, 0): 1},)
+    m = {rng.choice([(0, 0), (1, 0), (0, 1)]): rng.choice([1, -1, 3])}
+    num = poly_mul(m, rng.choice(maybe))
+    return RatXY(num, poly_mul(rng.choice(_FACTORS), rng.choice(maybe)))
+
+
 def _operand(rng):
     """Zero, one, constants, monomials, Laurent monomials, y-free and
-    general elements, and the int and Fraction operands the fast paths
-    treat apart."""
-    kind = rng.randrange(10)
+    general elements, fractions over a small pool of shared factors, and
+    the int and Fraction operands the fast paths treat apart."""
+    kind = rng.randrange(11)
     if kind == 0:
         return RatXY.const(0)
     if kind == 1:
@@ -107,6 +122,8 @@ def _operand(rng):
                              rng.choice([1, -1, 4, 6, Fraction(2, 3)]))
         return top / RatXY.monomial(rng.randint(0, 3), rng.randint(0, 2),
                                     rng.choice([1, 2, 3, -2, Fraction(1, 2)]))
+    if kind == 10:
+        return _pooled(rng)
     ymax = 0 if kind == 6 else 2
     den = _poly(rng, rng.randint(1, 3), ymax)
     while not _trim(den):
@@ -155,6 +172,8 @@ def test_fast_paths_match_full_reduction(rng):
                                  poly_mul(ad, bd))
         mul = _reduce_everything(poly_mul(an, bn), poly_mul(ad, bd))
         assert (a + b)._key == add and (b + a)._key == add
+        # the sum's denominator shares b's factors: its final gcd cancels them
+        assert ((a + b) - b)._key == _reduce_everything(an, ad)
         assert (a - b)._key == sub
         assert (a * b)._key == mul and (b * a)._key == mul
         assert all(map(_exact, [a + b, b + a, a - b, a * b, b * a]))
@@ -164,6 +183,53 @@ def test_fast_paths_match_full_reduction(rng):
             assert q._key == div and _exact(q)
             if isinstance(b, RatXY):
                 assert b.inv()._key == _reduce_everything(bd, bn) and _exact(b.inv())
+
+
+def test_equal_values_compare_and_hash_alike(rng):
+    """Equal values reached by different routes are equal, hash equal and
+    are one key; the cached valuation is poly_val's on every call."""
+    one_x = RatXY.const(1) + x()
+    routes = [
+        [RatXY.const(2), 2, Fraction(4, 2), RatXY.const(1) + 1, RatXY.const(Fraction(4, 2)),
+         x() * 2 / x(), RatXY({(0, 0): Fraction(4, 2)}, {(0, 0): Fraction(1)}),
+         parse_ratxy("4/2")],
+        [x() * x() / x(), x(), (x() * one_x) / one_x, parse_ratxy("x^2/x")],
+        [one_x / one_x, RatXY.const(1), 1, one_x * one_x.inv(), parse_ratxy("(1+x)/(1+x)")],
+        [RatXY.const(0), 0, x() - x(), one_x * 0],
+    ]
+    for group in routes:
+        for f in group:
+            assert f == group[0] and group[0] == f and hash(f) == hash(group[0])
+        assert len(set(group)) == 1 and len(dict.fromkeys(group)) == 1
+    assert len({f for group in routes for f in group}) == 4
+    elements = [f for group in routes for f in group] + [_operand(rng) for _ in range(300)]
+    for f in elements:
+        if not isinstance(f, RatXY):
+            f = RatXY.const(f)
+        want = None
+        if not f.is_zero():
+            (nb, na), (db, da) = poly_val(f.num), poly_val(f.den)
+            want = (nb - db, na - da)
+        assert f.val() == want and f.val() == want
+
+
+@pytest.mark.parametrize("other", ["1", None, 1.5])
+def test_arithmetic_with_a_non_exact_operand_raises_type_error(other):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x(), other)
+        with pytest.raises(TypeError):
+            op(other, x())
+    assert x() != other
+
+
+def test_zeroth_power_is_one():
+    """f ** 0 is 1 for every f, zero included, as for int and Fraction;
+    a negative power is a power of the inverse."""
+    one_x = RatXY.const(1) + x()
+    for f in (RatXY.const(0), x(), one_x):
+        assert f ** 0 == 1
+    assert one_x ** -2 * one_x ** 2 == 1 and (one_x ** -1)._key == one_x.inv()._key
 
 
 def test_laurent_quotients_keep_integers():
