@@ -44,7 +44,7 @@ rings, the sum over k of X (x) R_k in one strand order: factor first,
 then X's own strands, each block carried into every factor where both
 of its ends survive.
 
-A total complex is laid out in one place, _total: dsum, cone and
+A total complex is laid out in one place, _total: dsum, cone, tensor and
 shapes.holim_punctured each list their parts (a complex, a shift and a
 sign) and the maps linking them, and _total places every part's strands
 after those of the parts before it, degree by degree.
@@ -334,48 +334,37 @@ class ChainComplex:
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """Total tensor product; other must live over one world mapping
         canonically into every strand world of self, and is read with its
-        strands merged to one per degree."""
+        strands merged to one per degree.  Laid out by _total: strand
+        (p, i) of self, world w and rank r, gives the part other carried
+        into w, strand (w, r * rank q) and block eye_r (x) d_X in degree q,
+        at shift p with the Koszul sign (-1)^p; block M of d_C from (p, i)
+        to (p - 1, j) gives the link M (x) eye_{rank q} in every degree q."""
         wo = other.single_world()
-        if other.is_empty():
-            return ChainComplex.zero(self.backend)
-        if self.is_empty():
+        if other.is_empty() or self.is_empty():
             return ChainComplex.zero(self.backend)
         if wo is None:
             raise IncompatibleWorldsError("tensor: right factor must be single-world")
         if any(len(ss) > 1 for ss in other.strands.values()):
             other = merge_strands(other)
-        index = {}   # (p, i, q) -> new strand index per degree
-        strands: dict[int, list] = {}
+        parts, part = [], {}
         for p in self.degrees():
             for i, (w, r) in enumerate(self.strand_list(p)):
                 if not canonical_map_exists(wo, w):
                     raise IncompatibleWorldsError(f"tensor: no map {wo} -> {w}")
-                for q in other.degrees():
-                    n = p + q
-                    if not (DEGREE_LO <= n <= DEGREE_HI):
-                        raise DegreeWindowError("tensor leaves the degree window")
-                    strands.setdefault(n, [])
-                    index[(p, i, q)] = len(strands[n])
-                    strands[n].append((w, r * other.rank(q)))
-        blocks: dict[tuple[int, int, int], list] = {}
-        for (p, i, q), si in index.items():
-            w = self.strand_list(p)[i][0]
-            r = self.strand_list(p)[i][1]
-            # d_C (x) id
-            for j in range(len(self.strand_list(p - 1))):
-                M = self.blocks.get((p, i, j))
-                if M is not None and (p - 1, j, q) in index:
-                    wj = self.strand_list(p - 1)[j][0]
-                    eye = mat_id(other.rank(q), wj.el_one())
-                    blocks[(p + q, si, index[(p - 1, j, q)])] = _kron(M, eye, wj.el_zero())
-            # (-1)^p id (x) d_X
-            DX = other.blocks.get((q, 0, 0))
-            if DX is not None and (p, i, q - 1) in index:
-                sign = 1 if p % 2 == 0 else -1
-                DXw = [[e * sign for e in row] for row in carrier_block(wo, w, DX)]
                 eye = mat_id(r, w.el_one())
-                blocks[(p + q, si, index[(p, i, q - 1)])] = _kron(eye, DXw, w.el_zero())
-        return ChainComplex(self.backend, strands, blocks)
+                strands = {q: [(w, r * other.rank(q))] for q in other.degrees()}
+                blocks = {key: _kron(eye, carrier_block(wo, w, DX), w.el_zero())
+                          for key, DX in other.blocks.items()}
+                part[(p, i)] = len(parts)
+                parts.append((ChainComplex(self.backend, strands, blocks, check=False), p,
+                              1 if p % 2 == 0 else -1))
+        links = []
+        for (p, i, j), M in self.blocks.items():
+            wj = self.strand_list(p - 1)[j][0]
+            links.append((part[(p, i)], part[(p - 1, j)],
+                          {(q, 0, 0): _kron(M, mat_id(other.rank(q), wj.el_one()), wj.el_zero())
+                           for q in other.degrees()}, 1))
+        return _total(parts, links, True)
 
 
 def merge_strands(C: ChainComplex) -> ChainComplex:

@@ -316,7 +316,9 @@ class Site:
         for x in self.poset.of_dim(i):
             prod = prod.dsum(self.l_at(x, X))
         lhs = self.gamma_le(i, prod)
-        rhs = tensor_with_mixed(self.e_object(i), X, self.base)
+        if X.single_world() != self.base:
+            raise UnsupportedRegionError("tensor factor must live over the base world")
+        rhs = self.e_object(i).tensor(X)
         return SplitReport("mono-dimensional-split", True, homology(lhs), homology(rhs))
 
     # -- MGM -------------------------------------------------------------------------------
@@ -372,9 +374,3 @@ class MGMReport:
                 "lam_gamma": self.lam_gamma.to_json(), "lam": self.lam.to_json(),
                 "gamma": self.gamma.to_json(), "gamma_lam": self.gamma_lam.to_json()}
 
-
-def tensor_with_mixed(C: ChainComplex, X: ChainComplex, base: World) -> ChainComplex:
-    """C (x) X for mixed C and single-world X over the base."""
-    if X.single_world() != base:
-        raise UnsupportedRegionError("tensor factor must live over the base world")
-    return C.tensor(X)

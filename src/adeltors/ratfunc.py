@@ -105,14 +105,6 @@ def _u_trim(u):
     return {d: c for d, c in u.items() if c != 0}
 
 
-def _u_mul(u, w):
-    out: dict[int, Fraction] = {}
-    for d1, c1 in u.items():
-        for d2, c2 in w.items():
-            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-    return _u_trim(out)
-
-
 def _u_sub(u, w):
     out = dict(u)
     for d, c in w.items():
@@ -131,7 +123,7 @@ def _u_divmod(u, w):
         dr = max(r)
         coef = _div(r[dr], lw)
         q[dr - dw] = coef
-        r = _u_sub(r, _u_mul({dr - dw: coef}, w))
+        r = _u_sub(r, {d + dr - dw: coef * c for d, c in w.items()})
     return _u_trim(q), r
 
 

@@ -127,16 +127,23 @@ def test_carrier_block_demotes_integral_fractions():
 
 
 def test_cone_fib_and_shift_of_fraction_inputs_are_int_only():
-    """The negation in cone and the sign in shift demote a caller's
-    integral Fractions; a real denominator stays a Fraction."""
+    """The negation in cone, the sign in shift and the Kronecker blocks and
+    Koszul sign of tensor demote a caller's integral Fractions; a real
+    denominator stays a Fraction."""
     site = Site("zint", T=(2, 3))
     objs = _objects(site)
     assert sum(_fraction_inputs(X) > 0 for X in objs) >= 40
+    tensors = 0
     for X in objs:
         Y = X.base_change(lambda w: invert_primes(w, frozenset({2})))
         u = ChainMap.from_unit(X, Y)
+        values = [cone(u), fib(u), X.shift(1), X.shift(-1), X.shift(2)]
+        if X.single_world() == site.base:
+            values.append(ChainComplex.two_term(site.base, F(4)).tensor(X))
+            tensors += 1
         bad = []
-        for value in (cone(u), fib(u), X.shift(1), X.shift(-1), X.shift(2)):
+        for value in values:
             _bad_entries(value, {}, bad)
         assert not bad, f"entries breaking the carrier rule: {bad[:5]}"
+    assert tensors >= 40
     assert F(-3, 2) in objs[-1].shift(1).blocks[(2, 1, 1)][0]

@@ -91,6 +91,16 @@ def test_degree_window():
     C = ChainComplex.single(Z, {8: 1})
     with pytest.raises(DegreeWindowError):
         C.shift(1)
+    with pytest.raises(DegreeWindowError, match="degree 9 outside"):
+        C.tensor(ChainComplex.single(Z, {1: 1}))
+
+
+def test_zero_factors():
+    """A zero factor gives the zero tensor, and the zero complex is its own
+    merge: neither has a world to read."""
+    zero, X = ChainComplex.zero("zint"), ChainComplex.two_term(Z_INT(), F(6))
+    assert X.tensor(zero) == zero and zero.tensor(X) == zero
+    assert merge_strands(zero) == zero
 
 
 def test_base_change_respects_worlds():

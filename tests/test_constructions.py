@@ -1,20 +1,22 @@
 """One construction per adelic object: the ring at a chain is ext folded
 over its indices, the unit cube is tensor(unit), and the punctured-cube
-limit is laid out by complexes._total.  Each is checked against a
-literal copy of the code it replaced."""
+limit and ChainComplex.tensor are laid out by complexes._total.  Each is
+checked against a literal copy of the code it replaced."""
 
 import random
 
 import pytest
 
 from adeltors.adelic import AdelicCube
-from adeltors.complexes import ChainComplex, ChainMap, _built, map_equal
+from adeltors.complexes import (DEGREE_HI, DEGREE_LO, ChainComplex, ChainMap, DegreeWindowError,
+                                IncompatibleWorldsError, _built, _kron, map_equal, merge_strands)
 from adeltors.homology import UnsupportedMixedShape
 from adeltors.library import library, random_complex
 from adeltors.localize import Site
+from adeltors.linalg import mat_id
 from adeltors.shapes import (CubeDiagram, D_backend, MissingArrowError, ShapeError,
                              ShapeMismatchError, big_L, big_R, holim_punctured)
-from adeltors.worlds import canonical_map_exists
+from adeltors.worlds import VAL, Z_LOC, Z_RAT, canonical_map_exists, carrier_block
 
 
 def _old_build_vertex(cube, label):
@@ -97,6 +99,50 @@ def _old_holim_punctured(D):
     return _built(ChainComplex(backend, strands, blocks, check=not trusted), trusted)
 
 
+def _old_tensor(self, other):
+    wo = other.single_world()
+    if other.is_empty():
+        return ChainComplex.zero(self.backend)
+    if self.is_empty():
+        return ChainComplex.zero(self.backend)
+    if wo is None:
+        raise IncompatibleWorldsError("tensor: right factor must be single-world")
+    if any(len(ss) > 1 for ss in other.strands.values()):
+        other = merge_strands(other)
+    index = {}   # (p, i, q) -> new strand index per degree
+    strands = {}
+    for p in self.degrees():
+        for i, (w, r) in enumerate(self.strand_list(p)):
+            if not canonical_map_exists(wo, w):
+                raise IncompatibleWorldsError(f"tensor: no map {wo} -> {w}")
+            for q in other.degrees():
+                n = p + q
+                if not (DEGREE_LO <= n <= DEGREE_HI):
+                    raise DegreeWindowError("tensor leaves the degree window")
+                strands.setdefault(n, [])
+                index[(p, i, q)] = len(strands[n])
+                strands[n].append((w, r * other.rank(q)))
+    blocks = {}
+    for (p, i, q), si in index.items():
+        w = self.strand_list(p)[i][0]
+        r = self.strand_list(p)[i][1]
+        # d_C (x) id
+        for j in range(len(self.strand_list(p - 1))):
+            M = self.blocks.get((p, i, j))
+            if M is not None and (p - 1, j, q) in index:
+                wj = self.strand_list(p - 1)[j][0]
+                eye = mat_id(other.rank(q), wj.el_one())
+                blocks[(p + q, si, index[(p - 1, j, q)])] = _kron(M, eye, wj.el_zero())
+        # (-1)^p id (x) d_X
+        DX = other.blocks.get((q, 0, 0))
+        if DX is not None and (p, i, q - 1) in index:
+            sign = 1 if p % 2 == 0 else -1
+            DXw = [[e * sign for e in row] for row in carrier_block(wo, w, DX)]
+            eye = mat_id(r, w.el_one())
+            blocks[(p + q, si, index[(p, i, q - 1)])] = _kron(eye, DXw, w.el_zero())
+    return ChainComplex(self.backend, strands, blocks)
+
+
 SITES = [("zint", (2,)), ("zint", (2, 3)), ("zint", (2, 3, 5)), ("zint", (2, 3, 5, 7)),
          ("valrank2", None)]
 
@@ -136,3 +182,39 @@ def test_holim_lays_out_as_the_old_loops(backend):
             assert new == old and new.verified == old.verified
             compared += 1
     assert compared >= 2 * 20
+
+
+def _entry_types(C):
+    return {key: [[type(e) for e in row] for row in M] for key, M in C.blocks.items()}
+
+
+@pytest.mark.parametrize("backend", ["zint", "valrank2"])
+def test_tensor_matches_the_old_index_layout(backend):
+    """Every left factor (library, random, e(i)) against every right one
+    (library, random), and two pairs the tensor refuses (a world with no
+    map into the left factor's, and a product leaving the degree window):
+    the same strands, blocks and entry types, or the same exception.  The
+    Koszul sign is pinned here only: flipping every (-1)^p still gives an
+    isomorphic complex."""
+    site = Site(backend, T=(2, 3)) if backend == "zint" else Site(backend)
+    rng = random.Random(2811)
+    rights = [X for _, X in library(site)] + \
+        [random_complex(rng, site.base, primes=(2, 3), atoms=1 + k % 4) for k in range(20)]
+    lefts = rights + [site.e_object(i) for i in range(site.poset.dimension + 1)]
+    far = ChainComplex.single(site.base, {8: 1}), ChainComplex.single(site.base, {1: 1})
+    no_map = (ChainComplex.unit(VAL("V")), ChainComplex.unit(VAL("VhatM"))) \
+        if backend == "valrank2" else (ChainComplex.unit(Z_LOC(2)), ChainComplex.unit(Z_RAT()))
+    compared = refused = 0
+    for C, X in [(C, X) for C in lefts for X in rights] + [far, no_map]:
+        try:
+            old = _old_tensor(C, X)
+        except (IncompatibleWorldsError, DegreeWindowError) as exc:
+            with pytest.raises(type(exc)):
+                C.tensor(X)
+            refused += 1
+            continue
+        new = C.tensor(X)
+        assert new == old and new.strands == old.strands and new.blocks == old.blocks
+        assert _entry_types(new) == _entry_types(old) and new.verified == old.verified
+        compared += 1
+    assert compared >= 20 * 20 and refused >= 2
