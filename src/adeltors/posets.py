@@ -348,7 +348,8 @@ def poset_from_json(doc) -> BalmerPoset:
     """{"elements": [{"id": name}, ...], "relations": [[q, p], ...]}, [q, p]
     meaning q <= p: elements required, relations optional, every name a
     string and no other key.  A document of another shape raises a
-    PosetError."""
+    PosetError, and a relation naming an unlisted element an
+    UnknownElementError."""
     rels = doc.get("relations", []) if isinstance(doc, dict) else None
     if not (isinstance(doc, dict) and set(doc) <= {"elements", "relations"}
             and isinstance(doc.get("elements"), list) and isinstance(rels, list)
@@ -358,7 +359,10 @@ def poset_from_json(doc) -> BalmerPoset:
                     for r in rels)):
         raise PosetError('a poset is {"elements": [{"id": name}, ...], '
                          '"relations": [[name, name], ...]}')
-    return validate_poset([tuple(r) for r in rels], elements=[e["id"] for e in doc["elements"]])
+    ids = {e["id"] for e in doc["elements"]}
+    if unlisted := sorted({x for r in rels for x in r} - ids):
+        raise UnknownElementError(f"relations name unlisted elements {unlisted}")
+    return validate_poset([tuple(r) for r in rels], elements=ids)
 
 
 def assembly_from_json(P: BalmerPoset, doc) -> AssemblyData:

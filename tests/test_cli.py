@@ -48,8 +48,10 @@ def test_spectrum_and_assembly(tmp_path):
     bad_poset = tmp_path / "bad_poset.json"
     # a poset document has a closed key set: {} and a misspelt key read as
     # the empty poset, an element's extra key was ignored, and a relation
-    # written "mp" was read as the pair (m, p)
+    # written "mp" was read as the pair (m, p); a relation naming an
+    # unlisted element added it to the poset
     for doc in ([], {"elements": [1]}, {"elements": [{}]}, {"relations": [["m"]]}, {},
+                {"elements": [{"id": "m"}], "relations": [["m", "p"]]},
                 {"elemnts": [{"id": "m"}]}, {"elements": [{"id": "m", "dim": 1}]},
                 {"elements": [{"id": 1}]}, {"elements": {"m": 1}},
                 {"elements": [{"id": "m"}], "relations": ["mp"]},

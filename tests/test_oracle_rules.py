@@ -33,11 +33,62 @@ def test_val_rule_table():
     assert validate_rule_tables("valrank2") >= 35
 
 
-def test_stabilization_up_to_1024():
-    """One entry is run at every doubling up to N = 2^10."""
+def _count_local_forms(monkeypatch):
+    calls = []
+    local_form = oracle._local_form
+    monkeypatch.setattr(oracle, "_local_form",
+                        lambda A, p, N: calls.append((p, N)) or local_form(A, p, N))
+    return calls
+
+
+def test_stabilization_up_to_1024(monkeypatch):
+    """One entry is run at every doubling up to N = 2^10, from one local
+    form of its one differential, taken mod 2^1024."""
     Z = Z_INT()
     C = ChainComplex.two_term(Z, F(12))
+    calls = _count_local_forms(monkeypatch)
     zint_oracle_check(C, homology(C), 2, Ns=(4, 8, 16, 32, 64, 128, 256, 512, 1024))
+    assert calls == [(2, 1024)]
+
+
+def _zint_objects():
+    rng = random.Random(20261020)
+    return [random_complex(rng, Z_INT(), primes=(2, 3), atoms=rng.randint(1, 4))
+            for _ in range(40)]
+
+
+def test_reading_at_the_top_n_caps_to_every_smaller_n():
+    """The truncation read once mod p^16, capped at N, is
+    zmod_homology_exponents of a fresh truncation mod p^N, for N = 1 ... 16."""
+    for C in _zint_objects():
+        for p in (2, 3):
+            top = oracle._reading(*zint_truncate(C, p, 16), p, 16)
+            for N in range(1, 17):
+                assert oracle._cap(top, N) == zmod_homology_exponents(
+                    *zint_truncate(C, p, N), p, N)
+
+
+def test_one_local_form_per_differential_and_prime(monkeypatch):
+    """zint_oracle_check at N = 4, 8 and 16 takes one local form of each
+    non-empty differential per prime, mod p^16."""
+    calls = _count_local_forms(monkeypatch)
+    for C in _zint_objects()[:10]:
+        calls.clear()
+        zint_oracle_check(C, homology(C), 2, Ns=(4, 8, 16))
+        zint_oracle_check(C, homology(C), 3, Ns=(4, 8, 16))
+        assert calls == ([(2, 16)] * len(zint_truncate(C, 2, 16)[1])
+                         + [(3, 16)] * len(zint_truncate(C, 3, 16)[1]))
+
+
+def test_oracle_refuses_a_differential_whose_square_is_not_zero():
+    """[Z --3--> Z --2--> Z], built unchecked: d o d = 6 is not 0 mod 2^16
+    or mod 3^16, so the image of d_2 leaves the kernel of d_1."""
+    Z = Z_INT()
+    C = ChainComplex("zint", {n: [(Z, 1)] for n in (2, 1, 0)},
+                     {(2, 0, 0): [[F(3)]], (1, 0, 0): [[F(2)]]}, check=False)
+    for p in (2, 3):
+        with pytest.raises(OracleMismatch, match="relation escapes the kernel lattice"):
+            zint_oracle_check(C, GradedClasses(), p)
 
 
 def test_oracle_rejects_wrong_claims(zsite):
@@ -159,31 +210,11 @@ def test_zmod_exponents_match_enumeration():
         assert zmod_homology_exponents(ranks, mats, p, N) == _brute_exponents(ranks, mats, p, N)
 
 
-def _inverse_and_det(A):
-    """Gauss-Jordan over QQ: (A^-1, det A), or (None, 0) if singular."""
-    n = len(A)
-    W = [[F(e) for e in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    det = F(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if W[i][c]), None)
-        if piv is None:
-            return None, 0
-        if piv != c:
-            W[c], W[piv] = W[piv], W[c]
-            det = -det
-        det *= W[c][c]
-        W[c] = [e / W[c][c] for e in W[c]]
-        for i in range(n):
-            if i != c and W[i][c]:
-                W[i] = [e - W[i][c] * f for e, f in zip(W[i], W[c])]
-    return [row[n:] for row in W], det
-
-
 def test_diagonalize_matches_smith_form_p_locally():
-    """The oracle's diagonal form against linalg.snf: the same p-adic
-    valuations on the diagonal for p = 2, 3, 5, a unimodular Vt, and
-    A Vt^-1 = U diag, so column i of A Vt^-1 is divisible by diag[i] and
-    zero past the rank."""
+    """The oracle's local diagonal form against linalg.snf: at p = 2, 3
+    and 5 and N = 1, 2, 9 and 20, the valuations of the local form over
+    Z/p^N, with N for each diagonal place past them, are the p-adic
+    valuations of snf's diagonal capped at N."""
     rng = random.Random(20261019)
     values = [0] * 6 + [1, -1, 2, -3, 4, 6, -9, 12, 3 ** 16, -(3 ** 16), 2 ** 10 * 3 ** 9, 5 ** 6]
     for _ in range(300):
@@ -196,20 +227,14 @@ def test_diagonalize_matches_smith_form_p_locally():
             j = rng.randrange(n)
             for row in A:
                 row[j] = 0
-        diag, Vt = oracle._diagonalize(A)
         D, _ = snf([[F(e) for e in row] for row in A], Z_INT())
         k = min(m, n)
-        assert len(diag) <= k and all(diag)
-        ours = diag + [0] * (k - len(diag))
         for p in (2, 3, 5):
-            assert (sorted(_valuation(d, p) for d in ours)
-                    == sorted(_valuation(int(D[i][i]), p) for i in range(k)))
-        inv, det = _inverse_and_det(Vt)
-        assert abs(det) == 1
-        for row in A:
-            w = [sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
-            assert all((w[i] / diag[i]).denominator == 1 for i in range(len(diag)))
-            assert not any(w[len(diag):])
+            for N in (1, 2, 9, 20):
+                vals = oracle._local_form(A, p, N)
+                assert len(vals) <= k and all(v < N for v in vals)
+                assert (sorted(vals + [N] * (k - len(vals)))
+                        == sorted(min(_valuation(int(D[i][i]), p), N) for i in range(k)))
 
 
 def test_val_tracks_on_models(vsite):
@@ -274,6 +299,24 @@ def test_x_window_shift_identity(vsite, vcube):
             for a in range(N):
                 shifted = {(b, k + a): c for (b, k), c in wide.items() if 0 <= k + a < N}
                 assert oracle.laurent_window(e * RatXY.monomial(a, 0), 0, 0, 0, N) == shifted
+
+
+def test_laurent_window_against_closed_forms():
+    """Window expansions checked against series known in closed form: a
+    denominator 1 + x, one divisible by x^3, one spread over two
+    y-slices, a numerator spread over three y-slices above a denominator
+    of y-valuation 1, and zero."""
+    x, y = rx(), ry()
+    N = 8
+    assert oracle.laurent_window((1 + x).inv(), 0, 0, 1 - N, N) == {
+        (0, a): F((-1) ** a) for a in range(N)}
+    assert oracle.laurent_window((x ** 3 * (1 - x)).inv(), 0, 0, 1 - N, N) == {
+        (0, a): F(1) for a in range(-3, N)}
+    assert oracle.laurent_window((1 + y).inv(), 0, 3, 1 - N, N) == {
+        (b, 0): F((-1) ** b) for b in range(4)}
+    assert oracle.laurent_window((1 + y + y * y) / (y * (1 - x)), -1, 1, 1 - N, N) == {
+        (b, a): F(1) for b in (-1, 0, 1) for a in range(N)}
+    assert oracle.laurent_window(RatXY.const(0), 0, 3, 1 - N, N) == {}
 
 
 def _column_by_column(C, N, bases, track):
