@@ -199,8 +199,7 @@ def cmd_spectrum(args) -> int:
     try:
         P = load_poset(args.file)
     except _BAD_POSET_FILE as exc:
-        print(f"input error [poset-validation]: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(str(exc), check="poset-validation") from None
     doc = {"check": "poset-validation", "ok": True,
            "elements": list(P.elements),
            "dims": {e: P.dim[e] for e in P.elements},
@@ -229,8 +228,7 @@ def cmd_assembly(args) -> int:
         with open(args.assembly) as fh:
             doc = json.load(fh)
     except _BAD_POSET_FILE as exc:
-        print(f"input error [assembly-validation]: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(str(exc), check="assembly-validation") from None
     try:
         A = assembly_from_json(P, doc)
     except AssemblyError as exc:
@@ -238,8 +236,7 @@ def cmd_assembly(args) -> int:
                "error": type(exc).__name__, "detail": str(exc)}, args.out)
         return 1
     except ValueError as exc:
-        print(f"input error [assembly-validation]: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(str(exc), check="assembly-validation") from None
     _emit({"check": "assembly-validation", "ok": True,
            "classes": {x: sorted(A.classes(x)) for x in sorted(A.subposet)}},
           args.out)
@@ -266,9 +263,8 @@ def cmd_shape(args) -> int:
             shape = full_cube(d)
         else:
             raise InputError(f"unknown index kind {args.index!r}")
-    except (InputError, RangeError) as exc:
-        print(f"input error [shape]: {exc}", file=sys.stderr)
-        return 2
+    except RangeError as exc:
+        raise InputError(str(exc)) from None
     doc = {"check": "cube-combinatorics", "kind": args.index, "d": d,
            "vertices": len(shape.vertices),
            "plain_vertices": len(shape.plain_vertices()),

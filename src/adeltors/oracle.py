@@ -15,13 +15,16 @@ table entry is validated here along an independent computational path:
 
   * valuation backend: realize worlds inside k((x))((y)) and compare
     homology dimensions on two residue tracks against per-piece
-    predictions, for doubling N.  The x-track takes C (x) V/x^N over QQ:
-    it expands an entry's rational function on the Laurent window
-    [1-N, N) of its y^0 slice, reading only the entry's num and den
-    polynomials.  The y-track takes (C (x) V/y^N)[1/x] over QQ(x): it
-    expands an entry as a y-adic series with k(x)-coefficients.
+    predictions, for doubling N.  Both tracks expand an entry with one
+    power-series division kernel, `_series_div`.  The x-track takes
+    C (x) V/x^N over QQ: an entry's y^0 coefficient is the quotient of
+    the lowest y-slices of its num and den, expanded over Fractions on
+    the x-Laurent window [1-N, N).  The y-track takes (C (x) V/y^N)[1/x]
+    over QQ(x): it divides all the y-slices, a y-adic series with
+    k(x)-coefficients.
 
-Each track build expands every distinct non-zero entry once;
+Each track build expands once every distinct non-zero entry of a block
+whose source and target strands it keeps, and no other entry;
 val_oracle_check builds each track once, at its largest N, and ranks
 the clipped matrices for every N.  Nothing here shares a kernel with the
 classifier or with linalg: the integer side runs its own local diagonal
@@ -193,95 +196,50 @@ _VAL_SLICES = {
 }
 
 
-class _XWin:
-    """Truncated x-Laurent series: coefficients on [lo, hi)."""
-
-    __slots__ = ("lo", "hi", "c")
-
-    def __init__(self, lo, hi, c=None):
-        self.lo, self.hi = lo, hi
-        self.c = {k: v for k, v in (c or {}).items() if lo <= k < hi and v}
-
-    def mul(self, other: "_XWin") -> "_XWin":
-        out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                if self.lo <= k < self.hi:
-                    out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return _XWin(self.lo, self.hi, out)
-
-    def sub(self, other: "_XWin") -> "_XWin":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return _XWin(self.lo, self.hi, out)
-
-    def add(self, other: "_XWin") -> "_XWin":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return _XWin(self.lo, self.hi, out)
+def _series_div(n: dict, d: dict, terms: int, zero) -> list:
+    """The first `terms` coefficients of the power series n/d, for n and d
+    dicts {k: c} with k >= 0 and d_0 invertible, by the classical
+    recurrence q_k = (n_k - sum_(j<k) q_j d_(k-j)) / d_0 (Knuth, TAOCP
+    vol. 2, 4.7).  zero is the coefficients' 0, read for a missing n_k."""
+    q = []
+    for k in range(terms):
+        acc = n.get(k, zero)
+        for j in range(k):
+            if k - j in d:
+                acc = acc - q[j] * d[k - j]
+        q.append(acc / d[0])
+    return q
 
 
-def _xwin_inverse_poly(p: dict, lo, hi) -> _XWin:
-    """Window expansion of 1/p for a nonzero polynomial p of x."""
-    v = min(p)
-    shifted = {a - v: c for a, c in p.items()}
-    lead = shifted[0]
-    coeffs: dict[int, Fraction] = {}
-    state = {0: Fraction(1)}
-    for k in range(hi - lo + abs(v) + 1):
-        c = state.get(0, Fraction(0)) / lead
-        coeffs[k - v] = c
-        for dk, dv in shifted.items():
-            state[dk] = state.get(dk, Fraction(0)) - c * dv
-        state = {k2 - 1: vv for k2, vv in state.items() if k2 >= 1 and vv}
-    return _XWin(lo, hi, coeffs)
-
-
-def laurent_window(f: RatXY, bmin: int, bmax: int, amin: int, amax: int):
-    """Exact Laurent coefficients of f in k((x))((y)) on the window."""
-    if f.is_zero():
+def _x_window(e: RatXY, amin: int, amax: int) -> dict[int, Fraction]:
+    """The x^a coefficients, amin <= a < amax, of the y^0 coefficient of e
+    in k((x))((y)): 0 when y divides e, else the x-Laurent series of
+    n0/d0, the quotient of the lowest y-slices of e's num and den.  An
+    entry with a y-pole has no y^0 coefficient here and is refused."""
+    num, den = _y_parts(e.num), _y_parts(e.den)
+    if 0 not in den:
+        raise OracleMismatch(f"entry {e} has a y-pole: the x-residue track cannot read it")
+    if 0 not in num:
         return {}
-    num_sl = _y_parts(f.num)
-    den_sl = _y_parts(f.den)
-    vy_n = min(num_sl)
-    vy_d = min(den_sl)
-    shift = vy_n - vy_d
-    terms = max(bmax - min(bmin, shift) + 2, 2)
-    pad = 8 + sum(abs(a) for a in
-                  [min((a for (a, b) in f.num), default=0),
-                   max((a for (a, b) in f.num), default=0),
-                   min((a for (a, b) in f.den), default=0),
-                   max((a for (a, b) in f.den), default=0)])
-    lo, hi = amin - pad, amax + pad
-    d0 = den_sl[vy_d]
-    inv0 = _xwin_inverse_poly(d0, lo, hi)
-    # u_b = (D_{vy_d + b} / d0) for b >= 1; series inverse g of 1 + sum u_b y^b
-    u = {b: _XWin(lo, hi, den_sl.get(vy_d + b)).mul(inv0)
-         for b in range(1, terms)}
-    g: list[_XWin] = [_XWin(lo, hi, {0: Fraction(1)})]
-    for k in range(1, terms):
-        acc = _XWin(lo, hi)
-        for j in range(1, k + 1):
-            if j in u:
-                acc = acc.sub(u[j].mul(g[k - j]))
-        g.append(acc)
-    out: dict[tuple[int, int], Fraction] = {}
-    for b in range(bmin, bmax + 1):
-        k = b - shift
-        if k < 0 or k >= terms:
-            continue
-        acc = _XWin(lo, hi)
-        for j in range(0, k + 1):
-            nslice = num_sl.get(vy_n + j, None)
-            if nslice:
-                acc = acc.add(_XWin(lo, hi, nslice).mul(inv0).mul(g[k - j]))
-        for a, c in acc.c.items():
-            if amin <= a < amax and c:
-                out[(b, a)] = c
-    return out
+    vn, vd = min(num[0]), min(den[0])
+    s = vn - vd
+    q = _series_div({a - vn: Fraction(c) for a, c in num[0].items()},
+                    {a - vd: Fraction(c) for a, c in den[0].items()}, amax - s, Fraction(0))
+    return {a: q[a - s] for a in range(max(amin, s), amax) if q[a - s]}
+
+
+def _y_series(e: RatXY, terms: int) -> dict[int, RatXY]:
+    """y-adic expansion of e with k(x)-coefficients: the y-slices of num
+    and den, each shifted to y-order 0, divided as power series over
+    k(x), from y^(vy e) on."""
+    def slices(p):
+        parts = _y_parts(p)
+        v = min(parts)
+        return v, {b - v: RatXY({(a, 0): c for a, c in u.items()}, {(0, 0): 1})
+                   for b, u in parts.items()}
+    (vn, n), (vd, d) = slices(e.num), slices(e.den)
+    q = _series_div(n, d, terms, RatXY.const(0))
+    return {k + vn - vd: c for k, c in enumerate(q) if not c.is_zero()}
 
 
 def _x_track_basis(w: World, N: int):
@@ -307,7 +265,8 @@ def _track_matrices(C: ChainComplex, N: int, basis, expand, zero):
     basis(w, N) lists the coordinates t a generator of world w keeps;
     expand(e) gives {s: c}, an entry e sending coordinate t of its
     source generator to c times coordinate t + s of its target.  Each
-    distinct non-zero entry is expanded once per call."""
+    distinct non-zero entry of a block whose target strand keeps a
+    coordinate is expanded once per call; no other entry is."""
     bases = {n: [(i, k, t) for i, (w, r) in enumerate(C.strand_list(n))
                  for k in range(r) for t in basis(w, N)]
              for n in C.degrees()}
@@ -317,9 +276,10 @@ def _track_matrices(C: ChainComplex, N: int, basis, expand, zero):
         if not bases[n] or not bases.get(n - 1):
             continue
         tgt_index = {key: pos for pos, key in enumerate(bases[n - 1])}
+        targets = {j for j, _, _ in bases[n - 1]}
         A = [[zero] * len(bases[n]) for _ in range(len(bases[n - 1]))]
         for (m, i, j), Mb in C.blocks.items():
-            if m != n:
+            if m != n or j not in targets:
                 continue
             for col, (si, sk, t) in enumerate(bases[n]):
                 if si != i:
@@ -343,9 +303,8 @@ def _x_track(C: ChainComplex, N: int):
     """Bases and matrices of C (x) V/x^N over QQ.  An entry e sends x^t
     to e*x^t, whose x^(t+k) coefficient is the x^k coefficient of e, so
     one window [1-N, N) of e serves every column t in [0, N)."""
-    def expand(e):
-        return {k: c for (_, k), c in laurent_window(e, 0, 0, 1 - N, N).items()}
-    return _track_matrices(C, N, _x_track_basis, expand, Fraction(0))
+    return _track_matrices(C, N, _x_track_basis,
+                           lambda e: _x_window(e, 1 - N, N), Fraction(0))
 
 
 def _y_track(C: ChainComplex, N: int):
@@ -374,33 +333,6 @@ def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
 def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
     """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x)."""
     return _dims_from(*_y_track(C, N))
-
-
-def _from_slices(slices):
-    out = {}
-    for b, u in slices.items():
-        for a, c in u.items():
-            out[(a, b)] = c
-    return out
-
-
-def _y_series(e: RatXY, terms: int) -> dict[int, RatXY]:
-    """y-adic expansion of e with k(x)-rational coefficients."""
-    num_sl = _y_parts(e.num)
-    den_sl = _y_parts(e.den)
-    vn, vd = min(num_sl), min(den_sl)
-    dd = {k - vd: RatXY(_from_slices({0: v}), {(0, 0): Fraction(1)})
-          for k, v in den_sl.items()}
-    nn = {k - vn: RatXY(_from_slices({0: v}), {(0, 0): Fraction(1)})
-          for k, v in num_sl.items()}
-    q: dict[int, RatXY] = {}
-    for k in range(terms):
-        acc = nn.get(k, RatXY.const(0))
-        for j in range(k):
-            if (k - j) in dd and j in q:
-                acc = acc - q[j] * dd[k - j]
-        q[k] = acc / dd[0]
-    return {k + vn - vd: v for k, v in q.items() if not v.is_zero()}
 
 
 def _mat_rank(M) -> int:

@@ -5,6 +5,7 @@ window twice."""
 
 import ast
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -22,7 +23,7 @@ from adeltors.oracle import (OracleMismatch, oracle_check, predicted_exponents,
                              zmod_homology_exponents)
 from adeltors.ratfunc import RatXY, x as rx, y as ry
 from adeltors.ruleoracle import validate_rule_tables
-from adeltors.worlds import PRIME_FIELD, Z_INT
+from adeltors.worlds import PRIME_FIELD, Z_INT, world_from_name
 
 
 def test_zint_rule_table():
@@ -295,28 +296,70 @@ def test_x_window_shift_identity(vsite, vcube):
                for e in _entries(C)} | set(extra)
     for e in entries:
         for N in (2, 4, 8):
-            wide = oracle.laurent_window(e, 0, 0, 1 - N, N)
+            wide = oracle._x_window(e, 1 - N, N)
             for a in range(N):
-                shifted = {(b, k + a): c for (b, k), c in wide.items() if 0 <= k + a < N}
-                assert oracle.laurent_window(e * RatXY.monomial(a, 0), 0, 0, 0, N) == shifted
+                shifted = {k + a: c for k, c in wide.items() if 0 <= k + a < N}
+                assert oracle._x_window(e * RatXY.monomial(a, 0), 0, N) == shifted
 
 
-def test_laurent_window_against_closed_forms():
-    """Window expansions checked against series known in closed form: a
-    denominator 1 + x, one divisible by x^3, one spread over two
-    y-slices, a numerator spread over three y-slices above a denominator
-    of y-valuation 1, and zero."""
+def test_series_expansions_against_closed_forms():
+    """Expansions checked against series known in closed form.  x-windows:
+    a denominator 1 + x, one divisible by x^3, 1/(1 - x) on windows far
+    above exponent 0, a multiple of y and zero; a y-pole is refused.
+    y-series: a denominator spread over two y-slices, with and without
+    a numerator of y-valuation 2, and a numerator spread over three
+    y-slices above a denominator of y-valuation 1."""
     x, y = rx(), ry()
     N = 8
-    assert oracle.laurent_window((1 + x).inv(), 0, 0, 1 - N, N) == {
-        (0, a): F((-1) ** a) for a in range(N)}
-    assert oracle.laurent_window((x ** 3 * (1 - x)).inv(), 0, 0, 1 - N, N) == {
-        (0, a): F(1) for a in range(-3, N)}
-    assert oracle.laurent_window((1 + y).inv(), 0, 3, 1 - N, N) == {
-        (b, 0): F((-1) ** b) for b in range(4)}
-    assert oracle.laurent_window((1 + y + y * y) / (y * (1 - x)), -1, 1, 1 - N, N) == {
-        (b, a): F(1) for b in (-1, 0, 1) for a in range(N)}
-    assert oracle.laurent_window(RatXY.const(0), 0, 3, 1 - N, N) == {}
+    assert oracle._x_window((1 + x).inv(), 1 - N, N) == {a: F((-1) ** a) for a in range(N)}
+    assert oracle._x_window((x ** 3 * (1 - x)).inv(), 1 - N, N) == {
+        a: F(1) for a in range(-3, N)}
+    for a0 in range(21):
+        assert oracle._x_window((1 - x).inv(), a0, a0 + 5) == {
+            a: F(1) for a in range(a0, a0 + 5)}
+    assert oracle._x_window(y / (1 - x), 1 - N, N) == {}
+    assert oracle._x_window(RatXY.const(0), 1 - N, N) == {}
+    with pytest.raises(OracleMismatch, match="y-pole"):
+        oracle._x_window((1 + x) / y, 1 - N, N)
+    assert oracle._y_series((1 + y).inv(), 4) == {b: (-1) ** b for b in range(4)}
+    assert oracle._y_series(y * y / (1 + y), 4) == {b: (-1) ** b for b in range(2, 6)}
+    assert oracle._y_series((1 + y + y * y) / (y * (1 - x)), 5) == {
+        b: (1 - x).inv() for b in (-1, 0, 1)}
+
+
+def test_x_window_matches_sympy_series(vsite):
+    """On the entries of the seeded V-complexes, the x-window [1-N, N)
+    is sympy's x-Laurent series of e at y = 0: every such entry has
+    its y^0 slice in its denominator, so that is its y^0 coefficient."""
+    sympy = pytest.importorskip("sympy")
+    X, Y = sympy.symbols("x y")
+
+    def poly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * X ** a * Y ** b
+                   for (a, b), c in p.items())
+    N = 8
+    entries = {e for C in _val_objects(vsite) for e in _entries(C)}
+    assert len(entries) > 15
+    for e in entries:
+        f = sympy.cancel((poly(e.num) / poly(e.den)).subs(Y, 0))
+        s = sympy.series(f, X, 0, N).removeO() if f != 0 else sympy.Integer(0)
+        want = {a: F(int(c.p), int(c.q)) for a in range(1 - N, N)
+                if (c := s.coeff(X, a)) != 0}
+        assert oracle._x_window(e, 1 - N, N) == want, e
+
+
+def test_x_track_refuses_a_y_pole_only_where_it_reads_one(vsite):
+    """1/y from V to V is no map of V-modules: the x-track, which reads
+    that block, refuses it naming the entry.  From V to K it is a map, and
+    no track expands an entry whose target strand keeps no coordinate."""
+    V, K = vsite.base, world_from_name("K")
+    e = ry().inv()
+    bad = ChainComplex(V.backend, {1: [(V, 1)], 0: [(V, 1)]}, {(1, 0, 0): [[e]]}, check=False)
+    with pytest.raises(OracleMismatch, match=re.escape(f"entry {e} has a y-pole")):
+        x_track_dims(bad, 2)
+    good = ChainComplex(V.backend, {1: [(V, 1)], 0: [(K, 1)]}, {(1, 0, 0): [[e]]})
+    assert x_track_dims(good, 2) == {1: 2}
+    assert y_track_dims(good, 2) == {1: 2}
 
 
 def _column_by_column(C, N, bases, track):
@@ -338,8 +381,7 @@ def _column_by_column(C, N, bases, track):
                     if e.is_zero():
                         continue
                     if track == "x":
-                        image = {a: c for (_, a), c in oracle.laurent_window(
-                            e * RatXY.monomial(t, 0), 0, 0, 0, N).items()}
+                        image = oracle._x_window(e * RatXY.monomial(t, 0), 0, N)
                     else:
                         image = {t + s: c for s, c in oracle._y_series(e, N + 1).items()}
                     for u, c in image.items():
@@ -402,11 +444,11 @@ def test_tracks_built_at_the_top_n_clip_to_every_smaller_n(vsite, vcube, monkeyp
 
 
 def test_each_entry_expanded_once_per_track_call(vsite, monkeypatch):
-    """One laurent_window (x-track) and one _y_series (y-track) per
+    """One _x_window (x-track) and one _y_series (y-track) per
     distinct non-zero entry; on these V-only objects every entry lies in
     a block that both tracks see."""
     calls = []
-    for name in ("laurent_window", "_y_series"):
+    for name in ("_x_window", "_y_series"):
         def counted(e, *args, _f=getattr(oracle, name)):
             calls.append(e)
             return _f(e, *args)
