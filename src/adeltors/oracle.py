@@ -2,36 +2,39 @@
 
 The mixed-world homology engine leans on a finite table of fracture
 pullbacks, cross-atom quotients and completion identifications.  Every
-table entry is validated here along an independent computational path:
+table entry is validated here along an independent computational path.
+Each residue track is a complex of frees over a truncated discrete
+valuation ring R/t^N, so it is a sum of [R --t^e--> R] and R: one local
+Smith form of each differential gives the exponents of its homology,
+and capped at N' <= N they give every smaller N'.
 
   * integer backend: reduce a complex mod p^N.  Worlds with p invertible
     die, PrimeField(p) is refused, all others become Z/p^N, and H_n of
     the truncation must match the claimed classes through the
     universal-coefficient shape
     H_n(C/p^N) = H_n(C)/p^N (+) (p^N-torsion of H_{n-1}(C)) for each
-    listed N.  Over Z_(p), C is a sum of [Z --p^e--> Z] and Z, so one
-    local Smith form of each differential at the largest N gives every
-    smaller N by capping the exponents: min(e, N).
+    listed N, read at the largest N.
 
   * valuation backend: realize worlds inside k((x))((y)) and compare
-    homology dimensions on two residue tracks against per-piece
-    predictions, for doubling N.  Both tracks expand an entry with one
-    power-series division kernel, `_series_div`.  The x-track takes
-    C (x) V/x^N over QQ: an entry's y^0 coefficient is the quotient of
-    the lowest y-slices of its num and den, expanded over Fractions on
-    the x-Laurent window [1-N, N).  The y-track takes (C (x) V/y^N)[1/x]
-    over QQ(x): it divides all the y-slices, a y-adic series with
-    k(x)-coefficients.
+    the exponents of two residue tracks with a per-piece exponent table,
+    through the same shape.  The x-track takes C (x) V/x^N over
+    k[[x]]/x^N: an entry becomes the y^0 coefficient of its series, the
+    quotient of the lowest y-slices of its num and den, expanded over
+    Fractions.  The y-track takes (C (x) V/y^N)[1/x] over k(x)[[y]]/y^N:
+    an entry becomes its y-adic series with k(x)-coefficients.  Both
+    expand with one power-series division kernel, `_series_div`, and
+    take their local forms with one kernel on series, `_series_form`.
+    An entry with a pole on the track it is read on is refused.
 
-Each track build expands once every distinct non-zero entry of a block
+Each track read expands once every distinct non-zero entry of a block
 whose source and target strands it keeps, and no other entry;
-val_oracle_check builds each track once, at its largest N, and ranks
-the clipped matrices for every N.  Nothing here shares a kernel with the
-classifier or with linalg: the integer side runs its own local diagonal
-form on plain ints (elimination mod p^e, as in Dumas, Saunders and
-Villard, J. Symb. Comput. 32, 2001), the x-track eliminates over QQ
-with Fractions, and the y-track eliminates over QQ(x) with RatXY
-arithmetic.
+val_oracle_check reads each track once, above every exponent the claim
+names.  Nothing here shares a kernel with the classifier or with
+linalg: the integer side runs its own local diagonal form on plain ints
+(elimination mod p^e, as in Dumas, Saunders and Villard, J. Symb.
+Comput. 32, 2001), and the valuation side runs the same elimination on
+truncated series, with Fraction coefficients on the x-track and RatXY
+ones on the y-track.
 """
 
 from __future__ import annotations
@@ -39,14 +42,75 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .classes import GradedClasses, PRUEFER_X, PRUEFER_Y, QUOT_KV
+from .classes import GradedClasses, ModuleClass, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
 from .ratfunc import RatXY, _y_parts
-from .worlds import World, world_from_name
 
 
 class OracleMismatch(AssertionError):
     pass
+
+
+# -- residue tracks -------------------------------------------------------------------
+
+
+def _truncate(C: ChainComplex, keeps, read, zero):
+    """Ranks per degree and differential matrices of C on one residue
+    track.  keeps(w) tells whether a strand of world w survives, and
+    read(e) gives the image of a non-zero entry e.  Each distinct non-zero
+    entry of a block whose source and target strands survive is read once
+    per call; no other entry is.  Every differential between non-zero
+    ranks gets a matrix, with zero where no entry lands."""
+    ranks: dict[int, int] = {}
+    index: dict[tuple[int, int], int] = {}
+    for n in C.degrees():
+        at = 0
+        for i, (w, r) in enumerate(C.strand_list(n)):
+            if keeps(w):
+                index[(n, i)] = at
+                at += r
+        ranks[n] = at
+    mats = {n: [[zero] * ranks[n] for _ in range(ranks[n - 1])]
+            for n in sorted(ranks) if ranks[n] and ranks.get(n - 1, 0)}
+    images: dict = {}
+    for (n, i, j), Mb in C.blocks.items():
+        if (n, i) not in index or (n - 1, j) not in index:
+            continue
+        off_i, off_j = index[(n, i)], index[(n - 1, j)]
+        for a, row in enumerate(Mb):
+            for b, e in enumerate(row):
+                if e != 0:
+                    if e not in images:
+                        images[e] = read(e)
+                    mats[n][off_j + a][off_i + b] = images[e]
+    return ranks, mats
+
+
+def _exponents(ranks, orders, N: int) -> dict[int, list[int]]:
+    """H_*(C/t^N) for C a complex of frees over a discrete valuation ring
+    with uniformizer t, from the orders below N of one local form per
+    differential: C is a sum of [R --t^v--> R] and R, so degree n holds
+    each order v >= 1 of d_n and of d_(n+1), and N per free summand (rank
+    C_n - rank d_n - rank d_(n+1)).  Capped at N' <= N, it reads mod t^N'."""
+    out = {}
+    for n, a in ranks.items():
+        dn, up = orders.get(n, []), orders.get(n + 1, [])
+        out[n] = sorted([v for v in dn + up if v] + [N] * (a - len(dn) - len(up)))
+    return {n: exps for n, exps in out.items() if exps}
+
+
+def _cap(exps: dict[int, list], N: int) -> dict[int, list[int]]:
+    return {n: [min(e, N) for e in v] for n, v in exps.items()}
+
+
+def _predicted(classes: GradedClasses, trunc) -> dict[int, list]:
+    """The universal-coefficient shape: degree n holds the exponents of
+    H_n mod t^N and those of the t^N-torsion of H_(n-1), where trunc(M)
+    gives both lists for one class M."""
+    degs = set(classes.data)
+    out = {n: sorted(trunc(classes[n])[0] + trunc(classes[n - 1])[1])
+           for n in degs | {m + 1 for m in degs}}
+    return {n: exps for n, exps in out.items() if exps}
 
 
 # -- integer side ---------------------------------------------------------------------
@@ -58,33 +122,12 @@ def zint_truncate(C: ChainComplex, p: int, N: int):
     Worlds with p invertible die.  A PrimeField(p) strand is refused:
     F_p (x)^L Z/p^N is F_p in two degrees, not a free Z/p^N module."""
     M = p ** N
-    ranks: dict[int, int] = {}
-    index: dict[tuple[int, int], int] = {}
-    for n in C.degrees():
-        at = 0
-        for i, (w, r) in enumerate(C.strand_list(n)):
-            if w.kind == "fp" and w.char == p:
-                raise ValueError(f"{w} strand has no free truncation mod {p}^{N}")
-            if w.kind == "z" and p not in w.inv:
-                index[(n, i)] = at
-                at += r
-        ranks[n] = at
-    mats: dict[int, list] = {}
-    for n in sorted(ranks):
-        if ranks.get(n, 0) and ranks.get(n - 1, 0):
-            A = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-            mats[n] = A
-    for (n, i, j), Mb in C.blocks.items():
-        if (n, i) not in index or (n - 1, j) not in index:
-            continue
-        off_i, off_j = index[(n, i)], index[(n - 1, j)]
-        for a in range(len(Mb)):
-            for b in range(len(Mb[0])):
-                e = Mb[a][b]
-                num, den = e.numerator, e.denominator
-                inv = pow(den % M, -1, M)
-                mats[n][off_j + a][off_i + b] = (num * inv) % M
-    return ranks, mats
+
+    def keeps(w):
+        if w.kind == "fp" and w.char == p:
+            raise ValueError(f"{w} strand has no free truncation mod {p}^{N}")
+        return w.kind == "z" and p not in w.inv
+    return _truncate(C, keeps, lambda e: e.numerator * pow(e.denominator % M, -1, M) % M, 0)
 
 
 def _over(A, B, M: int):
@@ -137,29 +180,15 @@ def zmod_homology_exponents(ranks, mats, p: int, N: int) -> dict[int, list[int]]
 
 def _reading(ranks, mats, p: int, N: int) -> dict[int, list[int]]:
     """H_*(C/p^N) from one local form per differential, for C a complex
-    over Z_(p): a sum of [Z --p^v--> Z] and Z, so degree n holds each
-    valuation v >= 1 of d_n and of d_(n+1), and N per free summand (rank
-    C_n - rank d_n - rank d_(n+1)).  Capped at N' <= N, it reads mod p^N'."""
+    over Z_(p); OracleMismatch when d o d is not 0 mod p^N."""
     for n, A in mats.items():
         if n + 1 in mats:
             _over(A, mats[n + 1], p ** N)
-    vals = {n: _local_form(A, p, N) for n, A in mats.items()}
-    out = {}
-    for n, a in ranks.items():
-        dn, up = vals.get(n, []), vals.get(n + 1, [])
-        out[n] = sorted([v for v in dn + up if v] + [N] * (a - len(dn) - len(up)))
-    return {n: exps for n, exps in out.items() if exps}
-
-
-def _cap(exps: dict[int, list[int]], N: int) -> dict[int, list[int]]:
-    return {n: [min(e, N) for e in v] for n, v in exps.items()}
+    return _exponents(ranks, {n: _local_form(A, p, N) for n, A in mats.items()}, N)
 
 
 def predicted_exponents(classes: GradedClasses, p: int, N: int) -> dict[int, list[int]]:
-    degs = set(classes.data)
-    out = {n: sorted(classes[n].zint_trunc(p, N)[0] + classes[n - 1].zint_trunc(p, N)[1])
-           for n in degs | {m + 1 for m in degs}}
-    return {n: exps for n, exps in out.items() if exps}
+    return _predicted(classes, lambda M: M.zint_trunc(p, N))
 
 
 def zint_oracle_check(C: ChainComplex, classes: GradedClasses, p: int,
@@ -183,16 +212,16 @@ def zint_oracle_check(C: ChainComplex, classes: GradedClasses, p: int,
 
 # -- valuation side -------------------------------------------------------------------
 
-# slice structure: (y-range kind, x-type at b<0, b=0, b>0)
+# slice structure: (y-range kind, x-type of the y^0 slice)
 _VAL_SLICES = {
-    "V": ("nonneg", None, "O", "R"),
-    "Vp": ("nonneg", None, "R", "R"),
-    "VhatPFull": ("nonneg", None, "O", "R"),
-    "VhatP": ("nonneg", None, "R", "R"),
-    "K": ("all", "R", "R", "R"),
-    "VhatPInv": ("all", "R", "R", "R"),
-    "VhatM": ("zero", None, "O", None),
-    "VhatMInv": ("zero", None, "R", None),
+    "V": ("nonneg", "O"),
+    "Vp": ("nonneg", "R"),
+    "VhatPFull": ("nonneg", "O"),
+    "VhatP": ("nonneg", "R"),
+    "K": ("all", "R"),
+    "VhatPInv": ("all", "R"),
+    "VhatM": ("zero", "O"),
+    "VhatMInv": ("zero", "R"),
 }
 
 
@@ -242,191 +271,121 @@ def _y_series(e: RatXY, terms: int) -> dict[int, RatXY]:
     return {k + vn - vd: c for k, c in enumerate(q) if not c.is_zero()}
 
 
-def _x_track_basis(w: World, N: int):
-    """The x-adic residue W/x^N W: only the O-type slice survives (x is
-    invertible on R-type slices and the y-tail lies in every x-power)."""
-    _, neg, zer, pos = _VAL_SLICES[w.name]
-    return list(range(N)) if zer == "O" else []
+def _x_entry(e: RatXY, N: int) -> dict[int, Fraction]:
+    """e on the x-track: its y^0 coefficient mod x^N.  A y-pole is refused
+    by _x_window; an x-pole is read off e's valuation, since the window
+    of a pole of order N or more may hold no non-zero coefficient."""
+    series = _x_window(e, 0, N)
+    if e.val() < (0, 0):
+        raise OracleMismatch(f"entry {e} has an x-pole: the x-residue track cannot read it")
+    return series
 
 
-def _y_loc_basis(w: World, N: int):
-    """(W/y^N W)[1/x] as a k(x)-space: the surviving y-slices."""
-    kind, neg, zer, pos = _VAL_SLICES[w.name]
-    if kind == "zero":
-        raise OracleMismatch("y-residue track needs y-adic-family strands only")
-    if kind == "all":
-        return []          # y already invertible
-    return list(range(N))  # slices 0..N-1, each a copy of k(x) after inverting x
+def _y_entry(e: RatXY, N: int) -> dict[int, RatXY]:
+    """e on the y-track: its y-adic series mod y^N, refused when its
+    leading y-exponent is negative."""
+    series = _y_series(e, N)
+    if min(series) < 0:
+        raise OracleMismatch(f"entry {e} has a y-pole: the y-residue track cannot read it")
+    return {k: c for k, c in series.items() if k < N}
 
 
-def _track_matrices(C: ChainComplex, N: int, basis, expand, zero):
-    """Bases and differential matrices of C on one residue track.
-
-    basis(w, N) lists the coordinates t a generator of world w keeps;
-    expand(e) gives {s: c}, an entry e sending coordinate t of its
-    source generator to c times coordinate t + s of its target.  Each
-    distinct non-zero entry of a block whose target strand keeps a
-    coordinate is expanded once per call; no other entry is."""
-    bases = {n: [(i, k, t) for i, (w, r) in enumerate(C.strand_list(n))
-                 for k in range(r) for t in basis(w, N)]
-             for n in C.degrees()}
-    expanded: dict = {}
-    mats: dict[int, list] = {}
-    for n in C.degrees():
-        if not bases[n] or not bases.get(n - 1):
-            continue
-        tgt_index = {key: pos for pos, key in enumerate(bases[n - 1])}
-        targets = {j for j, _, _ in bases[n - 1]}
-        A = [[zero] * len(bases[n]) for _ in range(len(bases[n - 1]))]
-        for (m, i, j), Mb in C.blocks.items():
-            if m != n or j not in targets:
-                continue
-            for col, (si, sk, t) in enumerate(bases[n]):
-                if si != i:
-                    continue
-                for row_k, row in enumerate(Mb):
-                    e = row[sk]
-                    if e.is_zero():
-                        continue
-                    series = expanded.get(e)
-                    if series is None:
-                        series = expanded[e] = expand(e)
-                    for s, c in series.items():
-                        pos = tgt_index.get((j, row_k, t + s))
-                        if pos is not None:
-                            A[pos][col] += c
-        mats[n] = A
-    return bases, mats
+def _sub_mul(a: dict, q: dict, b: dict, N: int) -> dict:
+    """a - q b for truncated series {k: c}, kept below t^N, without zeros."""
+    out = dict(a)
+    for i, c in q.items():
+        for k, d in b.items():
+            if i + k < N:
+                out[i + k] = out.get(i + k, 0) - c * d
+    return {k: c for k, c in out.items() if c != 0}
 
 
-def _x_track(C: ChainComplex, N: int):
-    """Bases and matrices of C (x) V/x^N over QQ.  An entry e sends x^t
-    to e*x^t, whose x^(t+k) coefficient is the x^k coefficient of e, so
-    one window [1-N, N) of e serves every column t in [0, N)."""
-    return _track_matrices(C, N, _x_track_basis,
-                           lambda e: _x_window(e, 1 - N, N), Fraction(0))
+def _series_form(A, N: int, zero) -> list[int]:
+    """The local Smith form of a matrix over R/t^N, R = F[[t]], with
+    entries truncated series {k: c}, k < N and c != 0 in F: the t-orders,
+    each below N, of its non-zero diagonal.  _local_form's elimination on
+    series: the pivot t^v u has least order, so t^v divides its column;
+    u is inverted with _series_div, the other rows are cleared, and the
+    pivot row is set aside.  zero is F's 0."""
+    rows = [list(row) for row in A]
+    orders = []
+    while pivot := min(((min(e), i, j) for i, row in enumerate(rows)
+                        for j, e in enumerate(row) if e), default=None):
+        v, i, j = pivot
+        prow = rows.pop(i)
+        if below := [row for row in rows if row[j]]:
+            minus = _series_div({0: zero - 1}, {k - v: c for k, c in prow[j].items()},
+                                N - v, zero)
+            minus = {k: c for k, c in enumerate(minus) if c != 0}     # -1/u
+            for row in below:
+                q = _sub_mul({}, {k - v: c for k, c in row[j].items()}, minus, N - v)
+                row[:] = [_sub_mul(a, q, b, N) for a, b in zip(row, prow)]
+        orders.append(v)
+    return orders
 
 
-def _y_track(C: ChainComplex, N: int):
-    """Bases and matrices of (C (x) V/y^N)[1/x] over QQ(x): an entry's
-    y-adic expansion, with k(x)-coefficients, shifts the y-slices."""
-    return _track_matrices(C, N, _y_loc_basis,
-                           lambda e: _y_series(e, N + 1), RatXY.const(0))
-
-
-def _clip(bases, mats, N: int):
-    """A track's bases and matrices built at some N' >= N, cut down to
-    the coordinates t < N: the track at N, since every expansion is
-    exact on the coordinates both keep."""
-    keep = {n: [pos for pos, (_, _, t) in enumerate(basis) if t < N]
-            for n, basis in bases.items()}
-    clipped = {n: [[A[r][c] for c in keep[n]] for r in keep[n - 1]]
-               for n, A in mats.items()}
-    return {n: [bases[n][pos] for pos in kept] for n, kept in keep.items()}, clipped
-
-
-def x_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
-    """QQ-dimensions of H_*(C (x) V/x^N)."""
-    return _dims_from(*_x_track(C, N))
-
-
-def y_track_dims(C: ChainComplex, N: int) -> dict[int, int]:
-    """k(x)-dimensions of H_*((C (x) V/y^N)[1/x]), exact Gauss over QQ(x)."""
-    return _dims_from(*_y_track(C, N))
-
-
-def _mat_rank(M) -> int:
-    """Rank over QQ (Fraction entries) or QQ(x) (RatXY entries) by
-    forward elimination: each pivot row clears the rows below it, over
-    its own non-zero columns only."""
-    A = [row[:] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        prow = A[r]
-        support = [k for k in range(c + 1, cols) if prow[k] != 0]
-        for i in range(r + 1, rows):
-            row = A[i]
-            if row[c] != 0:
-                f = row[c] / prow[c]
-                for k in support:
-                    row[k] = row[k] - f * prow[k]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _dims_from(bases, mats) -> dict[int, int]:
-    """dim H_n = dim C_n - rank d_n - rank d_(n+1), each rank taken once."""
-    ranks = {n: _mat_rank(A) for n, A in mats.items()}
-    out = {}
-    for n, basis in bases.items():
-        h = len(basis) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        if h:
-            out[n] = h
-    return out
-
-
-def _piece_dims(piece, N: int, track: str) -> tuple[int, int]:
-    """(mod, tor) dimensions of one class piece under a residue track."""
-    if piece[0] == "free":
-        w = world_from_name(piece[1])
-        if track == "x":
-            return (N, 0) if _VAL_SLICES[w.name][2] == "O" else (0, 0)
-        kind = _VAL_SLICES[w.name][0]
-        if kind == "zero":
-            raise OracleMismatch("y-residue track cannot see x-complete worlds")
-        return (N, 0) if kind == "nonneg" else (0, 0)
-    if piece[:2] == ("cyc", "V"):
-        b, a = piece[2]
-        if track == "x":
-            return (min(a, N), min(a, N)) if b == 0 else (N, N)
-        return (min(b, N), min(b, N))
-    if piece[:2] == ("cyc", "Vp"):
-        b = piece[2]
-        return (0, 0) if track == "x" else (min(b, N), min(b, N))
-    tag = piece[1]
+def _keeps(name: str, track: str) -> bool:
+    """Whether a world survives a residue track.  On the x-track only an
+    O-type y^0 slice does: x is invertible on R-type slices and the
+    y-tail lies in every x-power.  On the y-track every y-slice of a
+    world of non-negative y-range does, and none where y is invertible."""
+    kind, y0 = _VAL_SLICES[name]
     if track == "x":
-        return (0, N) if tag in (PRUEFER_X, QUOT_KV) else (0, 0)
-    return (0, N) if tag in (PRUEFER_Y, QUOT_KV) else (0, 0)
+        return y0 == "O"
+    if kind == "zero":
+        raise OracleMismatch(f"y-residue track cannot see x-complete world {name}")
+    return kind == "nonneg"
 
 
-def _predicted_dims(classes: GradedClasses, N: int, track: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    degs = set(classes.data)
-    for n in set(list(degs) + [m + 1 for m in degs]):
-        total = 0
-        for piece, mult in classes[n].pieces():
-            total += _piece_dims(piece, N, track)[0] * mult
-        for piece, mult in classes[n - 1].pieces():
-            total += _piece_dims(piece, N, track)[1] * mult
-        if total:
-            out[n] = total
-    return out
+def val_track_reading(C: ChainComplex, track: str, N: int) -> dict[int, list[int]]:
+    """H_* of C on one residue track, as exponents below N: the x-track
+    C (x) V/x^N over k[[x]]/x^N, the y-track (C (x) V/y^N)[1/x] over
+    k(x)[[y]]/y^N; one series local form per differential."""
+    read, zero = (_x_entry, Fraction(0)) if track == "x" else (_y_entry, RatXY.const(0))
+    ranks, mats = _truncate(C, lambda w: _keeps(w.name, track), lambda e: read(e, N), {})
+    return _exponents(ranks, {n: _series_form(A, N, zero) for n, A in mats.items()}, N)
 
 
-def val_oracle_check(C: ChainComplex, classes: GradedClasses,
-                     Ns=(2, 4, 8)) -> bool:
-    """Both residue tracks agree with the class predictions for each N
-    (x-adic over QQ always; y-adic over QQ(x) when no x-complete strand
-    is present).  Each track is built once, at the largest N, and
-    clipped for the smaller ones."""
-    top = max(Ns)
-    tracks = [("x", _x_track(C, top))]
-    if not any(w.name in ("VhatM", "VhatMInv") for w in C.worlds):
-        tracks.append(("y", _y_track(C, top)))
-    for N in Ns:
-        for track, (bases, mats) in tracks:
-            got = _dims_from(*_clip(bases, mats, N))
-            want = _predicted_dims(classes, N, track)
-            if got != want:
-                raise OracleMismatch(f"{track}-residue N={N}: dims {got} != predicted {want}")
+def _val_trunc(M: ModuleClass, track: str) -> tuple[list, list]:
+    """The per-piece exponent table: (exponents of M mod t^N, exponents of
+    the t^N-torsion of M) on a residue track, inf standing for N.  A free
+    piece over a world the track keeps gives R; Cyclic(V, x^a y^b) gives
+    x^a on the x-track when b = 0, and R on both sides when b > 0, as y^b
+    is 0 there; on the y-track it gives y^b, as Cyclic(Vp, y^b) does.  A
+    divisible quotient gives t^N-torsion where its t is not inverted."""
+    mod, tor = [], []
+    for piece, mult in M.pieces():
+        if piece[0] == "free":
+            if _keeps(piece[1], track):
+                mod += [math.inf] * mult
+        elif piece[0] == "cyc":
+            if piece[1] == "V":
+                b, a = piece[2]
+                e = b if track == "y" else a if b == 0 else math.inf
+            else:                      # Vp: x is a unit, only y-torsion
+                e = piece[2] if track == "y" else 0
+            if e:
+                mod += [e] * mult
+                tor += [e] * mult
+        elif piece[1] in (QUOT_KV, PRUEFER_X if track == "x" else PRUEFER_Y):
+            tor += [math.inf] * mult
+    return mod, tor
+
+
+def val_oracle_check(C: ChainComplex, classes: GradedClasses) -> bool:
+    """Both residue tracks agree with the exponent table (x-adic always;
+    y-adic when no x-complete strand is present).  Each track is read
+    once, at N = max(8, 1 + the largest exponent the claim names on it):
+    capped at N' <= N its reading is the track at N', and above every
+    claimed exponent it tells exponent splits apart."""
+    x_complete = any(_VAL_SLICES[w.name][0] == "zero" for w in C.worlds)
+    tracks = ("x",) if x_complete else ("x", "y")
+    for track in tracks:
+        want = _predicted(classes, lambda M: _val_trunc(M, track))
+        N = max([8] + [e + 1 for exps in want.values() for e in exps if e != math.inf])
+        got, want = val_track_reading(C, track, N), _cap(want, N)
+        if got != want:
+            raise OracleMismatch(f"{track}-residue N={N}: exponents {got} != predicted {want}")
     return True
 
 

@@ -18,8 +18,7 @@ from fractions import Fraction
 from .classes import GradedClasses, ModuleClass
 from .complexes import ChainComplex
 from .homology import UnsupportedMixedShape, cone_atom_classes, cross_atom_classes
-from .oracle import (OracleMismatch, oracle_check, val_oracle_check,
-                     x_track_dims, y_track_dims)
+from .oracle import OracleMismatch, oracle_check, val_oracle_check, val_track_reading
 from .ratfunc import RatXY, x as rf_x, y as rf_y
 from .worlds import (VAL, World, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT,
                      Z_RAT, Z_SEMILOC, complete_world, fracture_pullback)
@@ -165,12 +164,8 @@ def validate_rule_tables(backend: str) -> int:
             # y acts as zero on the x-complete worlds; their y-adic rules
             # are identities and are covered by the x-track instead
             track = "x"
-        for N in (2, 4):
-            a = _free_track_dims(W, N, track)
-            b = _free_track_dims(target, N, track)
-            if a != b:
-                raise OracleMismatch(
-                    f"completion rule {W} -> {target}: {track}-residues")
+        if _unit_reading(W, track) != _unit_reading(target, track):
+            raise OracleMismatch(f"completion rule {W} -> {target}: {track}-residues")
         checked += 1
     # cyclic reductions across the V and Vp families
     for (W, gen, rep) in [(VhM, kx ** 2, ModuleClass.cyclic(V, kx ** 2)),
@@ -183,8 +178,7 @@ def validate_rule_tables(backend: str) -> int:
     return checked
 
 
-def _free_track_dims(w: World, N: int, track: str):
-    if w.is_zero_world:
-        return {}
-    C = ChainComplex.unit(w)
-    return x_track_dims(C, N) if track == "x" else y_track_dims(C, N)
+def _unit_reading(w: World, track: str):
+    """The exponents of the unit complex of W on a residue track, read at
+    N = 4; capped, they are the reading at N = 1, 2 and 3 as well."""
+    return {} if w.is_zero_world else val_track_reading(ChainComplex.unit(w), track, 4)

@@ -1,13 +1,13 @@
 """Rule-table consistency: every registered mixed-world identification
 must stabilize under the residue-truncation oracle.  The integer side is
-pushed to N = 2^10 as the outer bound; the valuation side doubles its
-window twice."""
+pushed to N = 2^10 as the outer bound; the valuation side reads each
+track once, above every exponent the claim names."""
 
 import ast
 import random
 import re
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -18,12 +18,12 @@ from adeltors.homology import homology
 from adeltors.library import library, random_complex
 from adeltors.linalg import snf
 from adeltors.oracle import (OracleMismatch, oracle_check, predicted_exponents,
-                             val_oracle_check, x_track_dims, y_track_dims,
+                             val_oracle_check, val_track_reading,
                              zint_oracle_check, zint_truncate,
                              zmod_homology_exponents)
 from adeltors.ratfunc import RatXY, x as rx, y as ry
 from adeltors.ruleoracle import validate_rule_tables
-from adeltors.worlds import PRIME_FIELD, Z_INT, world_from_name
+from adeltors.worlds import PRIME_FIELD, VAL, Z_INT, Z_RAT, world_from_name
 
 
 def test_zint_rule_table():
@@ -239,11 +239,15 @@ def test_diagonalize_matches_smith_form_p_locally():
 
 
 def test_val_tracks_on_models(vsite):
-    V = vsite.base
-    C = ChainComplex.two_term(V, rx() * ry())
-    assert x_track_dims(C, 4) == {0: 4, 1: 4}    # Cyclic(V, xy): N and N
-    assert y_track_dims(C, 4) == {0: 1, 1: 1}    # y-exponent is 1
+    V, x, y = vsite.base, rx(), ry()
+    C = ChainComplex.two_term(V, x * y)
+    assert val_track_reading(C, "x", 4) == {0: [4], 1: [4]}    # Cyclic(V, xy): N and N
+    assert val_track_reading(C, "y", 4) == {0: [1], 1: [1]}    # y-exponent is 1
     val_oracle_check(C, homology(C))
+    D = ChainComplex.single(V, {1: 2, 0: 3}, {1: [[x ** 2, 0 * x], [0 * x, x ** 6], [0 * x, y]]})
+    assert val_track_reading(D, "x", 4) == {0: [2, 4, 4], 1: [2, 4]}   # x^6 caps at N
+    assert val_track_reading(D, "y", 4) == {0: [4]}        # x^a are units there: one R
+    val_oracle_check(D, homology(D))
 
 
 def test_val_oracle_rejects_wrong_claims(vsite):
@@ -258,6 +262,56 @@ def test_val_oracle_rejects_wrong_claims(vsite):
             val_oracle_check(C, GradedClasses({0: wrong}))
         messages.append(str(err.value).split(" N=")[0])
     assert messages == ["x-residue", "x-residue", "y-residue"]
+
+
+def _diagonal(W, gens):
+    """The sum of the [W --g--> W], g in gens, in degrees 1 and 0."""
+    zero = RatXY.const(0)
+    return ChainComplex.single(W, {1: len(gens), 0: len(gens)},
+                               {1: [[g if i == j else zero for j, g in enumerate(gens)]
+                                    for i in range(len(gens))]})
+
+
+def _cyclic_sum(W, gens):
+    out = ModuleClass()
+    for g in gens:
+        out = out + ModuleClass.cyclic(W, g)
+    return GradedClasses({0: out})
+
+
+def test_val_oracle_tells_exponent_splits_apart():
+    """Wrong claims of the same length on each track at N = 2, 4 and 8:
+    the exponent reading rejects each, naming its track; V/xy claimed as
+    V/x (+) V/y is still rejected on the x-track."""
+    V, Vp, x, y = VAL("V"), VAL("Vp"), rx(), ry()
+    cases = [(ChainComplex.two_term(V, x ** 2), V, [x, x], "x"),
+             (ChainComplex.two_term(Vp, y ** 2), Vp, [y, y], "y"),
+             (_diagonal(V, [x ** 3, x ** 3]), V, [x ** 4, x ** 2], "x"),
+             (_diagonal(V, [x ** 9, x ** 9]), V, [x ** 10, x ** 8], "x"),
+             (ChainComplex.two_term(V, x * y), V, [x, y], "x")]
+    for C, W, claim, track in cases:
+        val_oracle_check(C, homology(C))
+        with pytest.raises(OracleMismatch, match=rf"^{track}-residue N="):
+            val_oracle_check(C, _cyclic_sum(W, claim))
+
+
+def test_val_oracle_rejects_partition_pairs_of_equal_length():
+    """Pairs of exponent multisets whose capped sums agree at N = 2, 4 and
+    8, so that their dimensions agree on every N the oracle once read:
+    V/x^a sums on the x-track and Vp/y^b sums on the y-track, each
+    accepted for itself and rejected as the other."""
+    def length(parts, N):
+        return sum(min(e, N) for e in parts)
+    parts = [p for k in (1, 2, 3) for p in combinations_with_replacement(range(1, 11), k)]
+    pairs = [(p, q) for p in parts for q in parts
+             if p != q and all(length(p, N) == length(q, N) for N in (2, 4, 8))]
+    assert len(pairs) > 100
+    rng = random.Random(20261021)
+    for (p, q), (W, t) in zip(rng.sample(pairs, 12), [(VAL("V"), rx()), (VAL("Vp"), ry())] * 6):
+        C = _diagonal(W, [t ** e for e in p])
+        val_oracle_check(C, _cyclic_sum(W, [t ** e for e in p]))
+        with pytest.raises(OracleMismatch):
+            val_oracle_check(C, _cyclic_sum(W, [t ** e for e in q]))
 
 
 def _val_objects(vsite):
@@ -349,17 +403,22 @@ def test_x_window_matches_sympy_series(vsite):
 
 
 def test_x_track_refuses_a_y_pole_only_where_it_reads_one(vsite):
-    """1/y from V to V is no map of V-modules: the x-track, which reads
-    that block, refuses it naming the entry.  From V to K it is a map, and
-    no track expands an entry whose target strand keeps no coordinate."""
+    """1/y from V to V is no map of V-modules: both tracks, which read
+    that block, refuse it naming the entry; so does the x-track for
+    x^-9, whose terms from x^-7 to x^7 are all 0.  From V to K 1/y is a
+    map, and no track reads an entry whose target strand it drops."""
     V, K = vsite.base, world_from_name("K")
-    e = ry().inv()
-    bad = ChainComplex(V.backend, {1: [(V, 1)], 0: [(V, 1)]}, {(1, 0, 0): [[e]]}, check=False)
-    with pytest.raises(OracleMismatch, match=re.escape(f"entry {e} has a y-pole")):
-        x_track_dims(bad, 2)
+    e, f = ry().inv(), rx() ** -9
+    for g, track, message in ((e, "x", f"entry {e} has a y-pole"),
+                              (e, "y", f"entry {e} has a y-pole"),
+                              (f, "x", f"entry {f} has an x-pole")):
+        bad = ChainComplex(V.backend, {1: [(V, 1)], 0: [(V, 1)]}, {(1, 0, 0): [[g]]},
+                           check=False)
+        with pytest.raises(OracleMismatch, match=re.escape(message)):
+            val_track_reading(bad, track, 8)
     good = ChainComplex(V.backend, {1: [(V, 1)], 0: [(K, 1)]}, {(1, 0, 0): [[e]]})
-    assert x_track_dims(good, 2) == {1: 2}
-    assert y_track_dims(good, 2) == {1: 2}
+    assert val_track_reading(good, "x", 2) == {1: [2]}
+    assert val_track_reading(good, "y", 2) == {1: [2]}
 
 
 def _column_by_column(C, N, bases, track):
@@ -391,56 +450,64 @@ def _column_by_column(C, N, bases, track):
     return mats
 
 
-def test_track_matrices_match_column_by_column(vsite, vcube, monkeypatch):
-    """Expanding each entry once gives the same matrices as expanding it
-    again for every column it meets."""
-    seen = []
-    dims_from = oracle._dims_from
+def _n_fold_dims(C, N, track):
+    """dim H_* of a track by its definition: a generator of a strand the
+    track keeps gives N coordinates x^t (or y^t), every column is built
+    by _column_by_column, and ranks come from linalg.snf over Q (x-track)
+    or over K (y-track: the rank over Q(x) of a matrix over Q(x))."""
+    bases = {n: [(i, k, t) for i, (w, r) in enumerate(C.strand_list(n))
+                 if oracle._keeps(w.name, track) for k in range(r) for t in range(N)]
+             for n in C.degrees()}
+    mats = _column_by_column(C, N, bases, track)
+    field, lift = (Z_RAT(), F) if track == "x" else (VAL("K"), RatXY.const)
+    ranks = {}
+    for n, A in mats.items():
+        D, _ = snf([[e if isinstance(e, RatXY) else lift(e) for e in row] for row in A], field)
+        ranks[n] = sum(D[i][i] != 0 for i in range(min(len(D), len(D[0]) if D else 0)))
+    dims = {n: len(b) - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, b in bases.items()}
+    return {n: d for n, d in dims.items() if d}, len(mats)
 
-    def capture(bases, mats):
-        seen.append((bases, mats))
-        return dims_from(bases, mats)
-    monkeypatch.setattr(oracle, "_dims_from", capture)
-    complexes = _val_objects(vsite) + _mixed_objects(vsite, vcube)
+
+def test_capped_exponents_sum_to_the_n_fold_track_dims(vsite, vcube):
+    """A track read once at N = 8, capped at N and summed, is the
+    dimension of the track's N-fold matrices, for N = 1, 2 and 4."""
     built = 0
-    for C in complexes:
+    for C in _val_objects(vsite) + _mixed_objects(vsite, vcube):
         has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
-        for N in (2, 4):
-            for track, dims in (("x", x_track_dims), ("y", y_track_dims)):
-                if track == "y" and has_xcomplete:
-                    continue
-                seen.clear()
-                dims(C, N)
-                (bases, mats), = seen
-                assert mats == _column_by_column(C, N, bases, track)
-                built += len(mats)
+        for track in ("x",) if has_xcomplete else ("x", "y"):
+            top = val_track_reading(C, track, 8)
+            for N in (1, 2, 4):
+                dims, mats = _n_fold_dims(C, N, track)
+                assert {n: sum(v) for n, v in oracle._cap(top, N).items()} == dims
+                built += mats
     assert built > 100
 
 
-def test_tracks_built_at_the_top_n_clip_to_every_smaller_n(vsite, vcube, monkeypatch):
-    """A track built once at N = 9 and cut to the coordinates t < N is the
-    track at N, and gives x_track_dims / y_track_dims, for N = 1 ... 9;
-    val_oracle_check builds each track it reads once."""
+def test_val_reading_at_the_top_n_caps_to_every_smaller_n(vsite, vcube, monkeypatch):
+    """A track read once at N = 9, capped at N, is a fresh reading at N,
+    for N = 1 ... 9.  val_oracle_check reads each track once, at N = 8
+    unless the claim names an exponent of 8 or more on it."""
     rng = random.Random(20261019)
     complexes = [random_complex(rng, vsite.base, primes=(2, 3), atoms=rng.randint(1, 4))
                  for _ in range(60)] + _mixed_objects(vsite, vcube)
-    tracks = [(oracle._x_track, x_track_dims), (oracle._y_track, y_track_dims)]
     for C in complexes:
         has_xcomplete = any(w.name in ("VhatM", "VhatMInv") for w in C.worlds)
-        for build, dims in tracks[:1] if has_xcomplete else tracks:
-            top = build(C, 9)
+        for track in ("x",) if has_xcomplete else ("x", "y"):
+            top = val_track_reading(C, track, 9)
             for N in range(1, 10):
-                clipped = oracle._clip(*top, N)
-                assert clipped == build(C, N)
-                assert oracle._dims_from(*clipped) == dims(C, N)
-    builds = []
-    track_matrices = oracle._track_matrices
-    monkeypatch.setattr(oracle, "_track_matrices",
-                        lambda C, N, *rest: builds.append(N) or track_matrices(C, N, *rest))
+                assert oracle._cap(top, N) == val_track_reading(C, track, N)
+    reads = []
+    reading = oracle.val_track_reading
+    monkeypatch.setattr(oracle, "val_track_reading",
+                        lambda C, track, N: reads.append((track, N)) or reading(C, track, N))
     for C in complexes[:20]:
-        builds.clear()
+        reads.clear()
         val_oracle_check(C, homology(C))
-        assert builds == [8, 8]
+        assert reads == [("x", 8), ("y", 8)]
+    reads.clear()
+    C = _diagonal(vsite.base, [rx() ** 9, rx() ** 9])
+    val_oracle_check(C, homology(C))
+    assert reads == [("x", 10), ("y", 8)]
 
 
 def test_each_entry_expanded_once_per_track_call(vsite, monkeypatch):
@@ -457,49 +524,34 @@ def test_each_entry_expanded_once_per_track_call(vsite, monkeypatch):
     for C in _val_objects(vsite):
         entries = _entries(C)
         repeated += len(entries) > len(set(entries))
-        for dims in (x_track_dims, y_track_dims):
+        for track in ("x", "y"):
             calls.clear()
-            dims(C, 4)
+            val_track_reading(C, track, 4)
             assert len(calls) == len(set(calls)) == len(set(entries))
     assert repeated       # some entry sits at two positions
 
 
-def _full_rank(rng, rows, r, pick):
-    """A rows x r matrix of rank r: identity rows among random sparse ones."""
-    M = [[pick(rng) for _ in range(r)] for _ in range(rows - r)]
-    M += [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    rng.shuffle(M)
-    return M
-
-
-def _known_rank(rng, pick):
-    """A sparse matrix of known rank r = P Q, P and Q of full rank r,
-    padded with zero rows and columns; returns (M, r)."""
-    r = rng.randint(0, 4)
-    m, n = r + rng.randint(0, 3), r + rng.randint(0, 3)
-    P = _full_rank(rng, m, r, pick)
-    Qt = _full_rank(rng, n, r, pick)
-    M = [[sum((P[i][t] * Qt[j][t] for t in range(r)), 0 * pick(rng)) for j in range(n)]
-         for i in range(m)]
-    for _ in range(rng.randint(0, 2)):
-        M.insert(rng.randint(0, len(M)), [0 * pick(rng)] * n)
-    for _ in range(rng.randint(0, 2)):
-        at = rng.randint(0, n)
-        M = [row[:at] + [0 * pick(rng)] + row[at:] for row in M]
-        n += 1
-    return M, r
-
-
-def test_rank_kernels_on_known_ranks():
-    rng = random.Random(20260918)
-    x = rx()
-    q_values = [F(0)] * 3 + [F(1), F(-1), F(2), F(1, 3)]
-    x_values = [RatXY.const(0)] * 3 + [RatXY.const(1), x, 1 - x, (1 + x).inv(), x * x + 2]
-    for rank_fn, values, trials in ((oracle._mat_rank, q_values, 300),
-                                    (oracle._mat_rank, x_values, 60)):
-        for _ in range(trials):
-            M, r = _known_rank(rng, lambda g: g.choice(values))
-            Mt = [list(col) for col in zip(*M)]
-            assert rank_fn(M) == r
-            if Mt:
-                assert rank_fn(Mt) == r
+def test_series_form_matches_smith_form_over_v():
+    """The series local form against linalg.snf over V, on seeded random
+    V-matrices with non-monomial entries, at N = 1, 3 and 8.  On the
+    x-track the orders, padded with N, are the x-exponents of snf's
+    diagonal capped at N, a diagonal entry of positive y-exponent (or 0)
+    reading as N; on the y-track they are its y-exponents capped at N."""
+    rng = random.Random(20261021)
+    x, y, zero = rx(), ry(), RatXY.const(0)
+    values = [zero] * 6 + [RatXY.const(1), RatXY.const(-2), x, x * x, y, x * y, y / x, 1 + y,
+                           (1 + x).inv(), x ** 3 / (1 - x), y / (1 + x * y), x * x + y]
+    tracks = (("x", oracle._x_entry, F(0)), ("y", oracle._y_entry, zero))
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        A = [[rng.choice(values) * rng.choice(values) for _ in range(n)] for _ in range(m)]
+        D, _ = snf(A, VAL("V"))
+        diag = [D[i][i].val() for i in range(min(m, n))]
+        for N in (1, 3, 8):
+            for track, read, fzero in tracks:
+                orders = oracle._series_form(
+                    [[{} if e.is_zero() else read(e, N) for e in row] for row in A], N, fzero)
+                assert all(v < N for v in orders)
+                want = [N if v is None else min(v[0], N) if track == "y"
+                        else min(v[1], N) if v[0] == 0 else N for v in diag]
+                assert sorted(orders + [N] * (len(diag) - len(orders))) == sorted(want)
