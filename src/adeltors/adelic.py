@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import GradedClasses
-from .complexes import ChainComplex, ChainMap, NotChainMapError, cone
+from .complexes import (ChainComplex, ChainMap, NotChainMapError, _built, _canonical,
+                        _joins_naturally, cone)
 from .homology import homology, is_acyclic
 from .linalg import mat_id
 from .localize import Site, TruncationTooSmall, UnsupportedRegionError
@@ -168,7 +169,13 @@ class AdelicCube:
         """The punctured-cube diagram 1_ad (x) X: vertexwise derived
         tensor, computed strandwise through the world combination rule
         (each X strand world is flat over the base, so the tensor is the
-        honest localization-completion pushout of worlds)."""
+        honest localization-completion pushout of worlds).  A structure
+        map is X tensored with a ring map, identity blocks along the
+        arrow's unit pairs, so a chain map by naturality: it is trusted
+        when X and both values are verified, X's blocks (as for fan_out)
+        and the identity blocks are canonical, and the slots join
+        naturally (complexes._joins_naturally); any other map takes the
+        full check."""
         self.check_truncation(X)
         values: dict[str, ChainComplex] = {}
         layout: dict[str, dict] = {}
@@ -176,9 +183,10 @@ class AdelicCube:
             ring = self._vertex_worlds[v.label]
             values[v.name], layout[v.name] = X.fan_out(
                 lambda u: [_combine(u, w) for w in ring])
+        natural = X.verified and _canonical(X.blocks, X, X, 1)
         maps: dict[tuple[str, str], ChainMap] = {}
         for (s, t, _) in self.shape.arrows:
-            ones = self._ones[(s, t)]
+            ones, src_c, tgt_c = self._ones[(s, t)], values[s], values[t]
             blocks = {}
             for (q, a), src in layout[s].items():
                 r = X.strand_list(q)[a][1]
@@ -187,7 +195,10 @@ class AdelicCube:
                     for j, tj in tgt.items():
                         if (i, j) in ones:
                             blocks[(q, si, tj)] = mat_id(r, ones[(i, j)])
-            maps[(s, t)] = ChainMap(values[s], values[t], blocks)
+            trusted = natural and src_c.verified and tgt_c.verified and \
+                _canonical(blocks, src_c, tgt_c, 0) and \
+                _joins_naturally(X, layout[s], layout[t], ones)
+            maps[(s, t)] = _built(ChainMap(src_c, tgt_c, blocks, check=not trusted), trusted)
         return CubeDiagram(self.shape, values, maps, {}, dict(self._ring_names))
 
 

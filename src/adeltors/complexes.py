@@ -30,10 +30,15 @@ maps of localization and completion) when each strand maps canonically
 to its images and no block keeps its target slot while losing its
 source slot, ChainComplex.fan_out when in addition every block is
 canonical, shapes._fibre_map (a shift of induced_cone_map) once the
-cone map is verified, and shapes.holim_punctured once every square
-of its punctured cube has been seen to commute on the nose (its values
-and structure maps verified); each skips its output's check exactly
-when its inputs are verified and checks as before otherwise.
+cone map is verified, shapes._comparison_map (h + r on cone(f)) once
+dh + hd = r o f has been seen and h's blocks checked, the structure
+maps of the adelic tensor (AdelicCube.tensor: identity blocks along the
+ring maps of the cube) when X is verified, X's blocks and the identity
+blocks are canonical and the slots join naturally (_joins_naturally),
+and shapes.holim_punctured once every square of its punctured cube has
+been seen to commute on the nose (its values and structure maps
+verified); each skips its output's check exactly when its inputs are
+verified and checks as before otherwise.
 check=False alone never makes a value verified, and neither does
 compose.
 
@@ -314,10 +319,10 @@ class ChainComplex:
                         slots[(n, i)].append((k, len(out)))
                         out.append((nw, self.strands[n][i][1]))
         blocks = {}
-        trusted = self.verified and _fans_naturally(self, strands, slots)
+        trusted = self.verified and _canonical(self.blocks, self, self, 1) and \
+            _fans_naturally(self, strands, slots)
         for (n, i, j), M in self.blocks.items():
             old_tgt = self.strands[n - 1][j][0]
-            trusted = trusted and canonical_map_exists(self.strands[n][i][0], old_tgt)
             tgt = dict(slots[(n - 1, j)])
             for k, si in slots[(n, i)]:
                 if k in tgt:
@@ -446,15 +451,40 @@ def map_equal(f: ChainMap, g: ChainMap) -> bool:
     return f.src == g.src and f.dst == g.dst and f.blocks == g.blocks
 
 
+def _kept(slots) -> dict:
+    """The slots k each strand (n, i) survives in, from fan_out's slots."""
+    return {key: {k for k, _ in ks} for key, ks in slots.items()}
+
+
+def _canonical(blocks, src, dst, step) -> bool:
+    """Whether each block (n, i, j), from strand i of src degree n to
+    strand j of dst degree n - step, lies along a canonical map."""
+    return all(canonical_map_exists(src.strands[n][i][0], dst.strands[n - step][j][0])
+               for (n, i, j) in blocks)
+
+
 def _fans_naturally(X: ChainComplex, strands, slots) -> bool:
     """Whether each strand of X maps canonically to its images (strands and
     slots as X.fan_out builds them) and no block keeps its target slot
     while losing its source slot, so a slot that keeps both ends of a
     d o d term keeps its middle strand too."""
-    kept = {key: {k for k, _ in ks} for key, ks in slots.items()}
+    kept = _kept(slots)
     return all(canonical_map_exists(X.strands[n][i][0], strands[n][si][0])
                for (n, i), ks in slots.items() for _, si in ks) and \
         all(kept[(n - 1, j)] <= kept[(n, i)] for (n, i, j) in X.blocks)
+
+
+def _joins_naturally(X: ChainComplex, slots_s, slots_t, ones) -> bool:
+    """Whether identity blocks from slot i to slot j of each strand, (i, j)
+    in ones, between two fan-outs of X (slots as X.fan_out returns them)
+    commute with the differentials: for a block of X whose source keeps
+    slot i and whose target keeps slot j, f o d passes through slot i of
+    the target and d o f through slot j of the source, and one must
+    survive exactly when the other does."""
+    ks, kt = _kept(slots_s), _kept(slots_t)
+    return all((i in ks[(n - 1, b)]) == (j in kt[(n, a)])
+               for (n, a, b) in X.blocks for i, j in ones
+               if i in ks[(n, a)] and j in kt[(n - 1, b)])
 
 
 def fan_out_unit(X: ChainComplex, worlds_of) -> tuple[ChainComplex, ChainMap]:

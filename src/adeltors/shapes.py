@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .complexes import (ChainComplex, ChainMap, NotChainMapError, ShapeError, _built,
-                        _d_at, _identity, _total, compose, cone, cone_inclusion,
+                        _check_blocks, _d_at, _identity, _total, compose, cone, cone_inclusion,
                         cone_null_homotopy, fib_projection, homotopy_defect, induced_cone_map,
                         map_equal)
 from .homology import is_acyclic
@@ -473,21 +473,29 @@ def is_cofibre_layer(D: CubeDiagram, k: int) -> bool:
         h = D.homotopies.get(v.name)
         if h is None:
             return False
-        if not homotopy_defect(f, r, h):
-            return False
         phi = _comparison_map(f, r, h)
-        if not is_acyclic(cone(phi)):
+        if phi is None or not is_acyclic(cone(phi)):
             return False
     return True
 
 
-def _comparison_map(f: ChainMap, r: ChainMap, h_blocks: dict) -> ChainMap:
-    """cone(f) -> target of r: (p, q) -> h(p) + r(q).  h's blocks leave
-    the C-strands of cone(f)_{n+1} and r's the D-strands of cone(f)_n,
-    placed by complexes._d_at, so no two share a key."""
+def _comparison_map(f: ChainMap, r: ChainMap, h_blocks: dict) -> ChainMap | None:
+    """cone(f) -> target of r: (p, q) -> h(p) + r(q), or None when
+    dh + hd != r o f.  h's blocks leave the C-strands of cone(f)_{n+1}
+    and r's the D-strands of cone(f)_n, placed by complexes._d_at, so no
+    two share a key.  On the C-strands the chain-map identity is
+    dh + hd = r o f, on the D-strands it is r's own, so once the first
+    has been seen the map is trusted when f and r are verified and h's
+    blocks pass their shape and entry checks; otherwise it takes the
+    full check."""
+    if not homotopy_defect(f, r, h_blocks):
+        return None
     blocks = {(n + 1, i, j): M for (n, i, j), M in h_blocks.items()}
     blocks.update(((n, i + _d_at(f, n), j), M) for (n, i, j), M in r.blocks.items())
-    return ChainMap(cone(f), r.dst, blocks)
+    trusted = f.verified and r.verified
+    if trusted:
+        _check_blocks(h_blocks, f.src, r.dst, -1)
+    return _built(ChainMap(cone(f), r.dst, blocks, check=not trusted), trusted)
 
 
 def big_R(TD: CubeDiagram) -> CubeDiagram:

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from adeltors.complexes import (ChainComplex, ChainMap, DegreeWindowError,
                                 IncompatibleWorldsError, NotChainMapError,
-                                ShapeError, _check_blocks, _kron, cone, cone_inclusion,
+                                ShapeError, _check_blocks, _d_at, _kron, cone, cone_inclusion,
                                 cone_null_homotopy, compose, homotopy_defect, map_equal,
                                 merge_strands)
-from adeltors.homology import homology
+from adeltors.homology import UnsupportedMixedShape, homology
+from adeltors.library import library, random_complex
 from adeltors.ratfunc import RatXY, x as rx, y as ry
+from adeltors.shapes import _vname, _with
+from adeltors.torsion import tors
 from adeltors.worlds import (VAL, Z_INT, Z_INV, Z_LOC, Z_PADIC, Z_PADICRAT, Z_RAT,
                              Z_SEMILOC, invert_primes, mult_map_allowed)
 
@@ -170,7 +174,6 @@ def _double_first_entry(h):
 
 @pytest.mark.parametrize("backend", ["zint", "valrank2"])
 def test_homotopy_defect_on_cube_structure_maps(backend, zsite, zcube, vsite, vcube):
-    from adeltors.library import library
     site, cube = (zsite, zcube) if backend == "zint" else (vsite, vcube)
     broken = 0
     for _, X in library(site):
@@ -182,6 +185,38 @@ def test_homotopy_defect_on_cube_structure_maps(backend, zsite, zcube, vsite, vc
                 assert not homotopy_defect(f, incl, _double_first_entry(h))
                 broken += 1
     assert broken
+
+
+def test_comparison_map_is_a_chain_map_exactly_when_the_homotopy_holds(vsite, vcube):
+    """On every cofibre layer of the valuation library and the first 16
+    random objects of the bench's stream, phi = h + r on cone(f) is a
+    chain map exactly when dh + hd = r o f, also with one entry of h
+    doubled."""
+    bench = random.Random(f"20260801-valrank2-[('atoms', 4), ('primes', (2, 3))]")
+    objects = [X for _, X in library(vsite)] + \
+        [random_complex(bench, vsite.base, primes=(2, 3), atoms=4) for _ in range(16)]
+    seen = {True: 0, False: 0}
+    for X in objects:
+        try:
+            TD = tors(vsite, X, vcube)
+        except UnsupportedMixedShape:
+            continue
+        for v in TD.shape.vertices:
+            if not v.dummy:
+                continue
+            A = tuple(v.label)
+            mid = _vname(_with(A, v.k + 1), v.k + 1)
+            f = TD.map(_vname(A, v.k + 1), mid)
+            r = TD.map(mid, _vname(A, v.k))
+            h = TD.homotopies[v.name]
+            for hh in (h, _double_first_entry(h)):
+                blocks = {(n + 1, i, j): M for (n, i, j), M in hh.items()}
+                blocks.update(((n, i + _d_at(f, n), j), M) for (n, i, j), M in r.blocks.items())
+                phi = ChainMap(cone(f), r.dst, blocks, check=False)
+                agree = homotopy_defect(f, r, hh)
+                assert phi.is_chain_map() == agree
+                seen[agree] += 1
+    assert seen == {True: 22, False: 22}
 
 
 def test_d_squared_across_worlds():

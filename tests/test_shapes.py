@@ -188,7 +188,7 @@ def test_big_L_identity_zero(vcube):
     # d = 2 has the one cofibre layer k = 0, and no other
     assert is_cofibre_layer(TD, 0)
     for k in (-1, 1, 2):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"outside 0\.\.0$"):
             is_cofibre_layer(TD, k)
 
 

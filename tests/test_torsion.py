@@ -119,15 +119,17 @@ def test_validate_mutants(zsite, zcube):
 
 
 def test_cofibre_layer_needs_its_witness(vsite, vcube):
-    """Dropping the null-homotopy witness at 0^(0), or doubling its entry,
-    fails the cofibre-layer certificate."""
+    """Dropping the null-homotopy witness at 0^(0), doubling its entry, or
+    giving the dummy vertex 0^(0) a nonzero value fails the cofibre-layer
+    certificate."""
     TD = tors(vsite, vsite.unit(), vcube)
     assert validate(vsite, TD, vcube).layers[0]
     h = TD.homotopies["0^(0)"]
     doubled = {key: [[2 * e for e in row] for row in M] for key, M in h.items()}
-    for homs in ({n: w for n, w in TD.homotopies.items() if n != "0^(0)"},
-                 dict(TD.homotopies, **{"0^(0)": doubled})):
-        mut = CubeDiagram(TD.shape, TD.values, TD.maps, homs, TD.ring_names)
+    for values, homs in ((TD.values, {n: w for n, w in TD.homotopies.items() if n != "0^(0)"}),
+                         (TD.values, dict(TD.homotopies, **{"0^(0)": doubled})),
+                         (dict(TD.values, **{"0^(0)": vsite.unit()}), TD.homotopies)):
+        mut = CubeDiagram(TD.shape, values, TD.maps, homs, TD.ring_names)
         assert not validate(vsite, mut, vcube).layers[0]
 
 

@@ -43,7 +43,9 @@ TRUSTED = {"ChainComplex.shift": (complexes.ChainComplex,),
            "fib_projection": (complexes, shapes),
            "induced_cone_map": (complexes, shapes),
            "_fibre_map": (shapes,),
-           "holim_punctured": (shapes, torsion, adelic)}
+           "_comparison_map": (shapes,),
+           "holim_punctured": (shapes, torsion, adelic),
+           "AdelicCube.tensor": (adelic.AdelicCube,)}
 
 
 def _recheck(value, seen):
@@ -70,9 +72,12 @@ def _wrap_trusted(monkeypatch):
 
         def wrapped(*args, _op=op, _tally=counts[name]):
             out = _op(*args)
-            for value in out if isinstance(out, tuple) else (out,):
+            values = out if isinstance(out, tuple) else \
+                [*out.values.values(), *out.maps.values()] if isinstance(out, CubeDiagram) \
+                else (out,)
+            for value in values:
                 if not isinstance(value, (ChainComplex, ChainMap)):
-                    continue    # fan_out's slots
+                    continue    # fan_out's slots, or no comparison map
                 if value.verified:
                     _tally["verified"] += 1
                     _recheck(value, seen)
@@ -271,6 +276,93 @@ def test_fan_out_is_trusted_only_on_verified_natural_input(monkeypatch):
     assert W.verified
     with pytest.raises(ShapeError, match="d o d"):
         W.fan_out(lambda w: [ZERO("zint") if w == Z_INV(2) else w])
+
+
+def _count_chain_map_checks(monkeypatch):
+    calls = []
+    full_check = ChainMap.is_chain_map
+
+    def counted(self):
+        calls.append(self)
+        return full_check(self)
+    monkeypatch.setattr(ChainMap, "is_chain_map", counted)
+    return calls
+
+
+def test_tensor_maps_are_trusted_only_on_verified_canonical_input(zcube, vcube, monkeypatch):
+    X = ChainComplex.two_term(Z_INT(), 12)
+    U = ChainComplex(X.backend, X.strands, X.blocks, check=False)
+    # a twisted block K --y^3--> V: its source dies where its target
+    # survives, at the x-complete factors
+    T = ChainComplex("valrank2", {1: [(VAL("K"), 1)], 0: [(VAL("V"), 1)]},
+                     {(1, 0, 0): [[ry() ** 3]]})
+    assert X.verified and T.verified and not U.verified
+    calls = _count_chain_map_checks(monkeypatch)
+    D = zcube.tensor(X)
+    assert calls == [] and all(f.verified for f in D.maps.values())
+    # the same maps from an unchecked X, each through the full check (its
+    # ends, checked fan-outs, are verified, so it is verified once passed)
+    checked = zcube.tensor(U).maps
+    assert [id(f) for f in calls] == [id(f) for f in checked.values()]
+    assert all(f.verified and f.blocks == D.maps[k].blocks for k, f in checked.items())
+    calls.clear()
+    twisted = vcube.tensor(T).maps
+    assert [id(f) for f in calls] == [id(f) for f in twisted.values()]
+
+
+def _tensor_with_combine(cube, X, rule, monkeypatch):
+    """cube.tensor(X) with the strand world u (x) f, for a strand u of X
+    and a ring factor f, read off rule(u, f) where it gives a world."""
+    combine = adelic._combine
+    monkeypatch.setattr(adelic, "_combine", lambda u, f: rule(u, f) or combine(u, f))
+    return cube.tensor(X)
+
+
+def test_tensor_map_whose_slots_do_not_join_is_checked(zsite, monkeypatch):
+    # Z --1--> Z[1/2], with the target strand dying at the 3-adic factor of
+    # vertex 0 while the source survives: along the unit pair into the
+    # 3-adic factor of vertex 10, d o f passes through the source's image
+    # there, but f o d has no middle strand at vertex 0
+    X = ChainComplex("zint", {1: [(Z_INT(), 1)], 0: [(Z_INV(2), 1)]}, {(1, 0, 0): [[1]]})
+    cube = AdelicCube(zsite)
+
+    def rule(u, f):
+        return ZERO("zint") if u == Z_INV(2) and f == complete_world(Z_INT(), 3) else None
+    with pytest.raises(NotChainMapError):
+        _tensor_with_combine(cube, X, rule, monkeypatch)
+
+
+def test_tensor_map_between_non_canonical_slots_is_checked(zsite, monkeypatch):
+    # Z over the 3-adic rationals of vertex 10 read as the 2-adic
+    # integers: the unit pairs into it join worlds with no canonical map
+    cube = AdelicCube(zsite)
+    qp3 = cube.ring_worlds((0, 1))[1]
+    assert qp3.comp == 3 and qp3.inv
+
+    def rule(u, f):
+        return complete_world(Z_INT(), 2) if f == qp3 else None
+    with pytest.raises(IncompatibleWorldsError):
+        _tensor_with_combine(cube, ChainComplex.unit(Z_INT()), rule, monkeypatch)
+
+
+def test_comparison_map_is_trusted_once_its_homotopy_holds(monkeypatch):
+    # f, r zero maps Z[0] -> 0 -> Z[1]: any h: Z[0] -> Z[1] has dh + hd = 0
+    C, E = ChainComplex.single(Z_INT(), {0: 1}), ChainComplex.single(Z_INT(), {1: 1})
+    zero = ChainComplex.zero("zint")
+    f, r = ChainMap(C, zero, {}), ChainMap(zero, E, {})
+    calls = _count_chain_map_checks(monkeypatch)
+    phi = shapes._comparison_map(f, r, {(0, 0, 0): [[3]]})
+    assert phi.verified and calls == [] and phi.blocks == {(1, 0, 0): [[3]]}
+    # h's blocks keep their shape and entry checks
+    with pytest.raises(IncompatibleWorldsError):
+        shapes._comparison_map(f, r, {(0, 0, 0): [[F(1, 2)]]})
+    with pytest.raises(ShapeError):
+        shapes._comparison_map(f, r, {(0, 0, 0): [[1], [1]]})
+    # an unchecked f sends phi to the full check; a broken homotopy gives none
+    U = ChainMap(C, zero, {}, check=False)
+    assert shapes._comparison_map(U, r, {(0, 0, 0): [[3]]}) and len(calls) == 1
+    idm = ChainMap.from_unit(C, C)
+    assert shapes._comparison_map(idm, idm, {}) is None
 
 
 # -- the punctured-cube limit ------------------------------------------------------------
