@@ -97,7 +97,7 @@ class IncompatibleWorldsError(ValueError):
 
 
 def _is_zero_mat(M) -> bool:
-    return all(is_zero_el(e) for row in M for e in row)
+    return not any(map(any, M))
 
 
 def _composite(first, s1, second, mid, dst, s2, sign=1, out=None):

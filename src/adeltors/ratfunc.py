@@ -45,10 +45,14 @@ int or Fraction; their results equal what the full reduction builds.
 A product or quotient of two Laurent monomials c*x^A*y^B is built in
 closed form, already canonical: the numerator c*x^max(A,0)*y^max(B,0)
 over the monic denominator x^max(-A,0)*y^max(-B,0).
+
+An element is falsy exactly when it is zero, as an int or a Fraction
+is, so `not e` is the zero test on every carrier element.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Mono = tuple[int, int]
@@ -386,6 +390,9 @@ class RatXY:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
@@ -493,14 +500,16 @@ MAX_EXPONENT = 64
 def parse_ratxy(s: str) -> RatXY:
     """Parse expressions like '3*x^2*y/(1 + x)' (exact, eval-free).
 
-    Exponents are integer literals 0..MAX_EXPONENT; anything else raises
+    A digit, x or y written right before x or y multiplies it, so the
+    printed forms 'x^2y' and 'xy' read back as x^2*y and x*y.  Exponents
+    are integer literals 0..MAX_EXPONENT; anything else raises
     ValueError.  A numeric literal is read exactly from its source text,
     so '0.1' is 1/10; bool, complex and string constants raise ValueError,
     as do text Python cannot parse and an expression nested beyond the
     interpreter's recursion limit."""
     import ast
 
-    text = s.replace("^", "**")
+    text = re.sub("(?<=[0-9xy])(?=[xy])", "*", s).replace("^", "**")
 
     def conv(node):
         if isinstance(node, ast.Expression):

@@ -10,6 +10,13 @@ decided on carrier elements.  Integer-backend entries a caller hands in
 may still be integral Fractions; the package keeps them as given and
 demotes them to ints (`normal_el`) where it builds new blocks, and it
 divides carriers only through `div_el`, which never gives a float.
+Every carrier element is falsy exactly when it is zero, so the zero
+test (`is_zero_el`) is `not el`.
+
+Worlds are interned: equal fields give the identical World object,
+whichever constructor or operation built it, so `==` on worlds is `is`;
+hash, name and sort key are computed once per world, and whether a
+canonical map exists is decided once per ordered pair of worlds.
 
 Integer backend ("zint").  A world is (comp, inv) where comp is None or
 a prime p (completion at p) and inv records the invertible primes,
@@ -135,21 +142,35 @@ class InvSet:
 FIN0 = InvSet(frozenset())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class World:
-    """A catalogue world.  kind is 'z', 'val', 'fp', or 'zero'."""
+    """A catalogue world.  kind is 'z', 'val', 'fp', or 'zero'.
+
+    World(...) hands back the interned object (`_interned`); its hash is
+    the field tuple's, as a frozen dataclass hashes.  copy, deepcopy and
+    pickle rebuild through World(...), so they give the same object."""
 
     backend: str           # "zint" | "valrank2"
     kind: str              # "z" | "val" | "fp" | "zero"
-    comp: int | None = None        # z: completion prime
-    inv: InvSet = FIN0             # z: invertible primes
-    comp_height: int = 0           # val: completion height c
-    loc_height: int = 0            # val: localization height l
-    char: int = 0                  # fp: the prime
+    comp: int | None       # z: completion prime
+    inv: InvSet            # z: invertible primes
+    comp_height: int       # val: completion height c
+    loc_height: int        # val: localization height l
+    char: int              # fp: the prime
+
+    def __new__(cls, backend: str, kind: str, comp: int | None = None, inv: InvSet = FIN0,
+                comp_height: int = 0, loc_height: int = 0, char: int = 0) -> "World":
+        return _interned(backend, kind, comp, inv, comp_height, loc_height, char)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return World, (self.backend, self.kind, self.comp, self.inv,
+                       self.comp_height, self.loc_height, self.char)
 
     # -- naming ---------------------------------------------------------------
-    @property
-    def name(self) -> str:
+    def _name(self) -> str:
         if self.kind == "zero":
             return "Zero"
         if self.kind == "fp":
@@ -171,13 +192,7 @@ class World:
         return self.name
 
     def sort_key(self):
-        return (self.backend, self.kind, self.comp or 0, self.inv.cofinite,
-                tuple(sorted(self.inv.primes)),
-                self.name if self.kind == "val" else "", self.char)
-
-    @property
-    def is_zero_world(self) -> bool:
-        return self.kind == "zero"
+        return self._sort_key
 
     # -- carrier arithmetic -----------------------------------------------------
     def el_zero(self):
@@ -288,8 +303,9 @@ class World:
 
 
 def is_zero_el(el: int | Fraction | RatXY) -> bool:
-    """Whether a carrier element (int, Fraction or RatXY) is zero."""
-    return el == 0 if isinstance(el, (int, Fraction)) else el.is_zero()
+    """Whether a carrier element (int, Fraction or RatXY) is zero: each
+    is falsy exactly when it is zero."""
+    return not el
 
 
 def normal_el(el: int | Fraction | RatXY) -> int | Fraction | RatXY:
@@ -320,6 +336,20 @@ def inv_el(u: int | Fraction | RatXY) -> int | Fraction | RatXY:
 _VAL_NAMES = (("V", "Vp", "K"),
               ("VhatPFull", "VhatP", "VhatPInv"),
               ("VhatM", "VhatMInv"))
+
+
+@lru_cache(maxsize=None)
+def _interned(*fields) -> World:
+    """The one World with these fields, in declaration order; built, and
+    its derived values computed, on the first request only."""
+    w = object.__new__(World)
+    vars(w).update(zip(World.__dataclass_fields__, fields))
+    name = w._name()
+    vars(w).update(_hash=hash(fields), name=name, is_zero_world=w.kind == "zero",
+                   _sort_key=(w.backend, w.kind, w.comp or 0, w.inv.cofinite,
+                              tuple(sorted(w.inv.primes)), name if w.kind == "val" else "",
+                              w.char))
+    return w
 
 
 # -- constructors ---------------------------------------------------------------
@@ -390,7 +420,10 @@ def world_from_name(name: str, backend: str | None = None) -> World:
 
 # -- canonical maps ----------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def canonical_map_exists(src: World, dst: World) -> bool:
+    """Whether a canonical map src -> dst exists; memoised per pair of
+    (interned) worlds, so the catalogue bounds the table."""
     if src.backend != dst.backend:
         return False
     if src.is_zero_world or dst.is_zero_world:

@@ -1,4 +1,6 @@
 import operator
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -271,7 +273,7 @@ def test_structural_y_free_matches_evaluation(rng):
 
 
 @pytest.mark.parametrize("text", ["x^1.5", "x^True", "x^(1+1)", "x^-2", "x^65",
-                                  "x^99999999999999"])
+                                  "x^99999999999999", "x^65y"])
 def test_parse_rejects_bad_exponents(text):
     with pytest.raises(ValueError):
         parse_ratxy(text)
@@ -295,7 +297,7 @@ def test_parse_rejects_non_numeric_constants(text):
         parse_ratxy(text)
 
 
-@pytest.mark.parametrize("text", ["x^2y", "1 +", "x)(", "", "x; y"])
+@pytest.mark.parametrize("text", ["x^2 y", "1 +", "x)(", "", "x; y", "xz"])
 def test_parse_rejects_unparsable_text(text):
     with pytest.raises(ValueError):
         parse_ratxy(text)
@@ -304,3 +306,48 @@ def test_parse_rejects_unparsable_text(text):
 def test_parse_refuses_over_deep_expressions():
     with pytest.raises(ValueError):
         parse_ratxy("+".join(["x"] * 3000))
+
+
+def test_parse_reads_juxtaposed_products():
+    assert parse_ratxy("x^2y") == x() ** 2 * y()
+    assert parse_ratxy("xy") == x() * y() == parse_ratxy("yx")
+    assert parse_ratxy("-3/2*xy^2 + x^10y") == Fraction(-3, 2) * x() * y() ** 2 + x() ** 10 * y()
+    assert parse_ratxy("2y") == 2 * y()
+    assert parse_ratxy("(x^2y)/(1 + xy)") == x() ** 2 * y() / (1 + x() * y())
+
+
+def _printed_inputs():
+    """The valrank2 library and the 16 valrank2 inputs of the bench's
+    `random` workload (the stream bench/workloads.py draws them from)."""
+    from adeltors.library import random_complex, valrank2_library
+    from adeltors.localize import Site
+
+    site = Site("valrank2")
+    shapes = random.Random("20260801-valrank2-[('atoms', 4), ('primes', (2, 3))]")
+    return [X for _, X in valrank2_library(site)] + \
+        [random_complex(shapes, site.base, primes=(2, 3), atoms=4) for _ in range(16)]
+
+
+def test_printed_forms_read_back(rng):
+    """Every entry and class generator the package prints over the
+    valrank2 library and the random bench inputs, and 200 seeded
+    elements, parse back to what was printed."""
+    from adeltors.homology import homology
+
+    seen = set()
+    for X in _printed_inputs():
+        for M in X.blocks.values():
+            for e in (e for row in M for e in row):
+                assert parse_ratxy(repr(e)) == e, e
+                seen.add(repr(e))
+        for n, cls in homology(X).data.items():
+            for piece in cls.describe():
+                gen = re.fullmatch(r"Cyclic\(Vp?,(.*)\)", piece)
+                if gen:
+                    assert repr(parse_ratxy(gen[1])) == gen[1], piece
+                    seen.add(gen[1])
+    assert {"x^2y", "xy"} <= seen
+    for _ in range(200):
+        e = _operand(rng)
+        e = e if isinstance(e, RatXY) else RatXY.const(e)
+        assert parse_ratxy(repr(e)) == e, e

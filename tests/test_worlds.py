@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -5,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from adeltors.adelic import _combine
 from adeltors.classes import PRUEFER_X, PRUEFER_Y, QUOT_KV, ModuleClass
+from adeltors.complexes import _is_zero_mat
 from adeltors.homology import UnsupportedMixedShape, cone_atom_classes, cross_atom_classes
 from adeltors.ratfunc import RatXY, x, y
-from adeltors.worlds import (PRIME_FIELD, VAL, ZERO, Z_INT, Z_INV, Z_LOC, Z_PADIC,
-                             Z_PADICRAT, Z_RAT, Z_SEMILOC, WorldError,
+from adeltors.worlds import (FIN0, PRIME_FIELD, VAL, ZERO, Z_INT, Z_INV, Z_LOC, Z_PADIC,
+                             Z_PADICRAT, Z_RAT, Z_SEMILOC, InvSet, World, WorldError,
                              canonical_map_exists, carrier_act, carrier_block,
                              complete_world, div_el, fracture_pullback, inv_el,
-                             invert_primes, invert_val, mult_map_allowed, normal_el,
-                             world_from_name)
+                             invert_primes, invert_val, is_zero_el, mult_map_allowed,
+                             normal_el, world_from_name)
 
 ALL_Z = [Z_INT(), Z_INV(2), Z_INV(2, 3), Z_RAT(), Z_LOC(2), Z_SEMILOC(2, 3),
          Z_PADIC(2), Z_PADICRAT(2)]
@@ -20,9 +24,18 @@ ALL_V = [VAL(s) for s in ("V", "Vp", "K", "VhatM", "VhatMInv", "VhatP",
                           "VhatPFull", "VhatPInv")]
 
 
+_CATALOGUE = (ALL_Z + [Z_INV(3), Z_INV(2, 3, 5), Z_LOC(3), Z_SEMILOC(2, 5), Z_PADIC(3),
+                       Z_PADICRAT(5), PRIME_FIELD(2), PRIME_FIELD(3), ZERO("zint")]
+              + ALL_V + [ZERO("valrank2")])
+
+
 def test_names_round_trip():
-    for w in ALL_Z + ALL_V:
-        assert world_from_name(w.name) == w
+    """A name reads back to the same (interned) object."""
+    assert [w.name for w in ALL_Z] == ["Int", "IntInv(2)", "IntInv(2,3)", "Rat", "IntLoc(2)",
+                                       "IntSemiLoc(2,3)", "Padic(2)", "PadicRat(2)"]
+    for w in _CATALOGUE:
+        assert world_from_name(w.name, w.backend) is w
+        assert repr(w) == w.name
 
 
 def test_membership_units():
@@ -31,6 +44,9 @@ def test_membership_units():
     assert Z_PADIC(2).contains(F(1, 3)) and not Z_PADIC(2).contains(F(1, 2))
     assert Z_PADICRAT(2).is_unit(F(8))
     assert Z_INV(2).is_unit(F(4)) and not Z_INV(2).is_unit(F(6))
+    F3 = PRIME_FIELD(3)
+    assert F3.contains(F(1, 2)) and F3.contains(F(6)) and not F3.contains(F(1, 3))
+    assert F3.is_unit(F(2, 5)) and not F3.is_unit(F(6)) and not F3.is_unit(F(0))
     V = VAL("V")
     assert V.contains(y() / x()) and not V.contains(x() / y())
     assert V.is_unit((x() + RatXY.const(1)))
@@ -465,3 +481,107 @@ def test_val_atom_rules_match_the_old_tables():
 def test_val_worlds_sort_by_name():
     assert [w.name for w in sorted(ALL_V, key=lambda w: w.sort_key())] == \
         sorted(w.name for w in ALL_V)
+
+
+# -- interning: one object per world ------------------------------------------
+
+def test_every_constructor_path_gives_the_one_world():
+    paths = [
+        [Z_INT(), World("zint", "z"), World("zint", "z", None, InvSet(frozenset())),
+         world_from_name("Int"), invert_primes(Z_INT(), frozenset()),
+         fracture_pullback(Z_PADIC(2), Z_INV(2), Z_PADICRAT(2)),
+         _combine(Z_INT(), Z_INT())],
+        [Z_INV(2, 3), Z_INV(3, 2), world_from_name("IntInv(2,3)"),
+         invert_primes(Z_INV(2), frozenset({3})), invert_primes(Z_INT(), frozenset({2, 3})),
+         _combine(Z_INV(2), Z_INV(3)), World("zint", "z", inv=InvSet(frozenset({3, 2})))],
+        [Z_SEMILOC(2, 3), world_from_name("IntSemiLoc(2,3)"),
+         fracture_pullback(Z_PADIC(3), Z_LOC(2), Z_PADICRAT(3))],
+        [Z_PADIC(2), complete_world(Z_INT(), 2), complete_world(Z_LOC(2), 2),
+         _combine(Z_INT(), Z_PADIC(2)), world_from_name("Padic(2)")],
+        [Z_PADICRAT(2), invert_primes(Z_PADIC(2), frozenset({2})),
+         _combine(Z_INV(2), Z_PADIC(2)), world_from_name("PadicRat(2)")],
+        [PRIME_FIELD(3), World("zint", "fp", char=3), world_from_name("PrimeField(3)")],
+        [ZERO("zint"), complete_world(Z_INV(2), 2), world_from_name("Zero"), World("zint", "zero")],
+        [VAL("Vp"), invert_val(VAL("V"), frozenset({"x"})), _combine(VAL("Vp"), VAL("V")),
+         World("valrank2", "val", comp_height=0, loc_height=1), world_from_name("Vp")],
+        [VAL("VhatPFull"), complete_world(VAL("V"), "p"),
+         fracture_pullback(VAL("VhatM"), VAL("VhatP"), VAL("VhatMInv"))],
+        [VAL("V"), fracture_pullback(VAL("VhatPFull"), VAL("K"), VAL("VhatPInv")),
+         World("valrank2", "val", None, FIN0, 0, 0, 0)],
+        [ZERO("valrank2"), invert_val(VAL("VhatM"), frozenset({"y"})),
+         complete_world(VAL("Vp"), "m"), world_from_name("Zero", "valrank2")],
+    ]
+    for group in paths:
+        assert all(w is group[0] for w in group), group
+    firsts = [group[0] for group in paths]
+    for a in firsts:
+        assert [b == a for b in firsts] == [b is a for b in firsts]
+
+
+def test_copy_deepcopy_and_pickle_keep_the_object():
+    for w in _CATALOGUE:
+        assert copy.copy(w) is w and copy.deepcopy(w) is w
+        assert pickle.loads(pickle.dumps(w)) is w
+    held = {"strands": [(w, 2) for w in _CATALOGUE]}
+    assert all(a is b for (a, _), (b, _) in zip(copy.deepcopy(held)["strands"], held["strands"]))
+
+
+def test_worlds_hash_as_frozen_dataclasses_and_are_immutable():
+    """The hash is the field tuple's, as the frozen dataclass hashed it, so
+    sets and dicts of worlds iterate as before interning."""
+    for w in _CATALOGUE:
+        assert hash(w) == hash(tuple(getattr(w, f.name) for f in dataclasses.fields(w)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.comp_height = 1
+
+
+def _zint_map_reference(src, dst):
+    """A canonical map src -> dst of integer-backend worlds, read off
+    carrier membership: no other completion, and every prime inverted in
+    src (of those the catalogue above uses) inverted in dst.  A prime
+    field maps only to itself."""
+    if "fp" in (src.kind, dst.kind):
+        return src.kind == dst.kind and src.char == dst.char
+    if src.comp is not None and src.comp != dst.comp:
+        return False
+    return all(dst.contains(F(1, p)) for p in (2, 3, 5, 7) if src.contains(F(1, p)))
+
+
+def test_memoised_canonical_maps_match_a_reference():
+    for src in _CATALOGUE:
+        for dst in _CATALOGUE:
+            if src.backend != dst.backend:
+                want = False
+            elif src.is_zero_world or dst.is_zero_world:
+                want = True
+            elif src.backend == "zint":
+                want = _zint_map_reference(src, dst)
+            else:
+                want = _old_map_exists(src, dst)
+            assert canonical_map_exists.__wrapped__(src, dst) == want, (src, dst)
+            for _ in range(2):      # the first call may fill the memo, the second reads it
+                assert canonical_map_exists(src, dst) == want, (src, dst)
+
+
+# -- zero tests: every carrier element is falsy exactly when it is zero ------------
+
+def test_zero_tests_agree_with_equality(rng):
+    values = [0, 1, -1, F(0), F(4, 2), F(-3, 1), F(1, 2), RatXY.const(0), x() - x(),
+              RatXY.const(F(4, 2))]
+    for _ in range(300):
+        values += [rng.randint(-3, 3), F(rng.randint(-3, 3), rng.randint(1, 3)),
+                   RatXY.monomial(rng.randint(-1, 2), rng.randint(-1, 2), rng.randint(-2, 2)),
+                   (x() + rng.randint(-1, 1)) / (y() + 1) - rng.choice([0, x() / (y() + 1)])]
+    for e in values:
+        zero = e.is_zero() if isinstance(e, RatXY) else e == 0
+        assert is_zero_el(e) == zero == (not bool(e)) == (e == 0), e
+    assert {type(e) for e in values} == {int, F, RatXY}
+    assert _is_zero_mat([]) and _is_zero_mat([[]]) and _is_zero_mat([[], []])
+    for zero, nonzero in ((0, 3), (F(0), F(1, 2)), (F(0), F(2, 1)), (RatXY.const(0), y())):
+        for r, c in ((1, 1), (2, 3), (3, 2)):
+            assert _is_zero_mat([[zero] * c for _ in range(r)])
+            for i in range(r):
+                for j in range(c):
+                    M = [[zero] * c for _ in range(r)]
+                    M[i][j] = nonzero
+                    assert not _is_zero_mat(M), (M, i, j)
