@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adeltors.homology import homology
+from adeltors.library import random_complex, valrank2_library
+from adeltors.localize import Site
 from adeltors.ratfunc import (RatXY, _poly_divexact, _trim, parse_ratxy, poly_add,
                               poly_gcd, poly_mul, poly_neg, poly_val, x, y)
 
@@ -319,9 +322,6 @@ def test_parse_reads_juxtaposed_products():
 def _printed_inputs():
     """The valrank2 library and the 16 valrank2 inputs of the bench's
     `random` workload (the stream bench/workloads.py draws them from)."""
-    from adeltors.library import random_complex, valrank2_library
-    from adeltors.localize import Site
-
     site = Site("valrank2")
     shapes = random.Random("20260801-valrank2-[('atoms', 4), ('primes', (2, 3))]")
     return [X for _, X in valrank2_library(site)] + \
@@ -332,19 +332,15 @@ def test_printed_forms_read_back(rng):
     """Every entry and class generator the package prints over the
     valrank2 library and the random bench inputs, and 200 seeded
     elements, parse back to what was printed."""
-    from adeltors.homology import homology
-
     seen = set()
     for X in _printed_inputs():
-        for M in X.blocks.values():
-            for e in (e for row in M for e in row):
-                assert parse_ratxy(repr(e)) == e, e
-                seen.add(repr(e))
-        for n, cls in homology(X).data.items():
-            for piece in cls.describe():
-                gen = re.fullmatch(r"Cyclic\(Vp?,(.*)\)", piece)
+        for e in (e for M in X.blocks.values() for row in M for e in row):
+            assert parse_ratxy(repr(e)) == e, e
+            seen.add(repr(e))
+        for cls in homology(X).data.values():
+            for gen in (re.fullmatch(r"Cyclic\(Vp?,(.*)\)", p) for p in cls.describe()):
                 if gen:
-                    assert repr(parse_ratxy(gen[1])) == gen[1], piece
+                    assert repr(parse_ratxy(gen[1])) == gen[1], gen[0]
                     seen.add(gen[1])
     assert {"x^2y", "xy"} <= seen
     for _ in range(200):
