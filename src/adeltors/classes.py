@@ -49,10 +49,7 @@ class ModuleClass:
     """Multiset of elementary module pieces; the value of one H_n."""
 
     def __init__(self, pieces=()):
-        self._c = Counter()
-        for piece in pieces:
-            self._c[piece] += 1
-        self._c = +self._c
+        self._c = Counter(pieces)
 
     # -- constructors --------------------------------------------------------
     @staticmethod

@@ -321,7 +321,7 @@ def cmd_tors(args) -> int:
     except (TruncationTooSmall, UnsupportedRegionError) as exc:
         print(f"certificate failure [truncation-support]: {exc}", file=sys.stderr)
         return 1
-    rt = reconstruct(site, TD, X, cube, require_valid=False)
+    rt = reconstruct(site, TD, X, cube)
     doc = {"check": "torsion-model", "backend": site.backend,
            "truncation": list(site.T),
            "vertices": {v.name: {"ring": TD.ring_names[v.name],
@@ -410,7 +410,7 @@ def cmd_verify(args) -> int:
                     record("fracture-limit", False, object=name, detail=str(exc))
         elif suite == "tors":
             for name, X in library(site):
-                rt = reconstruct(site, tors(site, X, cube), X, cube, require_valid=False)
+                rt = reconstruct(site, tors(site, X, cube), X, cube)
                 record("torsion-roundtrip", rt.validation.ok and rt.agree, object=name)
         elif suite == "vertex":
             TD = tors(site, site.unit(), cube)

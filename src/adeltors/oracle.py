@@ -12,8 +12,14 @@ and capped at N' <= N they give every smaller N'.
     die, PrimeField(p) is refused, all others become Z/p^N, and H_n of
     the truncation must match the claimed classes through the
     universal-coefficient shape
-    H_n(C/p^N) = H_n(C)/p^N (+) (p^N-torsion of H_{n-1}(C)) for each
-    listed N, read at the largest N.
+    H_n(C/p^N) = H_n(C)/p^N (+) (p^N-torsion of H_{n-1}(C)).  The primes
+    read are those a world of C or of the claim names, those of the
+    claim's torsion, and those of a nonsingular maximal minor of each
+    differential on its Int and IntInv(S) strands (and the least other
+    prime if worlds name them all).  Each is read at N = max(16, 1 + each
+    exponent the claim names there, 1 + v_p of such a minor on the strands
+    kept mod p): every torsion order of a complex of frees divides that
+    minor (Newman, Integral Matrices, 1972, ch. II).
 
   * valuation backend: realize worlds inside k((x))((y)) and compare
     the exponents of two residue tracks with a per-piece exponent table,
@@ -28,23 +34,24 @@ and capped at N' <= N they give every smaller N'.
 
 Each track read expands once every distinct non-zero entry of a block
 whose source and target strands it keeps, and no other entry;
-val_oracle_check reads each track once, above every exponent the claim
-names.  Nothing here shares a kernel with the classifier or with
-linalg: the integer side runs its own local diagonal form on plain ints
-(elimination mod p^e, as in Dumas, Saunders and Villard, J. Symb.
-Comput. 32, 2001), and the valuation side runs the same elimination on
-truncated series, with Fraction coefficients on the x-track and RatXY
-ones on the y-track.
+oracle_check reads each track once.  Nothing here shares a kernel with
+the classifier or with linalg: the integer side runs its own local
+diagonal form on plain ints (elimination mod p^e, as in Dumas, Saunders
+and Villard, J. Symb. Comput. 32, 2001), and the valuation side runs
+the same elimination on truncated series, with Fraction coefficients on
+the x-track and RatXY ones on the y-track.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .classes import GradedClasses, ModuleClass, PRUEFER_X, PRUEFER_Y, QUOT_KV
 from .complexes import ChainComplex
 from .ratfunc import RatXY, _y_parts
+from .worlds import factorint, vp, world_from_name
 
 
 class OracleMismatch(AssertionError):
@@ -187,27 +194,58 @@ def _reading(ranks, mats, p: int, N: int) -> dict[int, list[int]]:
     return _exponents(ranks, {n: _local_form(A, p, N) for n, A in mats.items()}, N)
 
 
-def predicted_exponents(classes: GradedClasses, p: int, N: int) -> dict[int, list[int]]:
-    return _predicted(classes, lambda M: M.zint_trunc(p, N))
+def _minor(A) -> int:
+    """A nonsingular maximal minor of A cleared of denominators, up to sign
+    (1 when A is 0): the last fraction-free pivot (Bareiss, Math. Comp. 22, 1968)."""
+    den = math.lcm(*(e.denominator for row in A for e in row))
+    rows, last = [[e.numerator * (den // e.denominator) for e in row] for row in A], 1
+    while pivot := next(((i, j) for i, row in enumerate(rows)
+                         for j, e in enumerate(row) if e), None):
+        i, j = pivot
+        prow = rows.pop(i)
+        rows = [[(prow[j] * a - row[j] * b) // last for a, b in zip(row, prow)] for row in rows]
+        last = prow[j]
+    return last
 
 
-def zint_oracle_check(C: ChainComplex, classes: GradedClasses, p: int,
-                      Ns=(4, 8, 16)) -> bool:
-    """Claimed classes match the mod-p^N homology for each N in Ns, else
-    OracleMismatch; both sides are read once, at the largest N, and
-    capped at each N."""
-    try:
-        ranks, mats = zint_truncate(C, p, max(Ns))
-    except ValueError:
-        zint_truncate(C, p, Ns[0])   # refused at every N: name the first checked
-        raise
-    got = _reading(ranks, mats, p, max(Ns))
-    want = predicted_exponents(classes, p, max(Ns))
-    for N in Ns:
-        if _cap(got, N) != _cap(want, N):
-            raise OracleMismatch(f"mod {p}^{N}: truncated homology {_cap(got, N)} "
-                                 f"!= predicted {_cap(want, N)}")
-    return True
+def _minors(C: ChainComplex, p: int | None) -> dict[int, int]:
+    """_minor of each differential of C on the strands kept mod p.  p = None
+    stands for every prime no world names: like such a prime, it lies in
+    every cofinite set of inverted primes and in no finite one."""
+    _, mats = _truncate(C, lambda w: w.kind == "z" and p not in w.inv, lambda e: e, 0)
+    return {n: _minor(A) for n, A in mats.items()}
+
+
+def _primes(m: int, n: int) -> set[int]:
+    """The primes of a minor m != 0 of d_n, by trial division below 2^16;
+    a cofactor left above 2^32 may be composite, and is refused."""
+    out, m = set(), abs(m)
+    for q in range(2, (1 << 16) + 1):
+        if q * q > m:
+            return out | {m} - {1}
+        while m % q == 0:
+            out.add(q)
+            m //= q
+    raise OracleMismatch(f"d_{n}: minor not factored below 2^16, cofactor {m}")
+
+
+def _zint_depths(C: ChainComplex, classes: GradedClasses) -> dict[int, int]:
+    """{p: least N} for each prime the integer tracks read (module docstring)."""
+    worlds, listed = set(C.worlds), set()
+    for M in classes.data.values():
+        for piece, _ in M.pieces():
+            if piece[0] == "free":
+                worlds.add(world_from_name(piece[1]))
+            else:                      # a primary cyclic piece p^e, or Pruefer(p)
+                listed.add(piece[2] if piece[0] == "quot" else factorint(piece[2])[0][0])
+    named = {p for w in worlds for p in (w.comp, w.char, *w.inv.primes) if p}
+    minors = {p: _minors(C, p) for p in [None, *named]}
+    listed |= named | {q for n, m in minors[None].items() for q in _primes(m, n)}
+    if listed <= named:
+        listed.add(next(p for p in itertools.count(2)
+                        if p not in listed and all(p % q for q in range(2, p))))
+    return {p: max([16] + [vp(m, p) + 1 for m in minors.get(p, minors[None]).values()])
+            for p in sorted(listed)}
 
 
 # -- valuation side -------------------------------------------------------------------
@@ -372,28 +410,22 @@ def _val_trunc(M: ModuleClass, track: str) -> tuple[list, list]:
     return mod, tor
 
 
-def val_oracle_check(C: ChainComplex, classes: GradedClasses) -> bool:
-    """Both residue tracks agree with the exponent table (x-adic always;
-    y-adic when no x-complete strand is present).  Each track is read
-    once, at N = max(8, 1 + the largest exponent the claim names on it):
-    capped at N' <= N its reading is the track at N', and above every
-    claimed exponent it tells exponent splits apart."""
-    x_complete = any(_VAL_SLICES[w.name][0] == "zero" for w in C.worlds)
-    tracks = ("x",) if x_complete else ("x", "y")
-    for track in tracks:
-        want = _predicted(classes, lambda M: _val_trunc(M, track))
-        N = max([8] + [e + 1 for exps in want.values() for e in exps if e != math.inf])
-        got, want = val_track_reading(C, track, N), _cap(want, N)
-        if got != want:
-            raise OracleMismatch(f"{track}-residue N={N}: exponents {got} != predicted {want}")
-    return True
-
-
-def oracle_check(C: ChainComplex, classes: GradedClasses, primes=(2, 3)) -> bool:
-    """Dispatch on the backend; integer complexes are checked at every
-    listed prime."""
+def oracle_check(C: ChainComplex, classes: GradedClasses) -> bool:
+    """The claim agrees with every residue track of C, else OracleMismatch
+    naming the track and N: on valrank2 the x-track, and the y-track unless
+    an x-complete strand is present; on zint the prime tracks of
+    _zint_depths, each read once, above every exponent the claim or C has."""
     if C.backend == "valrank2":
-        return val_oracle_check(C, classes)
-    for p in primes:
-        zint_oracle_check(C, classes, p)
+        x_complete = any(_VAL_SLICES[w.name][0] == "zero" for w in C.worlds)
+        tracks = dict.fromkeys("x" if x_complete else "xy", 8)
+    else:
+        tracks = _zint_depths(C, classes)
+    for t, least in tracks.items():
+        xy = isinstance(t, str)
+        want = _predicted(classes, lambda M: _val_trunc(M, t) if xy else M.zint_trunc(t, math.inf))
+        N = max([least] + [e + 1 for exps in want.values() for e in exps if e != math.inf])
+        got = val_track_reading(C, t, N) if xy else _reading(*zint_truncate(C, t, N), t, N)
+        want = _cap(want, N)
+        if got != want:
+            raise OracleMismatch(f"{t}-residue N={N}: exponents {got} != predicted {want}")
     return True

@@ -24,10 +24,6 @@ from .shapes import (CubeDiagram, _vname, big_L, big_R, holim_punctured,
                      is_cofibre_layer)
 
 
-class ValidateFailed(ValueError):
-    pass
-
-
 def tors(site: Site, X: ChainComplex, cube: AdelicCube) -> CubeDiagram:
     """The torsion diagram of X: iterated cofibres of the adelic tensor."""
     return big_L(cube.tensor(X))
@@ -120,13 +116,10 @@ class RoundTripReport:
                 "got": self.got.to_json(), "want": self.want.to_json()}
 
 
-def reconstruct(site: Site, TD: CubeDiagram, X: ChainComplex, cube: AdelicCube,
-                require_valid: bool = True) -> RoundTripReport:
+def reconstruct(site: Site, TD: CubeDiagram, X: ChainComplex, cube: AdelicCube) -> RoundTripReport:
     """Fibres then limit, compared against X; the fibre pass is built
     independently of the cofibre pass so the round trip is a real check."""
     val = validate(site, TD, cube)
-    if require_valid and not val.ok:
-        raise ValidateFailed("diagram fails the membership certificates")
     pc = big_R(TD)
     lim = holim_punctured(pc)
     return RoundTripReport(val, homology(lim), homology(X))

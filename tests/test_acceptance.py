@@ -3,6 +3,7 @@
 Everything is exact (ModuleClass equality); the only tolerances are the
 stated wall-clock budgets, which are asserted."""
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -148,9 +149,12 @@ def test_criterion_8_oracle_consistency():
     n1 = validate_rule_tables("zint")
     n2 = validate_rule_tables("valrank2")
     # stabilization of a completion identification out to N = 2^10
-    from adeltors.oracle import zint_oracle_check
+    from adeltors.oracle import _cap, _predicted, _reading, oracle_check, zint_truncate
     C = ChainComplex.unit(Z_LOC(2))
-    zint_oracle_check(C, homology(C), 2, Ns=(16, 64, 256, 1024))
+    want = _predicted(homology(C), lambda M: M.zint_trunc(2, math.inf))
+    for N in (16, 64, 256, 1024):
+        assert _reading(*zint_truncate(C, 2, N), 2, N) == _cap(want, N)
+    oracle_check(C, homology(C))
     _report("rule-table entries stabilize under the residue oracle",
             n1 + n2 >= 60, f"entries={n1 + n2}")
 

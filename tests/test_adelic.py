@@ -76,8 +76,7 @@ def test_library_round_trips(zcube, zsite, vcube, vsite):
             assert is_adelic_object(D, cube), name
             rep = reconstruct_limit(D, X)
             assert rep.agree, (name, rep.got, rep.want)
-            oracle_check(rep.limit, rep.got,
-                         primes=site.T if site.backend == "zint" else (2, 3))
+            oracle_check(rep.limit, rep.got)
 
 
 def test_truncation_monotone():

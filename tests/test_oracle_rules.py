@@ -1,13 +1,15 @@
 """Rule-table consistency: every registered mixed-world identification
 must stabilize under the residue-truncation oracle.  The integer side is
-pushed to N = 2^10 as the outer bound; the valuation side reads each
-track once, above every exponent the claim names."""
+pushed to N = 2^10 as the outer bound; every track is read once, above
+every exponent the claim or the complex can carry there, and the integer
+side reads every prime where either can have support."""
 
 import ast
+import math
 import random
 import re
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -17,13 +19,12 @@ from adeltors.complexes import ChainComplex
 from adeltors.homology import homology
 from adeltors.library import library, random_complex
 from adeltors.linalg import snf
-from adeltors.oracle import (OracleMismatch, oracle_check, predicted_exponents,
-                             val_oracle_check, val_track_reading,
-                             zint_oracle_check, zint_truncate,
-                             zmod_homology_exponents)
+from adeltors.oracle import (OracleMismatch, oracle_check, val_track_reading,
+                             zint_truncate, zmod_homology_exponents)
 from adeltors.ratfunc import RatXY, x as rx, y as ry
 from adeltors.ruleoracle import validate_rule_tables
-from adeltors.worlds import PRIME_FIELD, VAL, Z_INT, Z_RAT, world_from_name
+from adeltors.worlds import (PRIME_FIELD, VAL, Z_INT, Z_INV, Z_LOC, Z_RAT, factorint,
+                             world_from_name)
 
 
 def test_zint_rule_table():
@@ -42,14 +43,19 @@ def _count_local_forms(monkeypatch):
     return calls
 
 
-def test_stabilization_up_to_1024(monkeypatch):
-    """One entry is run at every doubling up to N = 2^10, from one local
-    form of its one differential, taken mod 2^1024."""
-    Z = Z_INT()
-    C = ChainComplex.two_term(Z, F(12))
-    calls = _count_local_forms(monkeypatch)
-    zint_oracle_check(C, homology(C), 2, Ns=(4, 8, 16, 32, 64, 128, 256, 512, 1024))
-    assert calls == [(2, 1024)]
+def _zint_table(classes, p):
+    return oracle._predicted(classes, lambda M: M.zint_trunc(p, math.inf))
+
+
+def test_stabilization_up_to_1024():
+    """One entry is read mod 2 and mod 3 at every doubling up to N = 2^10,
+    each reading the exponent table of its classes capped at N."""
+    C = ChainComplex.two_term(Z_INT(), F(12))
+    for p in (2, 3):
+        want = _zint_table(homology(C), p)
+        for N in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
+            assert oracle._reading(*zint_truncate(C, p, N), p, N) == oracle._cap(want, N)
+    assert oracle_check(C, homology(C))
 
 
 def _zint_objects():
@@ -70,15 +76,19 @@ def test_reading_at_the_top_n_caps_to_every_smaller_n():
 
 
 def test_one_local_form_per_differential_and_prime(monkeypatch):
-    """zint_oracle_check at N = 4, 8 and 16 takes one local form of each
-    non-empty differential per prime, mod p^16."""
+    """oracle_check truncates once per prime it reads, and takes one local
+    form of each non-empty differential there, at that prime's N."""
     calls = _count_local_forms(monkeypatch)
+    reads = []
+    truncate = oracle.zint_truncate
+    monkeypatch.setattr(oracle, "zint_truncate",
+                        lambda C, p, N: reads.append((p, N)) or truncate(C, p, N))
     for C in _zint_objects()[:10]:
         calls.clear()
-        zint_oracle_check(C, homology(C), 2, Ns=(4, 8, 16))
-        zint_oracle_check(C, homology(C), 3, Ns=(4, 8, 16))
-        assert calls == ([(2, 16)] * len(zint_truncate(C, 2, 16)[1])
-                         + [(3, 16)] * len(zint_truncate(C, 3, 16)[1]))
+        reads.clear()
+        oracle_check(C, homology(C))
+        assert reads and len({p for p, _ in reads}) == len(reads)
+        assert calls == [(p, N) for p, N in reads for _ in truncate(C, p, N)[1]]
 
 
 def test_oracle_refuses_a_differential_whose_square_is_not_zero():
@@ -87,37 +97,154 @@ def test_oracle_refuses_a_differential_whose_square_is_not_zero():
     Z = Z_INT()
     C = ChainComplex("zint", {n: [(Z, 1)] for n in (2, 1, 0)},
                      {(2, 0, 0): [[F(3)]], (1, 0, 0): [[F(2)]]}, check=False)
+    with pytest.raises(OracleMismatch, match="relation escapes the kernel lattice"):
+        oracle_check(C, GradedClasses())
     for p in (2, 3):
         with pytest.raises(OracleMismatch, match="relation escapes the kernel lattice"):
-            zint_oracle_check(C, GradedClasses(), p)
+            oracle._reading(*zint_truncate(C, p, 16), p, 16)
 
 
 def test_oracle_rejects_wrong_claims(zsite):
     Z = Z_INT()
     C = ChainComplex.two_term(Z, F(4))
     with pytest.raises(OracleMismatch):
-        zint_oracle_check(C, GradedClasses({0: ModuleClass.cyclic(Z, F(8))}), 2)
+        oracle_check(C, GradedClasses({0: ModuleClass.cyclic(Z, F(8))}))
     with pytest.raises(OracleMismatch):
-        zint_oracle_check(C, GradedClasses({0: ModuleClass.free(Z)}), 2)
+        oracle_check(C, GradedClasses({0: ModuleClass.free(Z)}))
+
+
+def _cyclics(*orders):
+    out = ModuleClass()
+    for a in orders:
+        out = out + ModuleClass.cyclic(Z_INT(), F(a))
+    return out
+
+
+def test_integer_oracle_reads_the_primes_and_depths_of_its_input():
+    """Wrong claims at primes no caller listed, at exponents of 16 or more,
+    and on the generic free rank: each is rejected, naming its track and
+    N.  [Z^2 --[[2,1],[1,3]]--> Z^2] has torsion Z/5 from entries that 5
+    does not divide; IntInv(2,3) is free of rank one mod every other prime.
+    The primes of the claim are read too: its torsion, and the worlds of
+    its free pieces.  H_0 of [Z --(1,5)--> Q (+) Z] is Q (+) Z/5: its
+    minor is read on the Int strands alone, where a minor of the whole
+    differential may be 1."""
+    Z, L2, I23 = Z_INT(), Z_LOC(2), Z_INV(2, 3)
+    cases = [(ChainComplex.two_term(Z, F(25)), {0: _cyclics(5, 5)}, "5-residue N=16"),
+             (ChainComplex.two_term(Z, F(7)), {}, "7-residue N=16"),
+             (ChainComplex.two_term(Z, F(5)), {0: _cyclics(7)}, "5-residue N=16"),
+             (ChainComplex.single(Z, {1: 2, 0: 2}, {1: [[F(2), F(1)], [F(1), F(3)]]}), {},
+              "5-residue N=16"),
+             (ChainComplex.two_term(Z, F(2 ** 20)), {0: _cyclics(2 ** 17)}, "2-residue N=21"),
+             (ChainComplex.two_term(L2, F(2 ** 20)),
+              {0: ModuleClass.free(L2), 1: ModuleClass.free(L2)}, "2-residue N=21"),
+             (ChainComplex.two_term(I23, F(1)), {0: ModuleClass.free(I23)}, "5-residue N=16")]
+    cases = [(C, homology(C), wrong, message) for C, wrong, message in cases]
+    unit, free = ChainComplex.unit(Z), ModuleClass.free(Z)
+    mixed = ChainComplex("zint", {1: [(Z, 1)], 0: [(Z_RAT(), 1), (Z, 1)]},
+                         {(1, 0, 0): [[F(1)]], (1, 0, 1): [[F(5)]]})
+    cases += [(unit, homology(unit), {0: free + _cyclics(7)}, "7-residue N=16"),
+              (unit, homology(unit), {0: free + ModuleClass.quot("pruefer", 7)}, "7-residue N=16"),
+              (unit, homology(unit), {0: ModuleClass.free(Z_INV(5))}, "5-residue N=16"),
+              (mixed, GradedClasses({0: ModuleClass.free(Z_RAT()) + _cyclics(5)}),
+               {0: ModuleClass.free(Z_RAT())}, "5-residue N=16")]
+    for C, right, wrong, message in cases:
+        assert oracle_check(C, right)
+        with pytest.raises(OracleMismatch, match=f"^{message}: "):
+            oracle_check(C, GradedClasses(wrong))
+
+
+def test_integer_oracle_tells_the_primes_of_random_objects_apart():
+    """Seeded objects over Int whose entries hold 5, 7 and 11: each true
+    claim passes, and the same claim with one cyclic piece moved to
+    another prime is rejected."""
+    rng = random.Random(20261022)
+    moved = 0
+    for _ in range(40):
+        C = random_complex(rng, Z_INT(), primes=(5, 7, 11), atoms=rng.randint(1, 4))
+        H = homology(C)
+        assert oracle_check(C, H)
+        for n, M in sorted(H.data.items()):
+            pieces = [piece for piece, k in M.pieces() for _ in range(k)]
+            cyclic = next((piece for piece in pieces if piece[0] == "cyc"), None)
+            if cyclic:
+                (q, e), = factorint(cyclic[2])
+                pieces.remove(cyclic)
+                wrong = ModuleClass(pieces) + _cyclics((7 if q == 5 else 5) ** e)
+                with pytest.raises(OracleMismatch):
+                    oracle_check(C, GradedClasses({**H.data, n: wrong}))
+                moved += 1
+                break
+    assert moved >= 20
+
+
+def _det(rows):
+    """The determinant of a square rational matrix, by elimination."""
+    M, d = [[F(e) for e in row] for row in rows], F(1)
+    for k in range(len(M)):
+        i = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if i is None:
+            return F(0)
+        M[k], M[i], d = M[i], M[k], d if i == k else -d
+        d *= M[k][k]
+        for row in M[k + 1:]:
+            row[:] = [a - row[k] / M[k][k] * b for a, b in zip(row, M[k])]
+    return d
+
+
+def test_minor_is_a_nonsingular_maximal_minor():
+    """On seeded rational matrices, some of them rank-deficient, _minor is
+    1 when the matrix is 0, and otherwise, up to sign, a non-zero r x r
+    minor of the matrix cleared of denominators, r its rank."""
+    rng = random.Random(20261023)
+    values = [0, 0, 0, 1, -1, 2, 3, -4, 6, 9, 25, F(1, 2), F(-3, 4), F(5, 6)]
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        A = [[F(rng.choice(values)) for _ in range(n)] for _ in range(m)]
+        if m > 2 and rng.random() < 0.4:
+            A[2] = [2 * a - b for a, b in zip(A[0], A[1])]
+        den = math.lcm(*(e.denominator for row in A for e in row))
+        minors = {r: {abs(_det([[A[i][j] * den for j in cols] for i in rows]))
+                      for rows in combinations(range(m), r) for cols in combinations(range(n), r)}
+                  for r in range(1, min(m, n) + 1)}
+        rank = max([0] + [r for r, dets in minors.items() if dets != {0}])
+        got = oracle._minor(A)
+        if rank == 0:
+            assert got == 1
+        else:
+            assert got != 0 and abs(got) in minors[rank]
+
+
+def test_minor_primes_by_bounded_trial_division():
+    """Trial division reads a cofactor below 2^32 as a prime (2^32 - 5 is
+    the largest prime there) and refuses one above it with no prime
+    factor below 2^16, naming the differential, never skipping it; a
+    smooth minor of any size is factored."""
+    assert oracle._primes(2 ** 100 * 3 ** 40, 1) == {2, 3}
+    assert oracle._primes(-12 * (2 ** 32 - 5), 1) == {2, 3, 2 ** 32 - 5}
+    for m in (2 ** 32 + 15, 65537 * 65539):
+        with pytest.raises(OracleMismatch, match=rf"^d_2: minor not factored below 2\^16, cofactor {m}$"):
+            oracle._primes(m, 2)
+    with pytest.raises(OracleMismatch, match=r"^d_1: minor not factored"):
+        oracle_check(ChainComplex.two_term(Z_INT(), F(2 ** 32 + 15)), GradedClasses())
 
 
 def test_uct_shape_of_predictions():
     """The tor correction shows up one degree above the class."""
-    Z = Z_INT()
     cls = GradedClasses({0: ModuleClass.quot("pruefer", 2)})
-    pred = predicted_exponents(cls, 2, 8)
-    assert pred == {1: [8]}   # pure torsion part, one degree up
+    assert _zint_table(cls, 2) == {1: [math.inf]}   # pure torsion part, one degree up
 
 
 def test_prime_field_strand_refused_at_its_own_prime():
     """F_p (x)^L Z/p^N is F_p in two degrees, not a free Z/p^N module, so
-    a PrimeField(p) strand is refused mod p^N and dies mod q^N."""
-    C = ChainComplex.unit(PRIME_FIELD(2))
-    with pytest.raises(ValueError, match=r"PrimeField\(2\) .* mod 2\^4"):
-        oracle_check(C, homology(C))
-    C3 = ChainComplex.unit(PRIME_FIELD(3))
-    assert zint_truncate(C3, 2, 4) == ({0: 0}, {})
-    assert zint_oracle_check(C3, homology(C3), 2)
+    a PrimeField(p) strand is refused mod p^N and dies mod q^N.  The
+    oracle reads the characteristic of every world, so it refuses every
+    PrimeField strand, at N = 16."""
+    for p in (2, 3, 5):
+        C = ChainComplex.unit(PRIME_FIELD(p))
+        with pytest.raises(ValueError, match=rf"PrimeField\({p}\) .* mod {p}\^16"):
+            oracle_check(C, homology(C))
+    assert zint_truncate(ChainComplex.unit(PRIME_FIELD(3)), 2, 4) == ({0: 0}, {})
 
 
 def test_oracle_imports_nothing_from_the_classifier():
@@ -243,11 +370,11 @@ def test_val_tracks_on_models(vsite):
     C = ChainComplex.two_term(V, x * y)
     assert val_track_reading(C, "x", 4) == {0: [4], 1: [4]}    # Cyclic(V, xy): N and N
     assert val_track_reading(C, "y", 4) == {0: [1], 1: [1]}    # y-exponent is 1
-    val_oracle_check(C, homology(C))
+    oracle_check(C, homology(C))
     D = ChainComplex.single(V, {1: 2, 0: 3}, {1: [[x ** 2, 0 * x], [0 * x, x ** 6], [0 * x, y]]})
     assert val_track_reading(D, "x", 4) == {0: [2, 4, 4], 1: [2, 4]}   # x^6 caps at N
     assert val_track_reading(D, "y", 4) == {0: [4]}        # x^a are units there: one R
-    val_oracle_check(D, homology(D))
+    oracle_check(D, homology(D))
 
 
 def test_val_oracle_rejects_wrong_claims(vsite):
@@ -259,7 +386,7 @@ def test_val_oracle_rejects_wrong_claims(vsite):
     for wrong in (ModuleClass.free(V), ModuleClass.cyclic(V, rx()),
                   ModuleClass.cyclic(V, rx() * ry() ** 2)):
         with pytest.raises(OracleMismatch) as err:
-            val_oracle_check(C, GradedClasses({0: wrong}))
+            oracle_check(C, GradedClasses({0: wrong}))
         messages.append(str(err.value).split(" N=")[0])
     assert messages == ["x-residue", "x-residue", "y-residue"]
 
@@ -290,9 +417,9 @@ def test_val_oracle_tells_exponent_splits_apart():
              (_diagonal(V, [x ** 9, x ** 9]), V, [x ** 10, x ** 8], "x"),
              (ChainComplex.two_term(V, x * y), V, [x, y], "x")]
     for C, W, claim, track in cases:
-        val_oracle_check(C, homology(C))
+        oracle_check(C, homology(C))
         with pytest.raises(OracleMismatch, match=rf"^{track}-residue N="):
-            val_oracle_check(C, _cyclic_sum(W, claim))
+            oracle_check(C, _cyclic_sum(W, claim))
 
 
 def test_val_oracle_rejects_partition_pairs_of_equal_length():
@@ -309,9 +436,9 @@ def test_val_oracle_rejects_partition_pairs_of_equal_length():
     rng = random.Random(20261021)
     for (p, q), (W, t) in zip(rng.sample(pairs, 12), [(VAL("V"), rx()), (VAL("Vp"), ry())] * 6):
         C = _diagonal(W, [t ** e for e in p])
-        val_oracle_check(C, _cyclic_sum(W, [t ** e for e in p]))
+        oracle_check(C, _cyclic_sum(W, [t ** e for e in p]))
         with pytest.raises(OracleMismatch):
-            val_oracle_check(C, _cyclic_sum(W, [t ** e for e in q]))
+            oracle_check(C, _cyclic_sum(W, [t ** e for e in q]))
 
 
 def _val_objects(vsite):
@@ -485,7 +612,7 @@ def test_capped_exponents_sum_to_the_n_fold_track_dims(vsite, vcube):
 
 def test_val_reading_at_the_top_n_caps_to_every_smaller_n(vsite, vcube, monkeypatch):
     """A track read once at N = 9, capped at N, is a fresh reading at N,
-    for N = 1 ... 9.  val_oracle_check reads each track once, at N = 8
+    for N = 1 ... 9.  oracle_check reads each track once, at N = 8
     unless the claim names an exponent of 8 or more on it."""
     rng = random.Random(20261019)
     complexes = [random_complex(rng, vsite.base, primes=(2, 3), atoms=rng.randint(1, 4))
@@ -502,11 +629,11 @@ def test_val_reading_at_the_top_n_caps_to_every_smaller_n(vsite, vcube, monkeypa
                         lambda C, track, N: reads.append((track, N)) or reading(C, track, N))
     for C in complexes[:20]:
         reads.clear()
-        val_oracle_check(C, homology(C))
+        oracle_check(C, homology(C))
         assert reads == [("x", 8), ("y", 8)]
     reads.clear()
     C = _diagonal(vsite.base, [rx() ** 9, rx() ** 9])
-    val_oracle_check(C, homology(C))
+    oracle_check(C, homology(C))
     assert reads == [("x", 10), ("y", 8)]
 
 

@@ -113,7 +113,7 @@ def _verdicts(sites) -> str:
         for X in objects:
             try:
                 TD = tors(site, X, cube)
-                rt = reconstruct(site, TD, X, cube, require_valid=False)
+                rt = reconstruct(site, TD, X, cube)
                 D = cube.tensor(X)
                 out.append({"membership": validate(site, TD, cube).to_json(),
                             "roundtrip": rt.to_json(),
